@@ -6,7 +6,8 @@ Every subcommand prints a report of the form::
     {"suite": ..., "checks": [{"id", "status", "residual", "runtime_ms"}],
      "config": {...}}
 
-and exits 0 if every check passed, 1 if any failed, 2 on usage errors.
+and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
+malformed input files included.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .algebra import (
     quotient_dim,
     trace_right,
 )
-from .graph import CellSystem, FusionGraph, build_A, pf_eigen, solve_cells
+from .graph import FusionGraph, build_A, solve_cells
 from .hecke import decompose as hecke_decompose, evaluate as hecke_evaluate, f13_relations
 from .rewrite import normalize
 from .scalar import Laurent
@@ -80,14 +81,22 @@ class Report:
         return 0 if all(c["status"] == "pass" for c in self.checks) else 1
 
 
+def _bad_file(option: str, path: str, exc: Exception) -> click.BadParameter:
+    """One-line usage error for an input file that cannot be read."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return click.BadParameter(f"{path}: {reason}", param_hint=f"'{option}'")
+
+
 def _load_websum(path: str) -> WebSum:
-    with open(path) as fh:
-        rows = json.load(fh)
-    if not rows:
-        raise click.UsageError("empty web sum")
-    webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
-    top, bot = webs[0][0].top, webs[0][0].bot
-    return WebSum(top, bot, webs)
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)
+        webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
+        if webs:
+            return WebSum(webs[0][0].top, webs[0][0].bot, webs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _bad_file("--in", path, exc) from None
+    raise click.BadParameter(f"{path}: empty web sum", param_hint="'--in'")
 
 
 def _dump_websum(x: WebSum):
@@ -95,10 +104,27 @@ def _dump_websum(x: WebSum):
 
 
 def _graph_option(n, graph_file) -> FusionGraph:
+    """The graph in ``--graph FILE``, else the weight-lattice graph at ``--n``."""
     if graph_file:
-        with open(graph_file) as fh:
-            return FusionGraph.from_json(json.load(fh))
-    return build_A(n)
+        try:
+            with open(graph_file) as fh:
+                return FusionGraph.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _bad_file("--graph", graph_file, exc) from None
+    if n is None:
+        raise click.UsageError("need --n or --graph")
+    try:
+        return build_A(n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--n'") from None
+
+
+def _sigma(ctx, param, value: str) -> str:
+    """``--sigma`` with its optional commas removed."""
+    sigma = value.replace(",", "")
+    if set(sigma) - set("+-"):
+        raise click.BadParameter(f"{value!r} has signs other than '+' and '-'")
+    return sigma
 
 
 @click.group()
@@ -135,12 +161,12 @@ def trace_cmd(infile):
 
 
 @main.command("gram")
-@click.option("--sigma", required=True, help="boundary word, e.g. '---+++' or '-,-,-,+,+,+'")
+@click.option("--sigma", required=True, callback=_sigma,
+              help="boundary word, e.g. '---+++' or '-,-,-,+,+,+'")
 @click.option("--n", required=True, type=int)
 @click.option("--rank", "want_rank", is_flag=True)
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
-    sigma = sigma.replace(",", "")
     basis, rows = gram_rows(sigma, n)
     rep = Report("gram", sigma=sigma, n=n)
     rep.add("gram", True, residual=0)
@@ -162,7 +188,7 @@ def decompose_cmd(infile, max_len):
     ok = (hecke_evaluate(word) - x).is_zero()
     rep = Report("decompose", infile=infile)
     rep.add("round_trip", ok, residual=0 if ok else "mismatch")
-    sys.exit(rep.emit(None, payload=repr(word)))
+    sys.exit(rep.emit(None, payload=word.to_json()))
 
 
 @main.command("relcheck")
@@ -204,8 +230,8 @@ def relcheck_cmd(suite, m, n, seed, trials):
 @main.command("dims")
 @click.option("--n", default=5, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--i", "ii", required=True, type=int)
-@click.option("--j", "jj", required=True, type=int)
+@click.option("--i", "ii", required=True, type=click.IntRange(min=0))
+@click.option("--j", "jj", required=True, type=click.IntRange(min=0))
 def dims_cmd(n, graph_file, ii, jj):
     """Dimension of the level-(i, j) path-pair algebra."""
     g = _graph_option(n, graph_file)
@@ -225,11 +251,16 @@ def graph_grp():
 @click.option("--n", required=True, type=int)
 @click.option("--out", default=None, type=click.Path())
 def build_a_cmd(n, out):
-    """Emit the weight-lattice graph at Coxeter number n as JSON."""
-    g = build_A(n)
+    """Emit the weight-lattice graph at Coxeter number n as JSON.
+
+    With --out, also write the graph alone to a file that --graph reads."""
+    g = _graph_option(n, None)
+    if out:
+        with open(out, "w") as fh:
+            json.dump(g.to_json(), fh)
     rep = Report("graph:build-a", n=n)
     rep.add("build", True, residual=0)
-    sys.exit(rep.emit(out, payload=g.to_json()))
+    sys.exit(rep.emit(None, payload=g.to_json()))
 
 
 @main.group("cells")
@@ -244,8 +275,6 @@ def cells_grp():
 @click.option("--seed", default=0, type=int)
 def cells_solve_cmd(n, graph_file, tol, seed):
     """Solve the frame equations for cell weights on a graph."""
-    if n is None and graph_file is None:
-        raise click.UsageError("need --n or --graph")
     g = _graph_option(n, graph_file)
     cells = solve_cells(g, tol=tol, seed=seed)
     rep = Report("cells:solve", n=g.n, graph=g.name or graph_file, tol=tol, seed=seed)
@@ -271,8 +300,6 @@ def connection_grp():
 @click.option("--tol", default=1e-10, type=float)
 def connection_check_cmd(n, graph_file, tol):
     """Unitarity and commuting-square residuals for both parities."""
-    if n is None and graph_file is None:
-        raise click.UsageError("need --n or --graph")
     g = _graph_option(n, graph_file)
     cells = solve_cells(g)
     rep = Report("connection:check", n=g.n, graph=g.name or graph_file, tol=tol)
@@ -298,8 +325,6 @@ def flat_grp():
 @click.option("--tol", default=1e-8, type=float)
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
-    if n is None and graph_file is None:
-        raise click.UsageError("need --n or --graph")
     g = _graph_option(n, graph_file)
     cells = solve_cells(g)
     rep = Report("flat:check", n=g.n, graph=g.name or graph_file, hmax=hmax, vmax=vmax, tol=tol)
@@ -315,8 +340,8 @@ def flat_check_cmd(n, graph_file, hmax, vmax, tol):
               help="JSON list of labels: {level: [i, j], terms: [...]}")
 @click.option("--n", default=5, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--i", "ii", required=True, type=int)
-@click.option("--j", "jj", required=True, type=int)
+@click.option("--i", "ii", required=True, type=click.IntRange(min=0))
+@click.option("--j", "jj", required=True, type=click.IntRange(min=0))
 def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     """Evaluate a strip word as a level-(i, j) path-pair element."""
     g = _graph_option(n, graph_file)
@@ -337,11 +362,10 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
 
 
 @main.command("quotient-dim")
-@click.option("--sigma", required=True)
+@click.option("--sigma", required=True, callback=_sigma)
 @click.option("--n", required=True, type=int)
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
-    sigma = sigma.replace(",", "")
     d = quotient_dim(sigma, n)
     rep = Report("quotient-dim", sigma=sigma, n=n)
     rep.add("quotient_dim", True, residual=0)

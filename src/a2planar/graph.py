@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -51,7 +52,11 @@ def qnum(m: int, n: int) -> float:
 
 
 class FusionGraph:
-    """Directed graph with coloured vertices and a distinguished vertex."""
+    """Directed graph with coloured vertices and a distinguished vertex.
+
+    ``phi``, the Perron-Frobenius weights, is computed on first use and
+    kept; the graph must not change afterwards.
+    """
 
     def __init__(self, vertices, colour, edges, star, n, name=""):
         self.vertices = list(vertices)
@@ -84,6 +89,10 @@ class FusionGraph:
             if u in ri and v in ci:
                 a[ri[u], ci[v]] += 1
         return a
+
+    @cached_property
+    def phi(self) -> dict:
+        return pf_eigen(self)
 
     def source(self, e: int):
         return self.edges[e][0]
@@ -138,7 +147,7 @@ def build_A(n: int) -> FusionGraph:
     return FusionGraph(verts, colour, edges, (0, 0), n, name=f"A{n}")
 
 
-def pf_eigen(g: FusionGraph, n: int | None = None) -> dict:
+def pf_eigen(g: FusionGraph) -> dict:
     """Positive eigenvector of the adjacency matrix, normalized at ``star``.
 
     For the weight-lattice graphs the entries are computed in closed
@@ -146,8 +155,7 @@ def pf_eigen(g: FusionGraph, n: int | None = None) -> dict:
     cross-checked against (or, for JSON graphs, obtained from) a dense
     eigensolve.  The eigenvalue must be [3] to 1e-12.
     """
-    if n is None:
-        n = g.n
+    n = g.n
     adj = g.adjacency()
     w, vecs = np.linalg.eig(adj.T.astype(float))
     k = int(np.argmax(w.real))
@@ -192,12 +200,23 @@ def triangles(g: FusionGraph) -> list[tuple[int, int, int]]:
 
 
 class CellSystem:
-    """Complex weight per closed three-edge loop, with residual report."""
+    """Complex weight per closed three-edge loop, with residual report.
+
+    The Boltzmann operator ``U`` is built on first use and kept, and
+    ``connections`` keeps each parity's connection once
+    ``pathalg.connection`` has built it; ``values`` must not change
+    afterwards.
+    """
 
     def __init__(self, g: FusionGraph, values: dict, residual: float):
         self.graph = g
         self.values = dict(values)  # canonical triangle -> complex
         self.residual = residual
+        self.connections: dict = {}  # parity -> pathalg.Connection
+
+    @cached_property
+    def U(self) -> dict:
+        return boltzmann_U(self.graph, self, self.graph.phi)
 
     def W(self, e1: int, e2: int, e3: int) -> complex:
         key = min([(e1, e2, e3), (e2, e3, e1), (e3, e1, e2)])
@@ -275,7 +294,7 @@ def boltzmann_U(g: FusionGraph, cells: CellSystem, phi: dict):
 
 
 def hecke_operator(
-    g: FusionGraph, cells: CellSystem, phi: dict, start, length: int, i: int
+    g: FusionGraph, cells: CellSystem, start, length: int, i: int
 ) -> np.ndarray:
     """U_i acting on edge paths of ``length`` steps from ``start``.
 
@@ -284,11 +303,10 @@ def hecke_operator(
     """
     paths = path_space(g, start, length)
     index = {p: k for k, p in enumerate(paths)}
-    U = boltzmann_U(g, cells, phi)
     m = np.zeros((len(paths), len(paths)), dtype=complex)
     for p, k in index.items():
         r1, r2 = p[i], p[i + 1]
-        for ((a1, a2), (b1, b2)), val in U.items():
+        for ((a1, a2), (b1, b2)), val in cells.U.items():
             if (a1, a2) != (r1, r2):
                 continue
             q = p[:i] + (b1, b2) + p[i + 2 :]
@@ -297,27 +315,20 @@ def hecke_operator(
     return m
 
 
-def solve_cells(
-    g: FusionGraph,
-    n: int | None = None,
-    tol: float = 1e-10,
-    restarts: int = 12,
-    seed: int = 0,
-) -> CellSystem:
+def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem:
     """Find cell weights satisfying both frame equations.
 
     Least squares over real and imaginary parts of one weight per
     triangle; the objective stacks the type I (digon) equations and the
     braid-type relation of the operators built from the weights (the
-    square relation).  Randomized restarts; raises if no run reaches
-    ``tol``.
+    square relation).  Up to 12 randomized restarts; raises if no run
+    reaches ``tol``.
     """
-    if n is None:
-        n = g.n
+    n = g.n
     tris = triangles(g)
     if not tris:
         return CellSystem(g, {}, 0.0)
-    phi = pf_eigen(g, n)
+    phi = g.phi
     rng = np.random.default_rng(seed)
     d = qnum(2, n)
 
@@ -353,15 +364,15 @@ def solve_cells(
             res.append((s - want).real)
             res.append((s - want).imag)
         if paths3:
-            u1 = hecke_operator(g, cells, phi, g.star, plen, 0)
-            u2 = hecke_operator(g, cells, phi, g.star, plen, 1)
+            u1 = hecke_operator(g, cells, g.star, plen, 0)
+            u2 = hecke_operator(g, cells, g.star, plen, 1)
             braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
             res.extend(braid.real.ravel())
             res.extend(braid.imag.ravel())
         return np.array(res)
 
     best = None
-    for _ in range(restarts):
+    for _ in range(12):
         x0 = rng.normal(scale=1.0, size=2 * len(tris))
         sol = least_squares(objective, x0, method="lm", xtol=1e-15, ftol=1e-15)
         resid = float(np.max(np.abs(objective(sol.x)))) if sol.x is not None else np.inf

@@ -192,7 +192,6 @@ def f13_sum(m: int = 3, k: int = 1) -> WebSum:
     if not 1 <= k <= m - 2:
         raise WebError("hexagonal element out of range")
     s = alt_word(m)
-    hexa = WebSum.from_web(hexagon_web())
     left = identity_web(s[: k - 1])
     right = identity_web(s[k + 2 :])
     w = left.tensor(hexagon_web()).tensor(right)

@@ -26,10 +26,11 @@ default comparison tolerance in the callers is 1e-10.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 
-from .graph import CellSystem, FusionGraph, boltzmann_U, pf_eigen, qnum
+# boltzmann_U and pf_eigen are unused here but stay importable from this
+# module: perfbench/selftest.py checks that the tracer wraps them here too.
+from .graph import CellSystem, FusionGraph, boltzmann_U, pf_eigen, qnum  # noqa: F401
 from .web import flip
 
 __all__ = [
@@ -63,15 +64,6 @@ __all__ = [
 ]
 
 _CHOP = 1e-14
-
-_phi_memo: dict[int, dict] = {}
-
-
-def _phi(g: FusionGraph) -> dict:
-    key = id(g)
-    if key not in _phi_memo:
-        _phi_memo[key] = pf_eigen(g)
-    return _phi_memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def identity_element(g: FusionGraph, i: int, j: int) -> PathAlgElement:
 def trace(x: PathAlgElement) -> complex:
     """Markov trace: (p, p) weighs [3]^-(i+j) * phi at the endpoint."""
     g = x.graph
-    phi = _phi(g)
+    phi = g.phi
     k = sum(x.level)
     scale = qnum(3, g.n) ** (-k)
     tot = 0.0 + 0.0j
@@ -300,15 +292,13 @@ def make_U(g: FusionGraph, cells: CellSystem, i: int, j: int, k: int) -> PathAlg
         raise ValueError("k out of range")
     if k == j - 1 and i == 0:
         raise ValueError("corner operator needs a vertical step")
-    phi = _phi(g)
-    U = boltzmann_U(g, cells, phi)
     if k <= j - 2:
         pre_signs = "-" * (j - 2 - k)
         suf_signs = "-" * k + level_signs(i, 0)
     else:
         pre_signs = "-" * (j - 1)
         suf_signs = "".join("-" if l % 2 == 1 else "+" for l in range(2, i + 1))
-    return _u_formula(g, U, pre_signs, suf_signs, (i, j))
+    return _u_formula(g, cells.U, pre_signs, suf_signs, (i, j))
 
 
 def _u_formula(g, U, pre_signs, suf_signs, level) -> PathAlgElement:
@@ -335,8 +325,6 @@ def make_e(g: FusionGraph, phi: dict, i: int, j: int, l: int) -> PathAlgElement:
     """Jones projection e_l in B[i,j]: excursion on vertical steps l, l+1."""
     if not 1 <= l <= i - 1:
         raise ValueError("l out of range")
-    if phi is None:
-        phi = _phi(g)
     a3 = qnum(3, g.n)
     tail_signs = "".join(
         "-" if t % 2 == 1 else "+" for t in range(l + 2, i + 1)
@@ -409,7 +397,7 @@ class Connection:
         """Residual of the weighted biunitarity identity that makes each
         square of the ladder a commuting square."""
         g = self.graph
-        phi = _phi(g)
+        phi = g.phi
 
         def pr(edge, down):
             # path-sense (from, to) of a vertical edge for this parity
@@ -454,7 +442,7 @@ class Connection:
         return worst
 
 
-def _conn_even_value(g, cells, phi, U, r1, r2, r3, r4):
+def _conn_even_value(g, U, r1, r2, r3, r4):
     n = g.n
     qp = cmath.exp(2j * math.pi / (3 * n))
     qm = cmath.exp(-1j * math.pi / (3 * n))
@@ -463,9 +451,16 @@ def _conn_even_value(g, cells, phi, U, r1, r2, r3, r4):
 
 
 def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
-    """Connection for squares of the given parity ('even' or 'odd')."""
-    phi = _phi(g)
-    U = boltzmann_U(g, cells, phi)
+    """Connection for squares of the given parity ('even' or 'odd'),
+    built once per cell system and kept in ``cells.connections``."""
+    if parity not in cells.connections:
+        cells.connections[parity] = _build_connection(g, cells, parity)
+    return cells.connections[parity]
+
+
+def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
+    phi = g.phi
+    U = cells.U
     X: dict = {}
     if parity == "even":
         for r1 in range(len(g.edges)):
@@ -477,7 +472,7 @@ def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
                     for r4 in g.out_edges[g.range(r3)]:
                         if g.range(r4) != w:
                             continue
-                        val = _conn_even_value(g, cells, phi, U, r1, r2, r3, r4)
+                        val = _conn_even_value(g, U, r1, r2, r3, r4)
                         if abs(val) > _CHOP:
                             X[(r1, r2, r3, r4)] = val
         return Connection(g, "even", X)
@@ -496,9 +491,7 @@ def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
                         phi[g.source(r3)] * phi[g.range(r2)]
                         / (phi[g.range(r3)] * phi[g.source(r2)])
                     )
-                    val = ratio * _conn_even_value(
-                        g, cells, phi, U, r4, r2, r3, r1
-                    ).conjugate()
+                    val = ratio * _conn_even_value(g, U, r4, r2, r3, r1).conjugate()
                     if abs(val) > _CHOP:
                         X[(r1, r2, r3, r4)] = val
     return Connection(g, "odd", X)
@@ -506,18 +499,6 @@ def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
 
 # ---------------------------------------------------------------------------
 # basis change, inclusions, flatness
-
-class _ConnCache:
-    def __init__(self, g, cells):
-        self.g = g
-        self.cells = cells
-        self._c: dict = {}
-
-    def get(self, parity) -> Connection:
-        if parity not in self._c:
-            self._c[parity] = connection(self.g, self.cells, parity)
-        return self._c[parity]
-
 
 def _swap_one_path(g, conn, path, t, inverse):
     """Swap steps (t, t+1) of one path through the connection.
@@ -568,21 +549,20 @@ def basis_change(
     x: PathAlgElement,
     t: int,
     inverse: bool = False,
-    conns: "_ConnCache | None" = None,
 ) -> PathAlgElement:
     """Re-express an element through the connection at step positions
     (t, t+1): forward turns a (vertical, horizontal) step pair into
     (horizontal, vertical), inverse undoes it.  The second path of each
     pair transforms with the conjugate coefficients."""
-    conns = conns or _ConnCache(g, cells)
+    # a forward vertical step crosses an even square, a reverse one an odd
+    conn = {1: connection(g, cells, "even"), -1: connection(g, cells, "odd")}
     terms: dict = {}
     cache1: dict = {}
     for (p1, p2), c in x.terms.items():
         for p, store in ((p1, cache1), (p2, cache1)):
             if p not in store:
                 vdir = p[t + 1][1] if inverse else p[t][1]
-                parity = "even" if vdir == 1 else "odd"
-                store[p] = _swap_one_path(g, conns.get(parity), p, t, inverse)
+                store[p] = _swap_one_path(g, conn[vdir], p, t, inverse)
         for q1, a in cache1[p1].items():
             for q2, b in cache1[p2].items():
                 key = (q1, q2)
@@ -607,16 +587,10 @@ def vertical_include(g: FusionGraph, x: PathAlgElement) -> PathAlgElement:
     return PathAlgElement(g, (i + 1, j), terms)
 
 
-def horizontal_include(
-    g: FusionGraph,
-    cells: CellSystem,
-    x: PathAlgElement,
-    conns: "_ConnCache | None" = None,
-) -> PathAlgElement:
+def horizontal_include(g: FusionGraph, cells: CellSystem, x: PathAlgElement) -> PathAlgElement:
     """Embedding B[i,j] -> B[i,j+1]: append a forward step at the far end
     and transport it left past the vertical steps with the connection."""
     i, j = x.level
-    conns = conns or _ConnCache(g, cells)
     terms: dict = {}
     for (p1, p2), c in x.terms.items():
         v = path_range(g, p1)
@@ -625,7 +599,7 @@ def horizontal_include(
             terms[(p1 + (s,), p2 + (s,))] = c
     y = PathAlgElement(g, (i, j + 1), terms)
     for t in range(i + j - 1, j - 1, -1):
-        y = basis_change(g, cells, y, t, conns=conns)
+        y = basis_change(g, cells, y, t)
     return y
 
 
@@ -637,7 +611,6 @@ def flatness_check(
 ) -> dict:
     """Max commutator norm between B[vmax,0] and B[0,hmax] inside
     B[vmax,hmax].  Report only; a flat connection gives ~0."""
-    conns = _ConnCache(g, cells)
     verts = [
         PathAlgElement(g, (vmax, 0), {pair: 1.0 + 0.0j})
         for pair in enumerate_pairs(g, vmax, 0)
@@ -650,7 +623,7 @@ def flatness_check(
     for xv in verts:
         y = xv
         for _ in range(hmax):
-            y = horizontal_include(g, cells, y, conns=conns)
+            y = horizontal_include(g, cells, y)
         embedded_v.append(y)
     embedded_h = []
     for xh in horiz:
@@ -746,11 +719,6 @@ def _apply_cap(g, phi, vec, i, sign):
     return out
 
 
-def _gedge(g, step):
-    """Underlying graph edge id of a signed step."""
-    return step[0]
-
-
 def _apply_fork(g, cells, phi, vec, i, kind):
     """Trivalent-vertex strips.
 
@@ -771,7 +739,7 @@ def _apply_fork(g, cells, phi, vec, i, kind):
                 # bottom '++', top '-': triangle a->b, b->., .->a
                 cands = [e for e in g.out_edges[a] if g.range(e) == b]
                 for e in cands:
-                    w = cells.W(e, _gedge(g, b2), _gedge(g, b1))
+                    w = cells.W(e, b2[0], b1[0])
                     if w == 0:
                         continue
                     q = p[: i - 1] + ((e, 1),) + p[i + 1:]
@@ -780,7 +748,7 @@ def _apply_fork(g, cells, phi, vec, i, kind):
                 # bottom '--', top '+': graph edge b->a on top
                 cands = [e for e in g.out_edges[b] if g.range(e) == a]
                 for e in cands:
-                    w = cells.W(e, _gedge(g, b1), _gedge(g, b2)).conjugate()
+                    w = cells.W(e, b1[0], b2[0]).conjugate()
                     if w == 0:
                         continue
                     q = p[: i - 1] + ((e, -1),) + p[i + 1:]
@@ -796,7 +764,7 @@ def _apply_fork(g, cells, phi, vec, i, kind):
                     for e2 in g.out_edges[bmid]:
                         if g.range(e2) != cv:
                             continue
-                        w = cells.W(e1, e2, _gedge(g, b1))
+                        w = cells.W(e1, e2, b1[0])
                         if w == 0:
                             continue
                         q = p[: i - 1] + ((e1, 1), (e2, 1)) + p[i:]
@@ -808,7 +776,7 @@ def _apply_fork(g, cells, phi, vec, i, kind):
                     for e2 in g.in_edges[bmid]:
                         if g.source(e2) != cv:
                             continue
-                        w = cells.W(e1, _gedge(g, b1), e2).conjugate()
+                        w = cells.W(e1, b1[0], e2).conjugate()
                         if w == 0:
                             continue
                         q = p[: i - 1] + ((e1, -1), (e2, -1)) + p[i:]
@@ -831,7 +799,7 @@ def element_to_pathvec(x: PathAlgElement):
     """Closed-path vector of an element: p1 followed by p2 reversed,
     weighted by sqrt(phi) at the common endpoint (the inverse of the
     closed-diagram normalization applied at the end of ``present_Z``)."""
-    phi = _phi(x.graph)
+    phi = x.graph.phi
     vec = {}
     for (p1, p2), c in x.terms.items():
         gamma = p1 + tuple(step_reverse(s) for s in reversed(p2))
@@ -840,7 +808,7 @@ def element_to_pathvec(x: PathAlgElement):
     return vec
 
 
-def present_Z(strips, labels, g: FusionGraph, cells: CellSystem, phi: dict | None = None):
+def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
     """Evaluate a top-to-bottom word of strips on labelled rectangles.
 
     Returns ``(sigma, vec)``: the outer boundary word and the resulting
@@ -848,7 +816,7 @@ def present_Z(strips, labels, g: FusionGraph, cells: CellSystem, phi: dict | Non
     closed-diagram normalization 1/sqrt(phi at the half-way vertex) for
     even boundary length.
     """
-    phi = phi or _phi(g)
+    phi = g.phi
     labels = labels or []
     labels_sigma = [sigma_word(*x.level) for x in labels]
     # interface words from the bottom up
@@ -1009,7 +977,3 @@ def cond_exp(g: FusionGraph, cells: CellSystem, x: PathAlgElement) -> PathAlgEle
         raise ValueError("no vertical step to close")
     y = z_element(word_cond_exp(i1 - 1, j), [x], g, cells, i1 - 1, j)
     return y.scale(1.0 / qnum(3, g.n))
-
-
-def element_json_dump(x: PathAlgElement) -> str:
-    return json.dumps(x.to_json())

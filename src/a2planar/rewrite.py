@@ -37,6 +37,7 @@ from .web import (
     cupcap_web,
     flip,
     identity_web,
+    through_strands,
     wgen_web,
 )
 
@@ -267,13 +268,7 @@ def normalize(items, strategy: str = "first", rng=None) -> dict[Web, Laurent]:
 def _attach_cup(s: str, i: int) -> Web:
     s2 = s[:i] + s[i + 2 :]
     w = Web(s, flip(s2), check=False)
-    edges = []
-    for k in range(len(s)):
-        if k in (i, i + 1):
-            continue
-        kb = k if k < i else k - 2
-        t, b = w.top_port(k), w.bot_port(kb)
-        edges.append((t, b) if s[k] == "-" else (b, t))
+    edges = through_strands(w, i, shift=2)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     edges.append((ti, tj) if s[i] == "-" else (tj, ti))
     return Web(s, flip(s2), {}, edges)
@@ -283,13 +278,7 @@ def _attach_tri(s: str, i: int) -> Web:
     merged = "+" if s[i] == "-" else "-"
     s2 = s[:i] + merged + s[i + 2 :]
     w = Web(s, flip(s2), check=False)
-    edges = []
-    for k in range(len(s)):
-        if k in (i, i + 1):
-            continue
-        kb = k if k < i else k - 1
-        t, b = w.top_port(k), w.bot_port(kb)
-        edges.append((t, b) if s[k] == "-" else (b, t))
+    edges = through_strands(w, i, shift=1)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi = w.bot_port(i)
     if s[i] == "-":
@@ -313,12 +302,7 @@ def _attach_h(s: str, i: int) -> Web:
         raise WebError("bar move needs opposite adjacent signs")
     s2 = s[: i] + s[i + 1] + s[i] + s[i + 2 :]
     w = Web(s, flip(s2), check=False)
-    edges = []
-    for k in range(len(s)):
-        if k in (i, i + 1):
-            continue
-        t, b = w.top_port(k), w.bot_port(k)
-        edges.append((t, b) if s[k] == "-" else (b, t))
+    edges = through_strands(w, i)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     if s[i] == "-":

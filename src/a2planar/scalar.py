@@ -270,9 +270,6 @@ class CycloField:
         v[0] = Fraction(1)
         return Cyclo(self, tuple(v))
 
-    def zeta_pow(self, k: int) -> "Cyclo":
-        return Cyclo(self, self._pows[k % self.order])
-
     def from_laurent(self, x: Laurent) -> "Cyclo":
         v = [Fraction(0)] * self.d
         for e, coeff in x.c.items():

@@ -590,14 +590,23 @@ def _prune_isolated(verts, edges):
 # ---------------------------------------------------------------------------
 
 
+def through_strands(w: Web, i: int | None = None, shift: int = 0) -> list:
+    """Edges joining top point k to bottom point k' for every k outside the
+    pair (i, i+1), oriented by the top sign: k' = k left of the pair and
+    k - ``shift`` right of it.  ``i=None`` joins every top point."""
+    edges = []
+    for k, sign in enumerate(w.top):
+        if i is not None and k in (i, i + 1):
+            continue
+        kb = k - shift if i is not None and k > i else k
+        t, b = w.top_port(k), w.bot_port(kb)
+        edges.append((t, b) if sign == "-" else (b, t))
+    return edges
+
+
 def identity_web(sigma: str) -> Web:
     """Vertical strands: the identity on the sign string ``sigma``."""
-    L = len(sigma)
-    w = Web(sigma, flip(sigma), check=False)
-    edges = []
-    for k in range(L):
-        t, b = w.top_port(k), w.bot_port(k)
-        edges.append((t, b) if sigma[k] == "-" else (b, t))
+    edges = through_strands(Web(sigma, flip(sigma), check=False))
     return Web(sigma, flip(sigma), {}, edges)
 
 
@@ -605,14 +614,8 @@ def cupcap_web(sigma: str, i: int) -> Web:
     """Cap the opposite-signed pair at positions i, i+1 and cup it back."""
     if sigma[i] == sigma[i + 1]:
         raise WebError("cup/cap needs opposite adjacent signs")
-    L = len(sigma)
     w = Web(sigma, flip(sigma), check=False)
-    edges = []
-    for k in range(L):
-        if k in (i, i + 1):
-            continue
-        t, b = w.top_port(k), w.bot_port(k)
-        edges.append((t, b) if sigma[k] == "-" else (b, t))
+    edges = through_strands(w, i)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     edges.append((ti, tj) if sigma[i] == "-" else (tj, ti))
@@ -625,14 +628,8 @@ def wgen_web(sigma: str, i: int) -> Web:
     """The trivalent pair joining the like-signed strands i, i+1."""
     if sigma[i] != sigma[i + 1]:
         raise WebError("trivalent generator needs equal adjacent signs")
-    L = len(sigma)
     w = Web(sigma, flip(sigma), check=False)
-    edges = []
-    for k in range(L):
-        if k in (i, i + 1):
-            continue
-        t, b = w.top_port(k), w.bot_port(k)
-        edges.append((t, b) if sigma[k] == "-" else (b, t))
+    edges = through_strands(w, i)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     if sigma[i] == "-":
@@ -661,14 +658,8 @@ def crossing_web(sigma: str, i: int, positive: bool = True) -> Web:
     """Braid the like-signed strands i, i+1 (positive: slot-0 strand over)."""
     if sigma[i] != sigma[i + 1]:
         raise WebError("crossing needs equal adjacent signs")
-    L = len(sigma)
     w = Web(sigma, flip(sigma), check=False)
-    edges = []
-    for k in range(L):
-        if k in (i, i + 1):
-            continue
-        t, b = w.top_port(k), w.bot_port(k)
-        edges.append((t, b) if sigma[k] == "-" else (b, t))
+    edges = through_strands(w, i)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     verts = {0: "xpos" if positive else "xneg"}

@@ -9,6 +9,7 @@ from a2planar import pathalg as P
 from a2planar.algebra import WebSum, mult
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
+from a2planar.hecke import GeneratorWord, evaluate
 from a2planar.web import wgen_web
 
 
@@ -75,6 +76,16 @@ def test_graph_build_a(runner):
     assert doc["result"]["n"] == 4
 
 
+def test_graph_build_a_out_reads_back(runner, tmp_path):
+    f = tmp_path / "a6.json"
+    result = run(runner, ["graph", "build-a", "--n", "6", "--out", str(f)])
+    assert result.exit_code == 0
+    by_file = run(runner, ["dims", "--graph", str(f), "--i", "1", "--j", "2"])
+    by_n = run(runner, ["dims", "--n", "6", "--i", "1", "--j", "2"])
+    assert by_file.exit_code == by_n.exit_code == 0
+    assert by_file.output.splitlines()[0] == by_n.output.splitlines()[0]
+
+
 def test_cells_solve(runner):
     result = run(runner, ["cells", "solve", "--n", "4"])
     assert result.exit_code == 0
@@ -136,7 +147,10 @@ def test_decompose(runner, tmp_path):
     f.write_text(json.dumps(rows))
     result = run(runner, ["decompose", "--in", str(f)])
     assert result.exit_code == 0
-    assert report(result)["checks"][0]["status"] == "pass"
+    doc = report(result)
+    assert doc["checks"][0]["status"] == "pass"
+    word = GeneratorWord.from_json(doc["result"])
+    assert (evaluate(word) - x).is_zero()
 
 
 def test_zmap(runner, tmp_path):
@@ -183,3 +197,50 @@ def test_usage_error(runner):
 def test_missing_input(runner):
     result = run(runner, ["normalize", "--in", "/nonexistent/x.json"])
     assert result.exit_code == 2
+
+
+def assert_input_error(result, *words):
+    """Exit 2 with a single ``Error:`` line naming ``words``, no traceback."""
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1
+    assert all(w in errors[0] for w in words)
+
+
+def test_normalize_not_json(runner, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text("not json")
+    assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in")
+
+
+def test_normalize_row_without_boundary(runner, tmp_path):
+    f = tmp_path / "nob.json"
+    f.write_text(json.dumps(
+        [{"coeff": {"laurent": {"0": "1/1"}}, "web": {"vertices": []}}]))
+    assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", "boundary")
+
+
+def test_gram_bad_sigma(runner):
+    assert_input_error(run(runner, ["gram", "--sigma=--x", "--n", "7", "--rank"]), "--sigma")
+
+
+def test_quotient_dim_bad_sigma(runner):
+    assert_input_error(run(runner, ["quotient-dim", "--sigma=-+ab", "--n", "6"]), "--sigma")
+
+
+def test_dims_small_n(runner):
+    assert_input_error(run(runner, ["dims", "--n", "2", "--i", "1", "--j", "1"]), "--n")
+
+
+def test_cells_solve_small_n(runner):
+    assert_input_error(run(runner, ["cells", "solve", "--n", "2"]), "--n")
+
+
+def test_dims_negative_level(runner):
+    assert_input_error(run(runner, ["dims", "--n", "5", "--i", "-1", "--j", "0"]), "--i")
+
+
+def test_graph_needed(runner):
+    for cmd in (["cells", "solve"], ["connection", "check"], ["flat", "check"]):
+        assert_input_error(run(runner, cmd), "--n or --graph")

@@ -159,9 +159,8 @@ def test_cell_cyclic_symmetry():
 def test_hecke_relations_from_cells(n):
     g = build_A(n)
     cells = solve_cells(g)
-    phi = pf_eigen(g)
     d = qnum(2, n)
-    u = [hecke_operator(g, cells, phi, g.star, 4, i) for i in range(3)]
+    u = [hecke_operator(g, cells, g.star, 4, i) for i in range(3)]
     for ui in u:
         assert np.max(np.abs(ui - ui.conj().T)) < 1e-10
         assert np.max(np.abs(ui @ ui - d * ui)) < 1e-10
@@ -174,8 +173,7 @@ def test_hecke_relations_from_cells(n):
 def test_su3_condition_from_cells(n):
     g = build_A(n)
     cells = solve_cells(g)
-    phi = pf_eigen(g)
-    u = [hecke_operator(g, cells, phi, g.star, 4, i) for i in range(3)]
+    u = [hecke_operator(g, cells, g.star, 4, i) for i in range(3)]
     lhs = (u[0] - u[2] @ u[1] @ u[0] + u[1]) @ (u[1] @ u[2] @ u[1] - u[1])
     assert np.max(np.abs(lhs)) < 1e-10
 
@@ -205,8 +203,8 @@ def test_gauge_rephasing_invariance():
     gauged = CellSystem(g, vals, 0.0)
     assert type_I_residual(g, phi, gauged, n) < 1e-10
     d = qnum(2, n)
-    u1 = hecke_operator(g, gauged, phi, g.star, 3, 0)
-    u2 = hecke_operator(g, gauged, phi, g.star, 3, 1)
+    u1 = hecke_operator(g, gauged, g.star, 3, 0)
+    u2 = hecke_operator(g, gauged, g.star, 3, 1)
     braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
     assert np.max(np.abs(braid)) < 1e-10
 

@@ -1,6 +1,7 @@
 """Path-pair algebras: dimensions, operators, connections, and the
 strip-word evaluation map."""
 
+import gc
 import itertools
 import math
 import random
@@ -624,3 +625,28 @@ def test_json_round_trip(setups):
         assert set(row) == {"p1", "p2", "re", "im"}
     y = PathAlgElement.from_json(g, (2, 1), obj)
     assert x.dist(y) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# derived quantities cached on their objects
+
+def test_derived_quantities_cached_on_objects(setups):
+    g, cells, _ = setups[5]
+    assert g.phi is g.phi
+    assert cells.U is cells.U
+    assert P.connection(g, cells, "even") is P.connection(g, cells, "even")
+    assert P.connection(g, cells, "odd") is P.connection(g, cells, "odd")
+    assert P.connection(g, cells, "odd") is not P.connection(g, cells, "even")
+
+
+def test_phi_survives_graph_turnover():
+    # a new graph must never pick up the weights of a freed one, whatever
+    # address it is given
+    for _ in range(20):
+        for n in (8, 6, 7, 5):
+            g = build_A(n)
+            assert abs(P.trace(P.identity_element(g, 2, 1)) - 1) < 1e-10
+            fresh = pf_eigen(g)
+            assert max(abs(g.phi[v] - fresh[v]) for v in g.vertices) < 1e-12
+            del g
+            gc.collect()
