@@ -37,7 +37,7 @@ from .graph import FusionGraph, build_A, solve_cells
 from .hecke import decompose as hecke_decompose, evaluate as hecke_evaluate, f13_relations
 from .rewrite import normalize
 from .scalar import Laurent
-from .web import Web
+from .web import Web, WebError
 
 
 def _precision() -> int:
@@ -87,30 +87,41 @@ def _bad_file(option: str, path: str, exc: Exception) -> click.BadParameter:
     return click.BadParameter(f"{path}: {reason}", param_hint=f"'{option}'")
 
 
-def _load_websum(path: str) -> WebSum:
+def _read_input(option: str, path: str, parse):
+    """``parse`` applied to the JSON in ``path``; malformed input becomes a
+    one-line usage error naming ``option``."""
     try:
         with open(path) as fh:
-            rows = json.load(fh)
-        webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
-        if webs:
-            return WebSum(webs[0][0].top, webs[0][0].bot, webs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _bad_file("--in", path, exc) from None
-    raise click.BadParameter(f"{path}: empty web sum", param_hint="'--in'")
+            return parse(json.load(fh))
+    except (KeyError, IndexError, TypeError, ValueError, NotImplementedError) as exc:
+        raise _bad_file(option, path, exc) from None
+
+
+def _websum(rows) -> WebSum:
+    webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
+    if not webs:
+        raise ValueError("empty web sum")
+    return WebSum(webs[0][0].top, webs[0][0].bot, webs)
+
+
+def _load_websum(path: str) -> WebSum:
+    return _read_input("--in", path, _websum)
 
 
 def _dump_websum(x: WebSum):
     return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]
 
 
+def _checked_graph(obj) -> FusionGraph:
+    g = FusionGraph.from_json(obj)
+    g.phi  # cached on g; raises ValueError unless the PF eigenvalue is [3]
+    return g
+
+
 def _graph_option(n, graph_file) -> FusionGraph:
     """The graph in ``--graph FILE``, else the weight-lattice graph at ``--n``."""
     if graph_file:
-        try:
-            with open(graph_file) as fh:
-                return FusionGraph.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _bad_file("--graph", graph_file, exc) from None
+        return _read_input("--graph", graph_file, _checked_graph)
     if n is None:
         raise click.UsageError("need --n or --graph")
     try:
@@ -184,7 +195,10 @@ def gram_cmd(sigma, n, want_rank):
 def decompose_cmd(infile, max_len):
     """Write a web sum as a word in the standard generators."""
     x = _load_websum(infile)
-    word = hecke_decompose(x, max_len=max_len)
+    try:
+        word = hecke_decompose(x, max_len=max_len)
+    except WebError as exc:
+        raise _bad_file("--in", infile, exc) from None
     ok = (hecke_evaluate(word) - x).is_zero()
     rep = Report("decompose", infile=infile)
     rep.add("round_trip", ok, residual=0 if ok else "mismatch")
@@ -333,6 +347,16 @@ def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     sys.exit(rep.emit(None, payload=result))
 
 
+def _strip_word(tokens, labels, i: int, j: int) -> list:
+    """The strip tokens, checked to stack up to the level-(i, j) boundary."""
+    word = [tuple(tok) for tok in tokens]
+    sigma = pa.strip_boundary(word, labels)
+    want = pa.sigma_word(i, j)
+    if sigma != want:
+        raise ValueError(f"strips give the boundary {sigma!r}; level ({i}, {j}) is {want!r}")
+    return word
+
+
 @main.command("zmap")
 @click.option("--strips", required=True, type=click.Path(exists=True),
               help="JSON list of strip tokens, top to bottom")
@@ -345,16 +369,13 @@ def flat_check_cmd(n, graph_file, hmax, vmax, tol):
 def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     """Evaluate a strip word as a level-(i, j) path-pair element."""
     g = _graph_option(n, graph_file)
-    cells = solve_cells(g)
-    with open(strips) as fh:
-        word = [tuple(tok) for tok in json.load(fh)]
     labs = []
     if labels:
-        with open(labels) as fh:
-            for row in json.load(fh):
-                labs.append(
-                    pa.PathAlgElement.from_json(g, tuple(row["level"]), row["terms"])
-                )
+        labs = _read_input("--labels", labels, lambda rows: [
+            pa.PathAlgElement.from_json(g, tuple(r["level"]), r["terms"]) for r in rows
+        ])
+    word = _read_input("--strips", strips, lambda toks: _strip_word(toks, labs, ii, jj))
+    cells = solve_cells(g)
     z = pa.z_element(word, labs, g, cells, ii, jj)
     rep = Report("zmap", n=g.n, graph=g.name or graph_file, i=ii, j=jj, strips=strips)
     rep.add("evaluate", True, residual=0)

@@ -12,27 +12,42 @@ Two pictures are covered:
   (``f13_relations`` checks its product relations exactly and locates it
   relative to the cup-cap subalgebra at a root of unity).
 
-``decompose`` uses an exact linear solve over the rational-function
-field in t rather than diagrammatic moves; solvability is guaranteed by
-the generation statement and the result is verified by evaluating the
-word back.
+``decompose`` is exact linear algebra, not diagrammatic moves.  It keeps
+the words in the W_i whose values raise the rank mod a prime p, until the
+rank reaches ``oracle.walk_dim``, the number of reduced webs (Kuperberg:
+non-elliptic webs are a basis); that certifies the words span, because
+rank mod p <= rank over Q(t) <= ``walk_dim``.  It then solves the square
+system over the reduced webs once, fraction-free over Z[t] (Bareiss), and
+certifies the answer by evaluating the word back.
 """
 
 from __future__ import annotations
 
-import sympy
+import math
 
 from .algebra import (
     WebSum,
-    bend,
     cyclo_rank,
     identity,
     mult,
     trace_right,
     wsum,
 )
-from .rewrite import enumerate_basis
-from .scalar import CycloField, Fraction, Laurent, alpha, delta
+from .oracle import walk_dim
+
+# enumerate_basis is unused here but stays importable from this module:
+# perfbench/selftest.py checks that the tracer wraps it here too.
+from .rewrite import enumerate_basis  # noqa: F401
+from .scalar import (
+    CycloField,
+    Laurent,
+    _poly_divmod,
+    _poly_exquo,
+    _poly_mul,
+    _poly_sub,
+    alpha,
+    delta,
+)
 from .web import WebError, cupcap_web, flip, hexagon_web, identity_web
 
 __all__ = [
@@ -44,30 +59,6 @@ __all__ = [
     "f13_sum",
     "f13_relations",
 ]
-
-_T = sympy.Symbol("t")
-
-
-def _lau_to_sym(x: Laurent):
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * _T**e for e, c in x.c.items()),
-        sympy.Integer(0),
-    )
-
-
-def _sym_to_lau(expr) -> Laurent:
-    expr = sympy.cancel(sympy.together(expr))
-    num, den = sympy.fraction(expr)
-    dp = sympy.Poly(den, _T)
-    if len(dp.monoms()) != 1:
-        raise WebError("coefficient is not a Laurent polynomial in t")
-    (de,) = dp.monoms()
-    dc = dp.coeffs()[0]
-    np_ = sympy.Poly(sympy.expand(num), _T)
-    out = {}
-    for (e,), c in zip(np_.monoms(), np_.coeffs()):
-        out[e - de[0]] = Fraction(sympy.Rational(c / dc).p, sympy.Rational(c / dc).q)
-    return Laurent(out)
 
 
 class GeneratorWord:
@@ -231,69 +222,155 @@ def evaluate(word: GeneratorWord) -> WebSum:
 
 # -- decomposition by exact linear solve -----------------------------------
 
+# Word values are compared at t = _T0 in F_p, p = 2^61 - 1 (a prime).
+_P = (1 << 61) - 1
+_T0 = 0x2545F4914F6CDD1D % _P
 
-def _vector(x: WebSum, index: dict) -> list:
-    v = [sympy.Integer(0)] * len(index)
-    for w, c in x.terms.items():
-        v[index[w]] = _lau_to_sym(c)
-    return v
+
+def _residue(c: Laurent) -> int:
+    """``c`` at t = _T0, mod p."""
+    acc = 0
+    for e, v in c.c.items():
+        if v.denominator % _P == 0:
+            raise ZeroDivisionError("coefficient denominator vanishes mod p")
+        acc += v.numerator * pow(v.denominator, -1, _P) * pow(_T0, e, _P)
+    return acc % _P
+
+
+def _raises_rank(echelon: list, x: WebSum) -> bool:
+    """Reduce ``x`` mod p by the echelon rows; if something is left, add
+    it as a new row (pivot entry 1) and return True."""
+    row = {w: _residue(c) for w, c in x.terms.items()}
+    for pivot, prow in echelon:
+        k = row.get(pivot)
+        if k:
+            for w, v in prow.items():
+                row[w] = (row.get(w, 0) - k * v) % _P
+    for pivot, k in row.items():
+        if k:
+            inv = pow(k, -1, _P)
+            echelon.append((pivot, {w: v * inv % _P for w, v in row.items() if v}))
+            return True
+    return False
+
+
+def _spanning_words(m: int, dim: int, max_len: int) -> list:
+    """Words of length at most ``max_len`` that raise the rank mod p, with
+    their values, in length-lexicographic order, until there are ``dim``."""
+    gens = [wsum(m, i) for i in range(m - 1)]
+    echelon: list = []
+    kept: list = []
+    level = [((), identity(m))]
+    for _ in range(max_len + 1):
+        parents = []
+        for word, val in level:
+            if _raises_rank(echelon, val):
+                kept.append((word, val))
+                parents.append((word, val))
+                if len(kept) == dim:
+                    return kept
+        level = (
+            (word + (("w", i),), mult(val, g))
+            for word, val in parents
+            for i, g in enumerate(gens)
+        )
+    raise WebError(f"generator words of length <= {max_len} did not span the algebra")
+
+
+def _cleared(coeffs: list) -> list:
+    """One equation's Laurent coefficients times the power of t and the
+    integer that make all of them integer polynomials (constant first)."""
+    terms = [(e, v) for c in coeffs for e, v in c.c.items()]
+    lo = min((e for e, _ in terms), default=0)
+    den = math.lcm(*(v.denominator for _, v in terms))
+    out = []
+    for c in coeffs:
+        p = [0] * (max(c.c, default=lo - 1) - lo + 1)
+        for e, v in c.c.items():
+            p[e - lo] = v.numerator * (den // v.denominator)
+        out.append(p)
+    return out
+
+
+def _bareiss(a: list) -> tuple:
+    """Solve the nonsingular system given by the augmented rows [A | b]
+    over Z[t] by fraction-free elimination.  Returns ``(y, det)`` with
+    polynomials y_i, det such that A (y / det) = b."""
+    n = len(a)
+    prev = [1]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        ak = a[k]
+        for ai in a[k + 1:]:
+            for j in range(k + 1, n + 1):
+                if ai[k] or ai[j]:
+                    ai[j] = _poly_exquo(
+                        _poly_sub(_poly_mul(ak[k], ai[j]), _poly_mul(ai[k], ak[j])), prev
+                    )
+            ai[k] = []
+        prev = ak[k]
+    y = [[]] * n
+    for i in reversed(range(n)):
+        acc = _poly_mul(prev, a[i][n])
+        for j in range(i + 1, n):
+            if a[i][j] and y[j]:
+                acc = _poly_sub(acc, _poly_mul(a[i][j], y[j]))
+        y[i] = _poly_exquo(acc, a[i][i])
+    return y, prev
+
+
+def _laurent_quotient(y: list, det: list) -> Laurent:
+    """y / det as a Laurent polynomial, or WebError if it is not one."""
+    s = next(e for e, c in enumerate(det) if c)
+    q, r = _poly_divmod(y, det[s:])
+    if any(r):
+        raise WebError("coefficient is not a Laurent polynomial in t")
+    return Laurent({e - s: c for e, c in enumerate(q)})
 
 
 def decompose(x: WebSum, max_len: int = 8) -> GeneratorWord:
     """Write ``x`` as a word combination in the W_i, exactly.
 
-    Words are enumerated in length-lexicographic order until they span
-    the full algebra (dimension known from the reduced-web basis); the
-    resulting linear system is solved over the rational-function field
-    and the answer certified by re-evaluation.
+    ``x`` must live on ``m`` strands oriented ``-`` at top and bottom,
+    the boundary of ``identity(m)``.  Spanning words: words of length at
+    most ``max_len`` are taken in length-lexicographic order, each valued
+    with one multiplication from its parent, and kept when their value
+    raises the rank mod p at a fixed point t0; only kept words are
+    extended.  The search stops once the rank reaches ``walk_dim``, the
+    number of reduced webs, which certifies that the words span.  These
+    are the words a greedy pivot choice over Q(t) keeps, barring an
+    evaluation point at which some rank drops.  Solve: the kept words give
+    a square system over the reduced webs; each equation is cleared of
+    its power of t and denominators, eliminated fraction-free over Z[t]
+    and back-substituted.  Every coefficient must divide out to a
+    Laurent polynomial, and the word is certified by evaluating it back.
     """
     m = len(x.top)
-    sigma = x.top
-    dim = len(enumerate_basis(sigma + flip(sigma)[::-1]))
-    index: dict = {}
-    words: list[tuple] = []
-    vecs: list[list] = []
-    frontier = [()]
-    basis_mat = None
-    rank = 0
-    for _ in range(max_len + 1):
-        new_frontier = []
-        for word in frontier:
-            gw = GeneratorWord(m, {word: Laurent.one()})
-            val = evaluate(gw)
-            for w in val.terms:
-                if w not in index:
-                    index[w] = len(index)
-            words.append(word)
-            vecs.append(val)
-            new_frontier.extend(word + (("w", i),) for i in range(m - 1))
-        # re-vectorize everything against the current web index
-        mat = sympy.Matrix([_vector(v, index) for v in vecs])
-        rank = mat.rank()
-        if rank == dim:
-            basis_mat = mat
-            break
-        frontier = new_frontier
-    if rank != dim:
-        raise WebError("generator words did not span the algebra")
-    for w in x.terms:
-        if w not in index:
-            raise WebError("element is not in the span of the basis webs")
-    target = sympy.Matrix([_vector(x, index)])
-    sol, params = basis_mat.T.gauss_jordan_solve(target.T)
-    if params:
-        sol = sol.subs({p: 0 for p in params})
-    # exact check and conversion
-    if any(sympy.cancel(r) != 0 for r in (basis_mat.T * sol - target.T)):
-        raise WebError("exact solve failed")
-    terms = []
-    for k, word in enumerate(words):
-        c = sympy.cancel(sol[k])
-        if c != 0:
-            terms.append((word, _sym_to_lau(c)))
-    out = GeneratorWord(m, terms)
+    unit = identity(m)
+    if (x.top, x.bot) != (unit.top, unit.bot):
+        raise WebError(
+            f"decompose needs the boundary of identity({m}), {unit.top!r} over "
+            f"{unit.bot!r}; got {x.top!r} over {x.bot!r}"
+        )
+    dim = walk_dim(x.top + flip(x.top)[::-1])
+    kept = _spanning_words(m, dim, max_len)
+    webs = dict.fromkeys(w for _, val in kept for w in val.terms)
+    if any(w not in webs for w in x.terms):
+        raise WebError("element is not in the span of the basis webs")
+    if len(webs) != dim:
+        raise ArithmeticError("spanning words do not live on the reduced webs")
+    zero = Laurent.zero()
+    rows = [
+        _cleared([val.terms.get(w, zero) for _, val in kept] + [x.terms.get(w, zero)])
+        for w in webs
+    ]
+    y, det = _bareiss(rows)
+    out = GeneratorWord(
+        m, [(word, _laurent_quotient(yi, det)) for (word, _), yi in zip(kept, y) if yi]
+    )
     if evaluate(out) != x:
-        raise WebError("round-trip check failed")
+        raise ArithmeticError("round-trip check failed")
     return out
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "vertical_include",
     "horizontal_include",
     "flatness_check",
+    "strip_boundary",
     "present_Z",
     "z_element",
     "word_identity",
@@ -808,6 +809,17 @@ def element_to_pathvec(x: PathAlgElement):
     return vec
 
 
+def strip_boundary(strips, labels) -> str:
+    """Outer boundary word of a top-to-bottom strip word, built from the
+    bottom up; ValueError (or IndexError, TypeError) if a strip does not
+    fit the word below it."""
+    labels_sigma = [sigma_word(*x.level) for x in labels or []]
+    sigma = ""
+    for token in reversed(strips):
+        sigma = _word_top(token, sigma, labels_sigma)
+    return sigma
+
+
 def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
     """Evaluate a top-to-bottom word of strips on labelled rectangles.
 
@@ -817,13 +829,7 @@ def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
     even boundary length.
     """
     phi = g.phi
-    labels = labels or []
-    labels_sigma = [sigma_word(*x.level) for x in labels]
-    # interface words from the bottom up
-    words = [""]
-    for token in reversed(strips):
-        words.append(_word_top(token, words[-1], labels_sigma))
-    sigma = words[-1]
+    sigma = strip_boundary(strips, labels)
     vec = {(): 1.0 + 0.0j}
     for token in reversed(strips):
         kind = token[0]

@@ -17,11 +17,10 @@ All values are immutable; operations are pure.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 
-import sympy
-
-__all__ = ["Laurent", "CycloField", "Cyclo", "qint", "delta", "alpha"]
+__all__ = ["Laurent", "CycloField", "Cyclo", "qint", "delta", "alpha", "cyclotomic"]
 
 
 def _frac(x) -> Fraction:
@@ -231,8 +230,7 @@ class CycloField:
             raise ValueError("root order n must be >= 4 (A^(n) undefined below 4)")
         self.n = n
         self.order = 6 * n
-        poly = sympy.cyclotomic_poly(self.order, sympy.Symbol("x"))
-        coeffs = [int(c) for c in reversed(sympy.Poly(poly).all_coeffs())]
+        coeffs = list(cyclotomic(self.order))
         # monic: coeffs[d] == 1
         self.d = len(coeffs) - 1
         self._phi_coeffs = coeffs
@@ -334,6 +332,21 @@ class CycloField:
         return tuple(v)
 
 
+# Polynomials are coefficient lists, constant term first; the helpers
+# below work over Z (int entries) and Q (Fraction entries) alike.
+
+
+@functools.cache
+def cyclotomic(n: int) -> tuple:
+    """Integer coefficients of Phi_n, constant term first:
+    (x^n - 1) / prod of Phi_d over the proper divisors d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num = _poly_exquo(num, cyclotomic(d))
+    return tuple(num)
+
+
 def _poly_deg(p):
     for i in range(len(p) - 1, -1, -1):
         if p[i]:
@@ -343,11 +356,11 @@ def _poly_deg(p):
 
 def _poly_sub(a, b):
     m = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0)) for i in range(m)]
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(m)]
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -370,6 +383,28 @@ def _poly_divmod(a, b):
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
     return q, a
+
+
+def _poly_exquo(a, b):
+    """The quotient a / b of integer polynomials, without trailing zeros;
+    ArithmeticError unless b divides a."""
+    a = list(a)
+    db = _poly_deg(b)
+    lead = b[db]
+    q = [0] * max(len(a) - db, 0)
+    for i in range(_poly_deg(a), db - 1, -1):
+        c, r = divmod(a[i], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            q[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    while q and not q[-1]:
+        q.pop()
+    return q
 
 
 class Cyclo:

@@ -1,15 +1,18 @@
 """Command-line interface: reports, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from a2planar import pathalg as P
-from a2planar.algebra import WebSum, mult
+from a2planar.algebra import WebSum, identity, mult, wsum
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
-from a2planar.hecke import GeneratorWord, evaluate
+from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
 from a2planar.web import wgen_web
 
 
@@ -244,3 +247,75 @@ def test_dims_negative_level(runner):
 def test_graph_needed(runner):
     for cmd in (["cells", "solve"], ["connection", "check"], ["flat", "check"]):
         assert_input_error(run(runner, cmd), "--n or --graph")
+
+
+def _write_websum(path, x):
+    path.write_text(json.dumps(
+        [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]))
+    return str(path)
+
+
+@pytest.mark.parametrize("x", [identity(3, "+"), cupcap_sum(3, 1)], ids=["+++", "-+-"])
+def test_decompose_other_boundary(runner, tmp_path, x):
+    f = _write_websum(tmp_path / "x.json", x)
+    assert_input_error(run(runner, ["decompose", "--in", f]), "--in", "boundary")
+
+
+def test_decompose_same_under_hash_seeds(tmp_path):
+    """The printed report, apart from its timing, does not depend on set
+    and dict order."""
+    x = mult(mult(wsum(4, 1), wsum(4, 0)), wsum(4, 2)) + wsum(4, 2).scale(3)
+    f = _write_websum(tmp_path / "x.json", x)
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "a2planar.cli", "decompose", "--in", f],
+            capture_output=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    untimed = [b"".join(l for l in o.splitlines(True) if b'"runtime_ms"' not in l) for o in outs]
+    assert untimed[0] == untimed[1]
+    result = json.loads(outs[0])["result"]
+    assert evaluate(GeneratorWord.from_json(result)) == x
+
+
+def test_zmap_unknown_strip_token(runner, tmp_path):
+    f = tmp_path / "bogus.json"
+    f.write_text(json.dumps([["BOGUS", 1]]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "1", "--j", "2"])
+    assert_input_error(result, "--strips", "BOGUS")
+
+
+def test_zmap_strip_missing_position(runner, tmp_path):
+    f = tmp_path / "short.json"
+    f.write_text(json.dumps([["CUP"]]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "1", "--j", "2"])
+    assert_input_error(result, "--strips")
+
+
+def test_zmap_strips_off_level(runner, tmp_path):
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "2", "--j", "2"])
+    assert_input_error(result, "--strips", "level (2, 2)")
+
+
+def test_zmap_label_without_terms(runner, tmp_path):
+    (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
+    (tmp_path / "labels.json").write_text(json.dumps([{"level": [1, 1]}]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "1", "--j", "1"])
+    assert_input_error(result, "--labels", "terms")
+
+
+@pytest.mark.parametrize("cmd", [["cells", "solve"], ["dims", "--i", "1", "--j", "0"],
+                                 ["connection", "check"]], ids=lambda c: c[0])
+def test_graph_without_pf_eigenvalue_3(runner, tmp_path, cmd):
+    f = tmp_path / "cycle.json"
+    f.write_text(json.dumps({
+        "vertices": [{"id": "a", "colour": 0}, {"id": "b", "colour": 1}],
+        "edges": [["a", "b"], ["b", "a"]], "star": "a", "n": 5}))
+    assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")

@@ -1,10 +1,16 @@
 """Generator words, exact decomposition, and the hexagonal element."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from a2planar.algebra import WebSum, bend, fsum, identity, mult, wsum
+from a2planar import hecke
 from a2planar.hecke import (
     GeneratorWord,
     alt_word,
@@ -16,7 +22,9 @@ from a2planar.hecke import (
 )
 from a2planar.rewrite import enumerate_basis
 from a2planar.scalar import Laurent, alpha, delta
-from a2planar.web import WebError, hexagon_web, identity_web
+from a2planar.web import WebError, hexagon_web, identity_web, wgen_web
+
+HERE = os.path.dirname(__file__)
 
 
 def test_alt_word():
@@ -89,6 +97,52 @@ def test_decompose_random_words():
         for _ in range(3):
             x = mult(x, wsum(3, rng.randrange(2)))
         assert evaluate(decompose(x)) == x
+
+
+def test_decompose_matches_recorded_words():
+    """The words recorded from the earlier solver, which zeroed the free
+    parameters of an underdetermined solve over Q(t) (sympy, d558d52)."""
+    with open(os.path.join(HERE, "decompose_recorded.json")) as fh:
+        cases = json.load(fh)
+    assert sum(GeneratorWord.from_json(c["input"]).m == 4 for c in cases) >= 2
+    for case in cases:
+        x = evaluate(GeneratorWord.from_json(case["input"]))
+        assert decompose(x).to_json() == case["output"]
+
+
+def test_decompose_outside_span():
+    # an unreduced web (a digon) is not a combination of reduced webs
+    w = wgen_web("---", 0)
+    digon = WebSum.from_web(w.compose(w, check=False))
+    with pytest.raises(WebError, match="not in the span"):
+        decompose(digon)
+
+
+def test_decompose_word_length_bound():
+    # on 4 strands the spanning words reach length 5
+    x = mult(mult(wsum(4, 0), wsum(4, 1)), wsum(4, 2))
+    with pytest.raises(WebError, match="did not span"):
+        decompose(x, max_len=4)
+    assert evaluate(decompose(x, max_len=5)) == x
+
+
+def test_residue_refuses_denominator_divisible_by_p():
+    assert hecke._residue(Laurent({1: Fraction(1, 2)})) == hecke._T0 * pow(2, -1, hecke._P) % hecke._P
+    with pytest.raises(ZeroDivisionError):
+        hecke._residue(Laurent({0: Fraction(1, hecke._P)}))
+
+
+def test_import_leaves_sympy_out():
+    code = "import sys, a2planar.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=_src()))
+    assert out.stdout.strip() == "False"
+
+
+def _src():
+    import a2planar
+
+    return os.path.dirname(os.path.dirname(a2planar.__file__))
 
 
 # -- cup-cap elements ------------------------------------------------------

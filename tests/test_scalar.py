@@ -1,10 +1,12 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2planar.scalar import Cyclo, CycloField, Laurent, alpha, delta, qint
+from a2planar.scalar import Cyclo, CycloField, Laurent, alpha, cyclotomic, delta, qint
 
 
 def laurents(max_terms=4, max_exp=6, max_num=8):
@@ -96,3 +98,27 @@ class TestCyclo:
     @settings(max_examples=30, deadline=None)
     def test_complex_embedding_agrees(self, a, n):
         assert abs(a.eval_at_root(n).to_complex() - a.complex_at(n)) < 1e-9
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_cyclotomic_6n(n):
+    """prod over d | N of Phi_d is x^N - 1, deg Phi_N is the totient of N,
+    and the primitive N-th root of unity is a root of Phi_N."""
+    big = 6 * n
+    prod = [1]
+    for d in range(1, big + 1):
+        if big % d == 0:
+            prod = _times(prod, cyclotomic(d))
+    assert prod == [-1] + [0] * (big - 1) + [1]
+    phi = cyclotomic(big)
+    assert len(phi) - 1 == sum(1 for k in range(1, big + 1) if math.gcd(k, big) == 1)
+    z = cmath.exp(2j * cmath.pi / big)
+    assert abs(sum(c * z**k for k, c in enumerate(phi))) < 1e-6
