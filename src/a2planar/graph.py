@@ -18,8 +18,13 @@ vertex weights:
   Boltzmann operators built from the cells must satisfy the braid-type
   relation U_i U_{i+1} U_i - U_i = U_{i+1} U_i U_{i+1} - U_{i+1}.
 
-Cells are found numerically by least squares with restarts; correctness
-is certified by residuals only (the gauge is arbitrary).
+Cells are found numerically by least squares with restarts.  The
+objective is compiled once per solve into numpy index arrays (triangle of
+each cell rotation, frame terms, Boltzmann entries, Hecke-matrix
+entries), so an evaluation is a few gathers and scatters.  Correctness is
+certified by residuals only (the gauge is arbitrary): the accepted cells
+are checked again through the slow route, ``type_I_residual`` and the
+braid relation of ``hecke_operator`` on ``cells.U``.
 """
 
 from __future__ import annotations
@@ -223,14 +228,15 @@ class CellSystem:
         return self.values.get(key, 0.0 + 0.0j)
 
 
-def type_I_residual(g: FusionGraph, phi: dict, cells: CellSystem, n: int) -> float:
+def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
     """Max deviation of the digon frame equation.
 
     For any edges u, v sharing source and range:
     sum_{a,b closing the loop} W(u,a,b) conj(W(v,a,b))
     = delta_{u,v} [2] phi_source phi_range.
     """
-    d = qnum(2, n)
+    phi = g.phi
+    d = qnum(2, g.n)
     worst = 0.0
     for u in range(len(g.edges)):
         for v in range(len(g.edges)):
@@ -315,62 +321,122 @@ def hecke_operator(
     return m
 
 
+def _compile_objective(g: FusionGraph, tris: list):
+    """The least-squares objective of ``solve_cells`` as index arrays.
+
+    Returns ``objective(x)`` for x = (re, im) of one weight per triangle.
+    Each evaluation gathers the weights, sums the type I frame products
+    and the Boltzmann entries with ``np.add.at``, and scatters the entries
+    into U_1, U_2 on the length-3 paths from ``star``; the residuals come
+    out in the order of the dict route: (re, im) per frame, then the braid
+    matrix, real part and imaginary part.
+    """
+    phi = g.phi
+    d = qnum(2, g.n)
+    tri_of = {}
+    for k, (e1, e2, e3) in enumerate(tris):
+        for rot in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+            tri_of[rot] = k
+
+    # type I: frame f sums W(u,a,b) conj(W(v,a,b)) over the loops (u,a,b)
+    f_id, f_w, f_wbar, want = [], [], [], []
+    for u in range(len(g.edges)):
+        for v in range(u, len(g.edges)):
+            if g.edges[u] != g.edges[v]:
+                continue
+            for a in g.out_edges[g.range(u)]:
+                for b in g.out_edges[g.range(a)]:
+                    if (u, a, b) in tri_of:
+                        f_id.append(len(want))
+                        f_w.append(tri_of[(u, a, b)])
+                        f_wbar.append(tri_of[(v, a, b)])
+            want.append(d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0)
+    want = np.array(want, dtype=complex)
+
+    # U entries, in the order boltzmann_U adds them
+    keys: dict = {}
+    u_key, u_w, u_wbar, u_norm = [], [], [], []
+    for r1 in range(len(g.edges)):
+        for r2 in g.out_edges[g.range(r1)]:
+            for lam in g.in_edges[g.source(r1)]:
+                if g.source(lam) != g.range(r2):
+                    continue
+                norm = 1.0 / (phi[g.source(r1)] * phi[g.range(r2)])
+                for r3 in g.out_edges[g.source(r1)]:
+                    for r4 in g.out_edges[g.range(r3)]:
+                        if g.range(r4) != g.range(r2):
+                            continue
+                        key = keys.setdefault(((r1, r2), (r3, r4)), len(keys))
+                        u_key.append(key)
+                        u_w.append(tri_of[(lam, r3, r4)])
+                        u_wbar.append(tri_of[(lam, r1, r2)])
+                        u_norm.append(norm)
+    u_norm = np.array(u_norm)
+
+    # U_i on the length-3 paths: entry (row q, col p) is U[(p_i p_i+1), (q_i q_i+1)]
+    paths3 = path_space(g, g.star, 3)
+    index = {p: k for k, p in enumerate(paths3)}
+    m = len(paths3)
+    ops = []
+    for i in (0, 1):
+        flat, ukey = [], []
+        for p, col in index.items():
+            for ((a1, a2), (b1, b2)), key in keys.items():
+                if (a1, a2) != (p[i], p[i + 1]):
+                    continue
+                q = p[:i] + (b1, b2) + p[i + 2:]
+                if q in index:
+                    flat.append(index[q] * m + col)
+                    ukey.append(key)
+        ops.append((np.array(flat, dtype=np.intp), np.array(ukey, dtype=np.intp)))
+
+    def objective(x):
+        w = x[0::2] + 1j * x[1::2]
+        s = np.zeros(len(want), dtype=complex)
+        np.add.at(s, f_id, w[f_w] * w[f_wbar].conj())
+        frame = s - want
+        res = [np.column_stack((frame.real, frame.imag)).ravel()]
+        if m:
+            uval = np.zeros(len(keys), dtype=complex)
+            np.add.at(uval, u_key, u_norm * w[u_w] * w[u_wbar].conj())
+            u = np.zeros((2, m * m), dtype=complex)
+            for i, (flat, ukey) in enumerate(ops):
+                u[i, flat] = uval[ukey]
+            u1, u2 = u.reshape(2, m, m)
+            braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
+            res += [braid.real.ravel(), braid.imag.ravel()]
+        return np.concatenate(res)
+
+    return objective
+
+
+def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
+    """Max entry of U_1 U_2 U_1 - U_1 - (U_2 U_1 U_2 - U_2) on the length-3
+    paths from ``star``, with U_i from ``hecke_operator``."""
+    if not path_space(g, g.star, 3):
+        return 0.0
+    u1 = hecke_operator(g, cells, g.star, 3, 0)
+    u2 = hecke_operator(g, cells, g.star, 3, 1)
+    return float(np.max(np.abs((u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2))))
+
+
 def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem:
     """Find cell weights satisfying both frame equations.
 
     Least squares over real and imaginary parts of one weight per
     triangle; the objective stacks the type I (digon) equations and the
     braid-type relation of the operators built from the weights (the
-    square relation).  Up to 12 randomized restarts; raises if no run
-    reaches ``tol``.
+    square relation), compiled once into index arrays.  Up to 12
+    randomized restarts.  The accepted weights are certified again by
+    the slow route, ``type_I_residual`` and the braid relation of
+    ``hecke_operator`` on ``cells.U``; ``cells.residual`` is the larger of
+    the two routes, and the solve raises if it exceeds ``tol``.
     """
-    n = g.n
     tris = triangles(g)
     if not tris:
         return CellSystem(g, {}, 0.0)
-    phi = g.phi
     rng = np.random.default_rng(seed)
-    d = qnum(2, n)
-
-    def unpack(x):
-        vals = {
-            t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)
-        }
-        return CellSystem(g, vals, 0.0)
-
-    # precompute the type-I frame list
-    frames = []
-    for u in range(len(g.edges)):
-        for v in range(u, len(g.edges)):
-            if g.edges[u][0] != g.edges[v][0] or g.edges[u][1] != g.edges[v][1]:
-                continue
-            comp = [
-                (a, b)
-                for a in g.out_edges[g.range(u)]
-                for b in g.out_edges[g.range(a)]
-                if g.range(b) == g.source(u)
-            ]
-            frames.append((u, v, comp))
-
-    plen = 3
-    paths3 = path_space(g, g.star, plen)
-
-    def objective(x):
-        cells = unpack(x)
-        res = []
-        for u, v, comp in frames:
-            s = sum(cells.W(u, a, b) * cells.W(v, a, b).conjugate() for a, b in comp)
-            want = d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0
-            res.append((s - want).real)
-            res.append((s - want).imag)
-        if paths3:
-            u1 = hecke_operator(g, cells, g.star, plen, 0)
-            u2 = hecke_operator(g, cells, g.star, plen, 1)
-            braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
-            res.extend(braid.real.ravel())
-            res.extend(braid.imag.ravel())
-        return np.array(res)
-
+    objective = _compile_objective(g, tris)
     best = None
     for _ in range(12):
         x0 = rng.normal(scale=1.0, size=2 * len(tris))
@@ -383,6 +449,9 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem
     resid, x = best
     if resid > tol:
         raise ValueError(f"cell solver stalled at residual {resid:.2e}")
-    cells = unpack(x)
-    cells.residual = resid
+    vals = {t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)}
+    cells = CellSystem(g, vals, 0.0)
+    cells.residual = max(resid, type_I_residual(g, cells), _braid_residual(g, cells))
+    if cells.residual > tol:
+        raise ValueError(f"cells fail the slow-route check at residual {cells.residual:.2e}")
     return cells

@@ -367,6 +367,26 @@ class Connection:
         self.graph = graph
         self.parity = parity
         self.X = X
+        self._swaps: dict = {}  # inverse -> {old step pair: [(new pair, coeff)]}
+
+    def swaps(self, inverse: bool) -> dict:
+        """Index of the square swaps, built on first use and kept.
+
+        Forward it maps the (vertical, horizontal) step pair down the left
+        and across the bottom of each square to the (horizontal, vertical)
+        pair across the top and down the right, with the square's
+        coefficient; inverse maps the other way with the conjugate.
+        """
+        if inverse not in self._swaps:
+            d = 1 if self.parity == "even" else -1
+            index: dict = {}
+            for (r1, r2, r3, r4), val in self.X.items():
+                old, new = ((r3, d), (r4, 1)), ((r1, 1), (r2, d))
+                if inverse:
+                    old, new, val = new, old, val.conjugate()
+                index.setdefault(old, []).append((new, val))
+            self._swaps[inverse] = index
+        return self._swaps[inverse]
 
     def _blocks(self):
         """Group keys by the (top-left, bottom-right) corner vertices."""
@@ -502,41 +522,21 @@ def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connect
 # basis change, inclusions, flatness
 
 def _swap_one_path(g, conn, path, t, inverse):
-    """Swap steps (t, t+1) of one path through the connection.
+    """Swap steps (t, t+1) of one path by one lookup in ``conn.swaps``.
 
     Forward: (vertical, horizontal) -> (horizontal, vertical).
     Inverse: the other way, using the conjugate coefficients.
     """
-    if inverse:
-        h, vstep = path[t], path[t + 1]
-        if h[1] != 1:
-            raise ValueError("expected forward step first for inverse swap")
-        vdir = vstep[1]
-    else:
-        vstep, h = path[t], path[t + 1]
-        if h[1] != 1:
-            raise ValueError("expected forward step second for swap")
-        vdir = vstep[1]
+    if inverse and path[t][1] != 1:
+        raise ValueError("expected forward step first for inverse swap")
+    if not inverse and path[t + 1][1] != 1:
+        raise ValueError("expected forward step second for swap")
     start = step_ends(g, path[t])[0]
     end = step_ends(g, path[t + 1])[1]
-    out = {}
-    for key, val in conn.X.items():
-        r1, r2, r3, r4 = key
-        if vdir == 1:
-            # even squares: left r3 = vertical before, top r1 = horizontal after
-            old = ((r3, 1), (r4, 1))
-            new = ((r1, 1), (r2, 1))
-        else:
-            # odd squares: left r3 walked backward, right r2 walked backward
-            old = ((r3, -1), (r4, 1))
-            new = ((r1, 1), (r2, -1))
-        if inverse:
-            old, new = new, old
-            val = val.conjugate()
-        if (path[t], path[t + 1]) != old:
-            continue
-        q = path[:t] + new + path[t + 2:]
-        out[q] = out.get(q, 0.0 + 0.0j) + val
+    out = {
+        path[:t] + new + path[t + 2:]: val
+        for new, val in conn.swaps(inverse).get((path[t], path[t + 1]), ())
+    }
     # sanity: every output path must connect the same endpoints
     for q in out:
         if step_ends(g, q[t])[0] != start or step_ends(g, q[t + 1])[1] != end:
@@ -557,17 +557,20 @@ def basis_change(
     pair transforms with the conjugate coefficients."""
     # a forward vertical step crosses an even square, a reverse one an odd
     conn = {1: connection(g, cells, "even"), -1: connection(g, cells, "odd")}
+    swapped: dict = {}  # path -> [(new path, coefficient, its conjugate)]
     terms: dict = {}
-    cache1: dict = {}
     for (p1, p2), c in x.terms.items():
-        for p, store in ((p1, cache1), (p2, cache1)):
-            if p not in store:
+        for p in (p1, p2):
+            if p not in swapped:
                 vdir = p[t + 1][1] if inverse else p[t][1]
-                store[p] = _swap_one_path(g, conn[vdir], p, t, inverse)
-        for q1, a in cache1[p1].items():
-            for q2, b in cache1[p2].items():
+                out = _swap_one_path(g, conn[vdir], p, t, inverse)
+                swapped[p] = [(q, a, a.conjugate()) for q, a in out.items()]
+        right = swapped[p2]
+        for q1, a, _ in swapped[p1]:
+            ca = c * a
+            for q2, _, bbar in right:
                 key = (q1, q2)
-                terms[key] = terms.get(key, 0.0 + 0.0j) + c * a * b.conjugate()
+                terms[key] = terms.get(key, 0.0 + 0.0j) + ca * bbar
     return PathAlgElement(g, x.level, terms).chop()
 
 

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from a2planar import cli
 from a2planar import pathalg as P
 from a2planar.algebra import WebSum, identity, mult, wsum
 from a2planar.cli import main
@@ -319,3 +321,42 @@ def test_graph_without_pf_eigenvalue_3(runner, tmp_path, cmd):
         "vertices": [{"id": "a", "colour": 0}, {"id": "b", "colour": 1}],
         "edges": [["a", "b"], ["b", "a"]], "star": "a", "n": 5}))
     assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")
+
+
+def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
+    def broken(x, max_len):
+        raise ArithmeticError("round-trip check failed")
+
+    monkeypatch.setattr(cli, "hecke_decompose", broken)
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
+    result = run(runner, ["decompose", "--in", f])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    (check,) = report(result)["checks"]
+    assert (check["id"], check["status"], check["residual"]) == ("round_trip", "fail", None)
+
+
+def _residuals(result):
+    return [c["residual"] for c in report(result)["checks"]]
+
+
+def test_residuals_are_numbers_or_null(runner, tmp_path, monkeypatch):
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
+    passing = _residuals(run(runner, ["decompose", "--in", f]))
+    passing += _residuals(run(runner, ["relcheck", "--suite", "hecke", "--m", "3"]))
+    assert passing and all(r == 0 and type(r) in (int, float) for r in passing)
+    monkeypatch.setattr(cli, "check_hecke", lambda m: [("h1", True), ("h2", False)])
+    result = run(runner, ["relcheck", "--suite", "hecke", "--m", "3"])
+    assert result.exit_code == 1
+    assert _residuals(result) == [0, None]
+
+
+def test_cells_solve_runtime_covers_the_solve(runner):
+    t0 = time.perf_counter()
+    result = run(runner, ["cells", "solve", "--n", "7"])
+    wall_ms = 1000 * (time.perf_counter() - t0)
+    assert result.exit_code == 0
+    (check,) = report(result)["checks"]
+    assert check["id"] == "frame_equations"
+    assert check["runtime_ms"] >= 0.5 * wall_ms

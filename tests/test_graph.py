@@ -1,8 +1,12 @@
 """Fusion graphs, Perron-Frobenius data, and cell systems."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+from a2planar import graph as G
 from a2planar.graph import (
     CellSystem,
     FusionGraph,
@@ -128,8 +132,7 @@ def test_solve_cells_residuals(n):
     g = build_A(n)
     cells = solve_cells(g)
     assert cells.residual < 1e-10
-    phi = pf_eigen(g)
-    assert type_I_residual(g, phi, cells, n) < 1e-10
+    assert type_I_residual(g, cells) < 1e-10
 
 
 def test_triangle_free_graph_vacuous():
@@ -194,14 +197,13 @@ def test_gauge_rephasing_invariance():
     g = build_A(6)
     n = 6
     cells = solve_cells(g)
-    phi = pf_eigen(g)
     theta = rng.uniform(0, 2 * np.pi, size=len(g.edges))
     vals = {
         t: v * np.exp(1j * (theta[t[0]] + theta[t[1]] + theta[t[2]]))
         for t, v in cells.values.items()
     }
     gauged = CellSystem(g, vals, 0.0)
-    assert type_I_residual(g, phi, gauged, n) < 1e-10
+    assert type_I_residual(g, gauged) < 1e-10
     d = qnum(2, n)
     u1 = hecke_operator(g, gauged, g.star, 3, 0)
     u2 = hecke_operator(g, gauged, g.star, 3, 1)
@@ -212,8 +214,73 @@ def test_gauge_rephasing_invariance():
 def test_perturbed_cells_fail():
     g = build_A(5)
     cells = solve_cells(g)
-    phi = pf_eigen(g)
     bad = dict(cells.values)
     k = next(iter(bad))
     bad[k] = bad[k] * 1.1
-    assert type_I_residual(g, phi, CellSystem(g, bad, 0.0), 5) > 1e-3
+    assert type_I_residual(g, CellSystem(g, bad, 0.0)) > 1e-3
+
+
+# -- the compiled objective and its certification -----------------------------
+
+
+def _dict_route(g, tris, x):
+    """The solver's residuals through CellSystem.W, boltzmann_U and
+    hecke_operator, in the order of the compiled objective."""
+    cells = CellSystem(g, {t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)}, 0.0)
+    d = qnum(2, g.n)
+    res = []
+    for u in range(len(g.edges)):
+        for v in range(u, len(g.edges)):
+            if g.edges[u] != g.edges[v]:
+                continue
+            s = sum(
+                cells.W(u, a, b) * cells.W(v, a, b).conjugate()
+                for a in g.out_edges[g.range(u)]
+                for b in g.out_edges[g.range(a)]
+                if g.range(b) == g.source(u)
+            )
+            want = d * g.phi[g.source(u)] * g.phi[g.range(u)] if u == v else 0.0
+            res += [(s - want).real, (s - want).imag]
+    u1 = hecke_operator(g, cells, g.star, 3, 0)
+    u2 = hecke_operator(g, cells, g.star, 3, 1)
+    braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
+    return np.concatenate([res, braid.real.ravel(), braid.imag.ravel()])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_A(5), build_A(6), build_A(7), build_A(8), FusionGraph.from_json(build_A(6).to_json())],
+    ids=["A5", "A6", "A7", "A8", "A6-json"],
+)
+def test_compiled_objective_matches_dict_route(g):
+    rng = np.random.default_rng(11)
+    tris = triangles(g)
+    objective = G._compile_objective(g, tris)
+    for _ in range(3):
+        x = rng.normal(size=2 * len(tris))
+        want = _dict_route(g, tris, x)
+        got = objective(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_cells_match_recorded_moduli():
+    """|W| per triangle is gauge invariant; the recorded values come from
+    the solver that built U as a dict on every evaluation."""
+    path = os.path.join(os.path.dirname(__file__), "cells_moduli_recorded.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    assert sorted(map(int, recorded)) == list(range(4, 10))
+    for n, rows in recorded.items():
+        cells = solve_cells(build_A(int(n)))
+        assert sorted(cells.values) == [tuple(t) for t, _ in rows]
+        for t, modulus in rows:
+            assert abs(abs(cells.values[tuple(t)]) - modulus) < 1e-12
+
+
+def test_solve_cells_certified_by_slow_route(monkeypatch):
+    monkeypatch.setattr(G, "type_I_residual", lambda g, cells: 1e-6)
+    with pytest.raises(ValueError, match="slow-route"):
+        solve_cells(build_A(5))
+    monkeypatch.setattr(G, "type_I_residual", lambda g, cells: 1e-11)
+    assert solve_cells(build_A(5)).residual == 1e-11

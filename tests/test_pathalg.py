@@ -286,6 +286,39 @@ def test_basis_change_multiplicative(setups):
     assert move(a * b).dist(move(a) * move(b)) < 1e-9
 
 
+def _swap_by_scan(g, conn, path, t, inverse):
+    """``_swap_one_path`` as a scan of every square of ``conn.X``."""
+    d = 1 if conn.parity == "even" else -1
+    out = {}
+    for (r1, r2, r3, r4), val in conn.X.items():
+        old, new = ((r3, d), (r4, 1)), ((r1, 1), (r2, d))
+        if inverse:
+            old, new, val = new, old, val.conjugate()
+        if (path[t], path[t + 1]) == old:
+            q = path[:t] + new + path[t + 2:]
+            out[q] = out.get(q, 0.0 + 0.0j) + val
+    return out
+
+
+def test_swap_index_matches_scan():
+    g = build_A(6)
+    cells = solve_cells(g)
+    hits = set()
+    for i, j in ((2, 1), (3, 2)):
+        paths = [p for p, _ in P.enumerate_paths(g, P.level_signs(i, j))]
+        for parity, inverse in itertools.product(("even", "odd"), (False, True)):
+            conn = P.connection(g, cells, parity)
+            for p in paths:
+                for t in range(i + j - 1):
+                    if p[t if inverse else t + 1][1] != 1:
+                        continue
+                    got = P._swap_one_path(g, conn, p, t, inverse)
+                    assert got == _swap_by_scan(g, conn, p, t, inverse)
+                    if got:
+                        hits.add((parity, inverse))
+    assert len(hits) == 4
+
+
 def test_u_form_invariant(setups):
     # re-presenting the level through the connection leaves U_{-k} in
     # its defining coupled-pair form, with the step signs re-shuffled,
