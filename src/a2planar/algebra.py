@@ -317,7 +317,6 @@ def cyclo_rank(rows) -> int:
     rank = 0
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    col = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
         if piv is None:

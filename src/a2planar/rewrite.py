@@ -17,16 +17,17 @@ loops) in lexicographic order, so normalization terminates:
 square redexes are picked is pluggable so confluence can be exercised; the
 result is a dict mapping reduced webs to Laurent coefficients.
 
-``enumerate_basis`` grows all reduced (non-elliptic) webs on a given
-boundary word by attaching cups and trivalent vertices along adjacent sign
-pairs, deduplicating canonically; the counts are checked elsewhere against
-a representation-theoretic oracle.
+``enumerate_basis`` builds the reduced (non-elliptic) webs on a boundary
+word by the Khovanov-Kuperberg growth rules, one web per closed dominant
+walk and with no search: at the leftmost descent of the walk's states it
+attaches a trivalent vertex (equal signs), a cup (opposite signs, states
+1, -1) or an H (other opposite signs).  It certifies the result against
+``oracle.walk_dim`` before returning it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from .oracle import walk_dim
 from .scalar import Laurent, alpha, delta
 from .web import (
     CROSSINGS,
@@ -290,13 +291,11 @@ def _attach_tri(s: str, i: int) -> Web:
     return Web(s, flip(s2), verts, edges)
 
 
-
 def _attach_h(s: str, i: int) -> Web:
     """A horizontal bar between the opposite-signed strands i, i+1.
 
     Two trivalent vertices joined by a bar; below it the two signs are
-    swapped.  This is the growth move that cannot be expressed by cups and
-    single vertices alone.
+    swapped.  This is the H rule of the basis growth.
     """
     if s[i] == s[i + 1]:
         raise WebError("bar move needs opposite adjacent signs")
@@ -315,57 +314,59 @@ def _attach_h(s: str, i: int) -> Web:
     return Web(s, flip(s2), verts, edges)
 
 
-def enumerate_basis(
-    sigma: str, h_budget: int | None = None, max_frontier: int = 200_000
-) -> list[Web]:
+# Khovanov-Kuperberg states -1, 0, 1 and their weight steps on a '-' strand
+# (the vector representation) and on a '+' strand (its dual)
+_STATE_STEPS = {
+    "-": ((-1, (0, -1)), (0, (-1, 1)), (1, (1, 0))),
+    "+": ((-1, (-1, 0)), (0, (1, -1)), (1, (0, 1))),
+}
+
+
+def _dominant_states(sigma: str) -> list[tuple]:
+    """State strings of the closed dominant walks of ``sigma``, in
+    lexicographic order with the states tried -1, 0, 1."""
+    back = [{(0, 0)}]  # back[j]: the weights from which the last j signs return to (0, 0)
+    for sign in reversed(sigma):
+        back.append({(a - da, b - db) for a, b in back[-1]
+                     for _, (da, db) in _STATE_STEPS[sign] if a >= da and b >= db})
+    walks = [((), (0, 0))]
+    for sign, ends in zip(sigma, reversed(back[:-1])):
+        walks = [(st + (state,), (a + da, b + db)) for st, (a, b) in walks
+                 for state, (da, db) in _STATE_STEPS[sign] if (a + da, b + db) in ends]
+    return [st for st, _ in walks]
+
+
+def _grow(s: str, st: tuple) -> Web:
+    """The web of a sign string and a closed dominant state string: attach
+    a piece at the leftmost descent of the states, above the web grown from
+    what remains."""
+    if not s:
+        return Web("", "", {}, [], 0)
+    i = next(i for i in range(len(s) - 1) if st[i] > st[i + 1])
+    if s[i] == s[i + 1]:  # (1, 0), (1, -1), (0, -1) merge to 1, 0, -1
+        att, mid = _attach_tri(s, i), (st[i] + st[i + 1],)
+    elif st[i] - st[i + 1] == 2:
+        att, mid = _attach_cup(s, i), ()
+    else:
+        att, mid = _attach_h(s, i), (st[i + 1], st[i])
+    return att.compose(_grow(flip(att.bot), st[:i] + mid + st[i + 2 :]), check=False)
+
+
+def enumerate_basis(sigma: str) -> list[Web]:
     """All reduced webs with the given boundary word on top (and no bottom).
 
-    Grows diagrams downward by attaching, at every adjacent position, a cup
-    or a bar (opposite signs) or a trivalent vertex (equal signs), keeping
-    results that admit no further reduction.  Bar moves preserve the word
-    length, so their number is budgeted; by default the budget is raised
-    until the web set stops growing.  The counts are cross-checked against
-    an independent dimension oracle in the test suite.
+    One web per closed dominant walk of ``sigma``, in the order of the state
+    strings.  The list is certified before it is returned: every web is
+    reduced, the canonical keys are pairwise distinct and the count equals
+    ``walk_dim``, which by Kuperberg's theorem makes it the whole basis;
+    otherwise ``ArithmeticError`` is raised.
     """
     sigma = str(sigma)
-
-    @lru_cache(maxsize=None)
-    def grow(s: str, h: int):
-        if s == "":
-            return (Web("", "", {}, [], 0),)
-        seen = {}
-
-        def keep(w):
-            if is_reduced(w):
-                seen[w.canonical_key()] = w
-
-        for i in range(len(s) - 1):
-            if s[i] != s[i + 1]:
-                att = _attach_cup(s, i)
-                for w2 in grow(flip(att.bot), h):
-                    keep(att.compose(w2, check=False))
-                if h > 0:
-                    att = _attach_h(s, i)
-                    for w2 in grow(flip(att.bot), h - 1):
-                        keep(att.compose(w2, check=False))
-            else:
-                att = _attach_tri(s, i)
-                for w2 in grow(flip(att.bot), h):
-                    keep(att.compose(w2, check=False))
-            if len(seen) > max_frontier:
-                raise WebError("basis enumeration frontier exceeded")
-        return tuple(seen.values())
-
-    if h_budget is not None:
-        return list(grow(sigma, h_budget))
-    prev = None
-    h = 0
-    while True:
-        out = grow(sigma, h)
-        if prev is not None and len(out) == len(prev):
-            return list(out)
-        prev = out
-        h += 1
+    basis = [_grow(sigma, st) for st in _dominant_states(sigma)]
+    distinct = len({w.canonical_key() for w in basis}) == len(basis)
+    if not distinct or len(basis) != walk_dim(sigma) or not all(map(is_reduced, basis)):
+        raise ArithmeticError(f"grown webs on {sigma!r} are not a basis")
+    return basis
 
 
 # -- random reducible webs (for confluence experiments) -------------------
@@ -377,9 +378,7 @@ def random_reducible_web(rng, max_signs: int = 4, layers: int = 4) -> Web:
     sigma = "".join(rng.choice("+-") for _ in range(n))
     w = identity_web(sigma)
     for _ in range(rng.randrange(1, layers + 1)):
-        i = rng.randrange(n - 1) if n > 1 else 0
-        if n < 2:
-            break
+        i = rng.randrange(n - 1)
         if sigma[i] == sigma[i + 1]:
             gen = wgen_web(sigma, i)
         else:

@@ -67,6 +67,12 @@ def test_quotient_dim(runner):
     assert result.output.splitlines()[0] == "5"
 
 
+def test_quotient_dim_counts_every_web(runner):
+    result = run(runner, ["quotient-dim", "--sigma", "--+-++-+", "--n", "7"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == "23"
+
+
 def test_dims(runner):
     result = run(runner, ["dims", "--n", "5", "--i", "1", "--j", "2"])
     assert result.exit_code == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -156,6 +157,29 @@ class TestBasis:
         assert enumerate_basis("") == [EMPTY]
         assert enumerate_basis("-") == []
         assert enumerate_basis("--") == []
+
+    @staticmethod
+    def _check_basis(sigma):
+        B = enumerate_basis(sigma)
+        assert len(B) == walk_dim(sigma)
+        assert len({w.canonical_key() for w in B}) == len(B)
+        for w in B:
+            assert w.top == sigma and w.bot == ""
+            assert is_reduced(w)
+        return B
+
+    def test_every_sign_string_up_to_length_8(self):
+        for length in range(1, 9):
+            for signs in itertools.product("-+", repeat=length):
+                self._check_basis("".join(signs))
+
+    def test_six_six(self):
+        assert len(self._check_basis("-" * 6 + "+" * 6)) == 513
+
+    def test_wrong_oracle_raises(self, monkeypatch):
+        monkeypatch.setattr("a2planar.rewrite.walk_dim", lambda s: walk_dim(s) + 1)
+        with pytest.raises(ArithmeticError):
+            enumerate_basis("---+++")
 
 
 class TestLinearity:
