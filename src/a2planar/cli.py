@@ -182,7 +182,7 @@ def trace_cmd(infile):
 @main.command("gram")
 @click.option("--sigma", required=True, callback=_sigma,
               help="boundary word, e.g. '---+++' or '-,-,-,+,+,+'")
-@click.option("--n", required=True, type=int)
+@click.option("--n", required=True, type=click.IntRange(min=4))
 @click.option("--rank", "want_rank", is_flag=True)
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
@@ -220,8 +220,8 @@ def decompose_cmd(infile, max_len):
     "--suite", required=True,
     type=click.Choice(["hecke", "su3", "frels", "markov", "braid", "spherical", "f13"]),
 )
-@click.option("--m", default=4, type=int)
-@click.option("--n", default=7, type=int)
+@click.option("--m", default=4, type=click.IntRange(min=2))
+@click.option("--n", default=7, type=click.IntRange(min=4))
 @click.option("--seed", default=0, type=int)
 @click.option("--trials", default=1000, type=int)
 def relcheck_cmd(suite, m, n, seed, trials):
@@ -345,8 +345,8 @@ def flat_grp():
 @flat_grp.command("check")
 @click.option("--n", default=None, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--hmax", default=2, type=int)
-@click.option("--vmax", default=2, type=int)
+@click.option("--hmax", default=2, type=click.IntRange(min=0))
+@click.option("--vmax", default=2, type=click.IntRange(min=0))
 @click.option("--tol", default=1e-8, type=float)
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
@@ -395,7 +395,7 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
 
 @main.command("quotient-dim")
 @click.option("--sigma", required=True, callback=_sigma)
-@click.option("--n", required=True, type=int)
+@click.option("--n", required=True, type=click.IntRange(min=4))
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
     d = quotient_dim(sigma, n)

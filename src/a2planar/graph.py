@@ -60,7 +60,9 @@ class FusionGraph:
     """Directed graph with coloured vertices and a distinguished vertex.
 
     ``phi``, the Perron-Frobenius weights, is computed on first use and
-    kept; the graph must not change afterwards.
+    kept, and ``path_indices`` keeps each sign string's path index once
+    ``pathalg.path_index`` has built it; the graph must not change
+    afterwards.
     """
 
     def __init__(self, vertices, colour, edges, star, n, name=""):
@@ -71,6 +73,7 @@ class FusionGraph:
         self.n = n
         self.name = name
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        self.path_indices: dict = {}  # sign string -> pathalg.PathIndex
         self.out_edges = {v: [] for v in self.vertices}
         self.in_edges = {v: [] for v in self.vertices}
         for k, (u, v) in enumerate(self.edges):

@@ -8,13 +8,16 @@ forward / reverse starting forward.  On top of that skeleton this module
 provides
 
 * ``dims`` by the block-matrix product and by direct enumeration,
-* the Markov trace,
-* Hecke operators ``make_U`` built from the Boltzmann weights,
-* Jones projections ``make_e`` on the vertical steps,
+* elements as one dense complex block per end vertex (the algebra is the
+  sum over v of the matrices on the paths ending at v), over a path index
+  kept on the graph for each sign string, with the Markov trace,
+* Hecke operators ``make_U`` built from the Boltzmann weights and Jones
+  projections ``make_e`` on the vertical steps, from their path formulas,
 * the connection between the two path presentations of a square of the
-  ladder, with unitarity and commuting-square residuals,
-* single-square basis changes, the horizontal/vertical inclusions, and a
-  flatness report, and
+  ladder, with unitarity and commuting-square residuals; it keeps one
+  swap matrix per end vertex, so a single-square basis change is one
+  conjugation per block,
+* the horizontal/vertical inclusions and a flatness report, and
 * ``present_Z``: evaluation of a diagram given as a word of horizontal
   strips (cups, caps, trivalent forks, labelled rectangles) as a vector
   of paths, together with builders for the named strip words.
@@ -27,6 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import MappingProxyType
+
+import numpy as np
 
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
@@ -123,22 +129,13 @@ def enumerate_paths(g: FusionGraph, signs: str, start=None):
 
 def enumerate_pairs(g: FusionGraph, i: int, j: int):
     """Basis pairs of B[i,j]: same shape, same endpoint."""
-    by_end: dict = {}
-    for p, v in enumerate_paths(g, level_signs(i, j)):
-        by_end.setdefault(v, []).append(p)
-    pairs = []
-    for v, ps in sorted(by_end.items(), key=lambda kv: str(kv[0])):
-        for p1 in ps:
-            for p2 in ps:
-                pairs.append((p1, p2))
-    return pairs
+    paths = path_index(g, level_signs(i, j)).paths
+    return [(p1, p2) for v in sorted(paths, key=str) for p1 in paths[v] for p2 in paths[v]]
 
 
 def dims(g: FusionGraph, i: int, j: int) -> int:
     """dim B[i,j] by the adjacency-matrix product, checked against the
     direct path count."""
-    import numpy as np
-
     if i < 0 or j < 0:
         raise ValueError("negative level")
     adj = g.adjacency()
@@ -149,98 +146,122 @@ def dims(g: FusionGraph, i: int, j: int) -> int:
         lam = lam @ (adj if l % 2 == 1 else adj.T)
     k = g._vindex[g.star]
     by_matrix = int((lam @ lam.T)[k, k])
-    counts: dict = {}
-    for _, v in enumerate_paths(g, level_signs(i, j)):
-        counts[v] = counts.get(v, 0) + 1
-    by_paths = sum(c * c for c in counts.values())
+    by_paths = sum(len(ps) ** 2 for ps in path_index(g, level_signs(i, j)).paths.values())
     if by_matrix != by_paths:
         raise AssertionError("matrix and enumeration dimension disagree")
     return by_matrix
 
 
 # ---------------------------------------------------------------------------
-# elements
+# path indices and elements
+
+class PathIndex:
+    """The paths from the distinguished vertex along one sign string:
+    ``paths[v]`` lists those that end at v, and ``where[p]`` is
+    ``(v, position of p in paths[v])``."""
+
+    def __init__(self, g: FusionGraph, signs: str):
+        self.signs = signs
+        self.paths: dict = {}
+        for p, v in enumerate_paths(g, signs):
+            self.paths.setdefault(v, []).append(p)
+        self.where = {p: (v, k) for v, ps in self.paths.items() for k, p in enumerate(ps)}
+
+    def zeros(self) -> dict:
+        return {v: np.zeros((len(ps), len(ps)), dtype=complex) for v, ps in self.paths.items()}
+
+
+def path_index(g: FusionGraph, signs: str) -> PathIndex:
+    """The path index of a sign string, built once per graph and kept in
+    ``g.path_indices``."""
+    if signs not in g.path_indices:
+        g.path_indices[signs] = PathIndex(g, signs)
+    return g.path_indices[signs]
+
 
 class PathAlgElement:
-    """Linear combination of path pairs at a fixed level."""
+    """Element of the path-pair algebra at a fixed level.
 
-    __slots__ = ("graph", "level", "terms")
+    It is stored as one dense complex block per end vertex v, whose rows
+    and columns follow ``index.paths[v]``.  ``index`` belongs to the sign
+    string of the level, except in the middle of ``horizontal_include``,
+    where the new horizontal step has been moved only partway past the
+    vertical ones.
+    """
+
+    __slots__ = ("graph", "level", "index", "blocks")
 
     def __init__(self, graph: FusionGraph, level, terms=None):
         self.graph = graph
         self.level = tuple(level)
-        self.terms = dict(terms or {})
+        self.index = path_index(graph, level_signs(*self.level))
+        self.blocks = self.index.zeros()
+        for (p1, p2), c in (terms or {}).items():
+            try:
+                (v, a), (w, b) = self.index.where[p1], self.index.where[p2]
+            except KeyError:
+                raise ValueError(f"path pair {(p1, p2)} is not at level {self.level}") from None
+            if v != w:
+                raise ValueError(f"path pair {(p1, p2)} has two end vertices")
+            self.blocks[v][a, b] = c
 
-    def _check(self, other: "PathAlgElement"):
-        if self.graph is not other.graph or self.level != other.level:
+    @classmethod
+    def _of(cls, graph, level, index, blocks) -> "PathAlgElement":
+        x = cls.__new__(cls)
+        x.graph, x.level, x.index, x.blocks = graph, level, index, blocks
+        return x
+
+    def _map(self, f) -> "PathAlgElement":
+        blocks = {v: f(b) for v, b in self.blocks.items()}
+        return self._of(self.graph, self.level, self.index, blocks)
+
+    def _zip(self, other: "PathAlgElement", f) -> "PathAlgElement":
+        if self.graph is not other.graph or (self.level, self.index) != (other.level, other.index):
             raise ValueError("level or graph mismatch")
+        blocks = {v: f(b, other.blocks[v]) for v, b in self.blocks.items()}
+        return self._of(self.graph, self.level, self.index, blocks)
 
-    def copy(self) -> "PathAlgElement":
-        return PathAlgElement(self.graph, self.level, self.terms)
-
-    def chop(self, tol: float = _CHOP) -> "PathAlgElement":
-        self.terms = {k: v for k, v in self.terms.items() if abs(v) > tol}
-        return self
+    @property
+    def terms(self):
+        """Read-only view of the coefficients above 1e-14, keyed by path pair."""
+        out = {}
+        for v, b in self.blocks.items():
+            ps = self.index.paths[v]
+            for a, c in zip(*np.nonzero(np.abs(b) > _CHOP)):
+                out[(ps[a], ps[c])] = complex(b[a, c])
+        return MappingProxyType(out)
 
     def __add__(self, other: "PathAlgElement") -> "PathAlgElement":
-        self._check(other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, 0.0) + v
-        return PathAlgElement(self.graph, self.level, t).chop()
+        return self._zip(other, np.add)
 
     def __sub__(self, other: "PathAlgElement") -> "PathAlgElement":
-        return self + other.scale(-1.0)
+        return self._zip(other, np.subtract)
 
     def scale(self, c) -> "PathAlgElement":
-        return PathAlgElement(
-            self.graph, self.level, {k: c * v for k, v in self.terms.items()}
-        )
+        return self._map(lambda b: c * b)
 
     def __mul__(self, other):
         if not isinstance(other, PathAlgElement):
             return self.scale(other)
-        self._check(other)
-        right: dict = {}
-        for (q1, q2), d in other.terms.items():
-            right.setdefault(q1, []).append((q2, d))
-        t: dict = {}
-        for (p1, p2), c in self.terms.items():
-            for q2, d in right.get(p2, ()):
-                k = (p1, q2)
-                t[k] = t.get(k, 0.0) + c * d
-        return PathAlgElement(self.graph, self.level, t).chop()
+        return self._zip(other, np.matmul)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def star(self) -> "PathAlgElement":
-        return PathAlgElement(
-            self.graph,
-            self.level,
-            {(p2, p1): c.conjugate() if isinstance(c, complex) else c
-             for (p1, p2), c in self.terms.items()},
-        )
+        return self._map(lambda b: b.conj().T)
 
     def norm(self) -> float:
-        return max((abs(v) for v in self.terms.values()), default=0.0)
+        return max((float(np.abs(b).max()) for b in self.blocks.values()), default=0.0)
 
     def dist(self, other: "PathAlgElement") -> float:
         return (self - other).norm()
 
     def to_json(self) -> list:
-        out = []
-        for (p1, p2), c in sorted(self.terms.items()):
-            c = complex(c)
-            out.append(
-                {
-                    "p1": [[e, d] for e, d in p1],
-                    "p2": [[e, d] for e, d in p2],
-                    "re": c.real,
-                    "im": c.imag,
-                }
-            )
-        return out
+        return [
+            {"p1": [list(s) for s in p1], "p2": [list(s) for s in p2], "re": c.real, "im": c.imag}
+            for (p1, p2), c in sorted(self.terms.items())
+        ]
 
     @staticmethod
     def from_json(graph: FusionGraph, level, obj) -> "PathAlgElement":
@@ -256,21 +277,16 @@ class PathAlgElement:
 
 
 def identity_element(g: FusionGraph, i: int, j: int) -> PathAlgElement:
-    terms = {(p, p): 1.0 + 0.0j for p, _ in enumerate_paths(g, level_signs(i, j))}
-    return PathAlgElement(g, (i, j), terms)
+    index = path_index(g, level_signs(i, j))
+    blocks = {v: np.eye(len(ps), dtype=complex) for v, ps in index.paths.items()}
+    return PathAlgElement._of(g, (i, j), index, blocks)
 
 
 def trace(x: PathAlgElement) -> complex:
     """Markov trace: (p, p) weighs [3]^-(i+j) * phi at the endpoint."""
     g = x.graph
-    phi = g.phi
-    k = sum(x.level)
-    scale = qnum(3, g.n) ** (-k)
-    tot = 0.0 + 0.0j
-    for (p1, p2), c in x.terms.items():
-        if p1 == p2:
-            tot += c * scale * phi[path_range(g, p1)]
-    return tot
+    tot = sum(g.phi[v] * np.trace(b) for v, b in x.blocks.items())
+    return complex(tot * qnum(3, g.n) ** (-sum(x.level)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +335,7 @@ def _u_formula(g, U, pre_signs, suf_signs, level) -> PathAlgElement:
                 p2 = pre + _pair_steps(pa) + suf
                 key = (p1, p2)
                 terms[key] = terms.get(key, 0.0 + 0.0j) + val
-    return PathAlgElement(g, level, terms).chop()
+    return PathAlgElement(g, level, terms)
 
 
 def make_e(g: FusionGraph, phi: dict, i: int, j: int, l: int) -> PathAlgElement:
@@ -367,26 +383,40 @@ class Connection:
         self.graph = graph
         self.parity = parity
         self.X = X
-        self._swaps: dict = {}  # inverse -> {old step pair: [(new pair, coeff)]}
+        self._swaps: dict = {}  # (signs, t, inverse) -> {end vertex: matrix}
 
-    def swaps(self, inverse: bool) -> dict:
-        """Index of the square swaps, built on first use and kept.
-
-        Forward it maps the (vertical, horizontal) step pair down the left
-        and across the bottom of each square to the (horizontal, vertical)
-        pair across the top and down the right, with the square's
-        coefficient; inverse maps the other way with the conjugate.
-        """
-        if inverse not in self._swaps:
-            d = 1 if self.parity == "even" else -1
-            index: dict = {}
-            for (r1, r2, r3, r4), val in self.X.items():
-                old, new = ((r3, d), (r4, 1)), ((r1, 1), (r2, d))
-                if inverse:
-                    old, new, val = new, old, val.conjugate()
-                index.setdefault(old, []).append((new, val))
-            self._swaps[inverse] = index
-        return self._swaps[inverse]
+    def swap(self, signs: str, t: int, inverse: bool) -> dict:
+        """The swap of steps (t, t+1) of the paths of ``signs``: per end
+        vertex, the matrix whose column p holds the coefficients of p
+        re-expressed with the two steps exchanged.  Built on first use and
+        kept.  Forward, each square turns the (vertical, horizontal) pair
+        down the left and across the bottom into the (horizontal, vertical)
+        pair across the top and down the right; inverse goes the other way
+        with the conjugate."""
+        key = (signs, t, inverse)
+        if key in self._swaps:
+            return self._swaps[key]
+        d = 1 if self.parity == "even" else -1
+        old = path_index(self.graph, signs)
+        new = path_index(self.graph, signs[:t] + signs[t + 1] + signs[t] + signs[t + 2:])
+        if old.paths.keys() != new.paths.keys():
+            raise ValueError("the swap changes the end vertices of the paths")
+        by_pair: dict = {}
+        for p, (v, a) in old.where.items():
+            by_pair.setdefault(p[t:t + 2], []).append((p, v, a))
+        S = {v: np.zeros((len(new.paths[v]), len(ps)), dtype=complex)
+             for v, ps in old.paths.items()}
+        for (r1, r2, r3, r4), val in self.X.items():
+            before, after = ((r3, d), (r4, 1)), ((r1, 1), (r2, d))
+            if inverse:
+                before, after, val = after, before, val.conjugate()
+            for p, v, a in by_pair.get(before, ()):
+                hit = new.where.get(p[:t] + after + p[t + 2:])
+                if hit is None or hit[0] != v:
+                    raise ValueError("the swap leaves the paths of its end vertex")
+                S[v][hit[1], a] = val
+        self._swaps[key] = S
+        return S
 
     def _blocks(self):
         """Group keys by the (top-left, bottom-right) corner vertices."""
@@ -521,29 +551,6 @@ def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connect
 # ---------------------------------------------------------------------------
 # basis change, inclusions, flatness
 
-def _swap_one_path(g, conn, path, t, inverse):
-    """Swap steps (t, t+1) of one path by one lookup in ``conn.swaps``.
-
-    Forward: (vertical, horizontal) -> (horizontal, vertical).
-    Inverse: the other way, using the conjugate coefficients.
-    """
-    if inverse and path[t][1] != 1:
-        raise ValueError("expected forward step first for inverse swap")
-    if not inverse and path[t + 1][1] != 1:
-        raise ValueError("expected forward step second for swap")
-    start = step_ends(g, path[t])[0]
-    end = step_ends(g, path[t + 1])[1]
-    out = {
-        path[:t] + new + path[t + 2:]: val
-        for new, val in conn.swaps(inverse).get((path[t], path[t + 1]), ())
-    }
-    # sanity: every output path must connect the same endpoints
-    for q in out:
-        if step_ends(g, q[t])[0] != start or step_ends(g, q[t + 1])[1] != end:
-            raise AssertionError("swap broke the path")
-    return out
-
-
 def basis_change(
     g: FusionGraph,
     cells: CellSystem,
@@ -553,55 +560,42 @@ def basis_change(
 ) -> PathAlgElement:
     """Re-express an element through the connection at step positions
     (t, t+1): forward turns a (vertical, horizontal) step pair into
-    (horizontal, vertical), inverse undoes it.  The second path of each
-    pair transforms with the conjugate coefficients."""
+    (horizontal, vertical), inverse undoes it.  Each block becomes
+    S x S^dagger, with S the swap matrix of its end vertex."""
+    signs = x.index.signs
+    if signs[t if inverse else t + 1] != "-":
+        raise ValueError("the horizontal step of a swap must be forward")
     # a forward vertical step crosses an even square, a reverse one an odd
-    conn = {1: connection(g, cells, "even"), -1: connection(g, cells, "odd")}
-    swapped: dict = {}  # path -> [(new path, coefficient, its conjugate)]
-    terms: dict = {}
-    for (p1, p2), c in x.terms.items():
-        for p in (p1, p2):
-            if p not in swapped:
-                vdir = p[t + 1][1] if inverse else p[t][1]
-                out = _swap_one_path(g, conn[vdir], p, t, inverse)
-                swapped[p] = [(q, a, a.conjugate()) for q, a in out.items()]
-        right = swapped[p2]
-        for q1, a, _ in swapped[p1]:
-            ca = c * a
-            for q2, _, bbar in right:
-                key = (q1, q2)
-                terms[key] = terms.get(key, 0.0 + 0.0j) + ca * bbar
-    return PathAlgElement(g, x.level, terms).chop()
+    vertical = signs[t + 1] if inverse else signs[t]
+    conn = connection(g, cells, "even" if vertical == "-" else "odd")
+    index = path_index(g, signs[:t] + signs[t + 1] + signs[t] + signs[t + 2:])
+    blocks = {v: m @ x.blocks[v] @ m.conj().T for v, m in conn.swap(signs, t, inverse).items()}
+    return PathAlgElement._of(g, x.level, index, blocks)
+
+
+def _append_step(x: PathAlgElement, sign: str, level) -> PathAlgElement:
+    """``x`` on the paths one step longer: each path continues by every
+    step of the given sign from its end vertex."""
+    index = path_index(x.graph, x.index.signs + sign)
+    blocks = index.zeros()
+    for v, ps in x.index.paths.items():
+        for step, w in enumerate_paths(x.graph, sign, start=v):
+            rows = np.array([index.where[p + step][1] for p in ps])
+            blocks[w][rows[:, None], rows] = x.blocks[v]
+    return PathAlgElement._of(x.graph, level, index, blocks)
 
 
 def vertical_include(g: FusionGraph, x: PathAlgElement) -> PathAlgElement:
     """Embedding B[i,j] -> B[i+1,j]: append the next vertical step."""
     i, j = x.level
-    sign = "-" if (i + 1) % 2 == 1 else "+"
-    terms: dict = {}
-    for (p1, p2), c in x.terms.items():
-        v = path_range(g, p1)
-        steps = (
-            [(e, 1) for e in g.out_edges[v]]
-            if sign == "-"
-            else [(e, -1) for e in g.in_edges[v]]
-        )
-        for s in steps:
-            terms[(p1 + (s,), p2 + (s,))] = c
-    return PathAlgElement(g, (i + 1, j), terms)
+    return _append_step(x, "-" if (i + 1) % 2 == 1 else "+", (i + 1, j))
 
 
 def horizontal_include(g: FusionGraph, cells: CellSystem, x: PathAlgElement) -> PathAlgElement:
     """Embedding B[i,j] -> B[i,j+1]: append a forward step at the far end
     and transport it left past the vertical steps with the connection."""
     i, j = x.level
-    terms: dict = {}
-    for (p1, p2), c in x.terms.items():
-        v = path_range(g, p1)
-        for e in g.out_edges[v]:
-            s = (e, 1)
-            terms[(p1 + (s,), p2 + (s,))] = c
-    y = PathAlgElement(g, (i, j + 1), terms)
+    y = _append_step(x, "-", (i, j + 1))
     for t in range(i + j - 1, j - 1, -1):
         y = basis_change(g, cells, y, t)
     return y
@@ -615,35 +609,36 @@ def flatness_check(
 ) -> dict:
     """Max commutator norm between B[vmax,0] and B[0,hmax] inside
     B[vmax,hmax].  Report only; a flat connection gives ~0."""
-    verts = [
-        PathAlgElement(g, (vmax, 0), {pair: 1.0 + 0.0j})
-        for pair in enumerate_pairs(g, vmax, 0)
-    ]
-    horiz = [
-        PathAlgElement(g, (0, hmax), {pair: 1.0 + 0.0j})
-        for pair in enumerate_pairs(g, 0, hmax)
-    ]
-    embedded_v = []
-    for xv in verts:
-        y = xv
-        for _ in range(hmax):
-            y = horizontal_include(g, cells, y)
-        embedded_v.append(y)
-    embedded_h = []
-    for xh in horiz:
-        y = xh
+    # Each b is an embedded matrix unit, nonzero only in a few rows R and
+    # columns C of each block, so ab - ba vanishes outside the rows R and
+    # the columns C.  Both sides are closed under the adjoint, and
+    # (ab - ba)* = -(a*b* - b*a*) turns the rows R of one pair into the
+    # columns of another, so the columns C give the max.  Only the columns
+    # C of each b are kept, and one a is built at a time.
+    units = []
+    pairs_h = enumerate_pairs(g, 0, hmax)
+    for pair in pairs_h:
+        b = PathAlgElement(g, (0, hmax), {pair: 1.0})
         for _ in range(vmax):
-            y = vertical_include(g, y)
-        embedded_h.append(y)
+            b = vertical_include(g, b)
+        for v, m in b.blocks.items():
+            C = np.flatnonzero(m.any(axis=0))
+            units.append((v, np.flatnonzero(m.any(axis=1)), C, m[:, C]))
     worst = 0.0
-    for a in embedded_v:
-        for b in embedded_h:
-            worst = max(worst, (a * b - b * a).norm())
+    pairs_v = enumerate_pairs(g, vmax, 0)
+    for pair in pairs_v:
+        a = PathAlgElement(g, (vmax, 0), {pair: 1.0})
+        for _ in range(hmax):
+            a = horizontal_include(g, cells, a)
+        for v, R, C, mC in units:
+            x = a.blocks[v]
+            comm = x[:, R] @ mC[R] - mC @ x[C][:, C]
+            worst = max(worst, float(np.abs(comm).max(initial=0.0)))
     return {
         "graph": g.name or "graph",
         "hmax": hmax,
         "vmax": vmax,
-        "pairs_checked": len(embedded_v) * len(embedded_h),
+        "pairs_checked": len(pairs_v) * len(pairs_h),
         "max_commutator": worst,
     }
 
@@ -866,7 +861,7 @@ def pathvec_to_element(g: FusionGraph, sigma: str, vec, i: int, j: int) -> PathA
         p2 = tuple(step_reverse(s) for s in reversed(p[m:]))
         key = (p1, p2)
         terms[key] = terms.get(key, 0.0 + 0.0j) + c
-    return PathAlgElement(g, (i, j), terms).chop()
+    return PathAlgElement(g, (i, j), terms)
 
 
 def z_element(strips, labels, g, cells, i, j) -> PathAlgElement:

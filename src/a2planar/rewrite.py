@@ -21,8 +21,9 @@ result is a dict mapping reduced webs to Laurent coefficients.
 word by the Khovanov-Kuperberg growth rules, one web per closed dominant
 walk and with no search: at the leftmost descent of the walk's states it
 attaches a trivalent vertex (equal signs), a cup (opposite signs, states
-1, -1) or an H (other opposite signs).  It certifies the result against
-``oracle.walk_dim`` before returning it.
+1, -1) or an H (other opposite signs).  The pieces are built unchecked;
+each finished web is validated, and the result is certified against
+``oracle.walk_dim`` before it is returned.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _attach_cup(s: str, i: int) -> Web:
     edges = through_strands(w, i, shift=2)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     edges.append((ti, tj) if s[i] == "-" else (tj, ti))
-    return Web(s, flip(s2), {}, edges)
+    return Web(s, flip(s2), {}, edges, check=False)
 
 
 def _attach_tri(s: str, i: int) -> Web:
@@ -288,7 +289,7 @@ def _attach_tri(s: str, i: int) -> Web:
     else:
         verts = {0: "source"}
         edges += [((0, 1), ti), ((0, 0), tj), ((0, 2), bi)]
-    return Web(s, flip(s2), verts, edges)
+    return Web(s, flip(s2), verts, edges, check=False)
 
 
 def _attach_h(s: str, i: int) -> Web:
@@ -311,7 +312,7 @@ def _attach_h(s: str, i: int) -> Web:
     else:
         verts = {0: "source", 1: "sink"}
         edges += [((0, 1), ti), ((0, 2), bi), ((0, 0), (1, 1)), (tj, (1, 0)), (bj, (1, 2))]
-    return Web(s, flip(s2), verts, edges)
+    return Web(s, flip(s2), verts, edges, check=False)
 
 
 # Khovanov-Kuperberg states -1, 0, 1 and their weight steps on a '-' strand
@@ -357,12 +358,15 @@ def enumerate_basis(sigma: str) -> list[Web]:
 
     One web per closed dominant walk of ``sigma``, in the order of the state
     strings.  The list is certified before it is returned: every web is
-    reduced, the canonical keys are pairwise distinct and the count equals
-    ``walk_dim``, which by Kuperberg's theorem makes it the whole basis;
-    otherwise ``ArithmeticError`` is raised.
+    valid (``WebError`` otherwise), every web is reduced, the canonical keys
+    are pairwise distinct and the count equals ``walk_dim``, which by
+    Kuperberg's theorem makes it the whole basis; otherwise
+    ``ArithmeticError`` is raised.
     """
     sigma = str(sigma)
     basis = [_grow(sigma, st) for st in _dominant_states(sigma)]
+    for w in basis:
+        w.validate()
     distinct = len({w.canonical_key() for w in basis}) == len(basis)
     if not distinct or len(basis) != walk_dim(sigma) or not all(map(is_reduced, basis)):
         raise ArithmeticError(f"grown webs on {sigma!r} are not a basis")

@@ -93,9 +93,6 @@ class Web:
     def valence(self, v: int) -> int:
         return _VALENCE[self.verts[v]]
 
-    def n_vertices(self) -> int:
-        return len(self.verts)
-
     # -- validation ---------------------------------------------------
 
     def validate(self) -> None:

@@ -252,6 +252,24 @@ def test_dims_negative_level(runner):
     assert_input_error(run(runner, ["dims", "--n", "5", "--i", "-1", "--j", "0"]), "--i")
 
 
+def test_flat_check_negative_depth(runner):
+    for opt in ("--hmax", "--vmax"):
+        assert_input_error(run(runner, ["flat", "check", "--n", "5", opt, "-1"]), opt)
+
+
+@pytest.mark.parametrize("cmd", [
+    ["gram", "--sigma", "-+", "--n", "3"],
+    ["quotient-dim", "--sigma", "-+", "--n", "3"],
+    ["relcheck", "--suite", "f13", "--n", "3"],
+], ids=["gram", "quotient-dim", "relcheck-f13"])
+def test_root_order_below_4(runner, cmd):
+    assert_input_error(run(runner, cmd), "--n")
+
+
+def test_relcheck_markov_too_few_strands(runner):
+    assert_input_error(run(runner, ["relcheck", "--suite", "markov", "--m", "0"]), "--m")
+
+
 def test_graph_needed(runner):
     for cmd in (["cells", "solve"], ["connection", "check"], ["flat", "check"]):
         assert_input_error(run(runner, cmd), "--n or --graph")
@@ -317,6 +335,17 @@ def test_zmap_label_without_terms(runner, tmp_path):
                           "--labels", str(tmp_path / "labels.json"),
                           "--n", "5", "--i", "1", "--j", "1"])
     assert_input_error(result, "--labels", "terms")
+
+
+def test_zmap_label_path_off_level(runner, tmp_path):
+    # a level-(1, 1) label whose pair holds a one-step path
+    (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
+    row = {"p1": [[0, 1]], "p2": [[0, 1]], "re": 1.0, "im": 0.0}
+    (tmp_path / "labels.json").write_text(json.dumps([{"level": [1, 1], "terms": [row]}]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "1", "--j", "1"])
+    assert_input_error(result, "--labels", "not at level")
 
 
 @pytest.mark.parametrize("cmd", [["cells", "solve"], ["dims", "--i", "1", "--j", "0"],

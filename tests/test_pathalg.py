@@ -287,7 +287,7 @@ def test_basis_change_multiplicative(setups):
 
 
 def _swap_by_scan(g, conn, path, t, inverse):
-    """``_swap_one_path`` as a scan of every square of ``conn.X``."""
+    """The swap of one path as a scan of every square of ``conn.X``."""
     d = 1 if conn.parity == "even" else -1
     out = {}
     for (r1, r2, r3, r4), val in conn.X.items():
@@ -300,23 +300,61 @@ def _swap_by_scan(g, conn, path, t, inverse):
     return out
 
 
-def test_swap_index_matches_scan():
+def test_swap_matrices_match_scan():
     g = build_A(6)
     cells = solve_cells(g)
     hits = set()
     for i, j in ((2, 1), (3, 2)):
-        paths = [p for p, _ in P.enumerate_paths(g, P.level_signs(i, j))]
-        for parity, inverse in itertools.product(("even", "odd"), (False, True)):
+        signs = P.level_signs(i, j)
+        old = P.path_index(g, signs)
+        for t, inverse in itertools.product(range(i + j - 1), (False, True)):
+            if signs[t if inverse else t + 1] != "-":
+                continue
+            parity = "even" if signs[t + 1 if inverse else t] == "-" else "odd"
             conn = P.connection(g, cells, parity)
-            for p in paths:
-                for t in range(i + j - 1):
-                    if p[t if inverse else t + 1][1] != 1:
-                        continue
-                    got = P._swap_one_path(g, conn, p, t, inverse)
-                    assert got == _swap_by_scan(g, conn, p, t, inverse)
-                    if got:
-                        hits.add((parity, inverse))
+            new = P.path_index(g, signs[:t] + signs[t + 1] + signs[t] + signs[t + 2:])
+            S = conn.swap(signs, t, inverse)
+            assert S.keys() == old.paths.keys()
+            for v, ps in old.paths.items():
+                want = np.zeros((len(new.paths[v]), len(ps)), dtype=complex)
+                for a, p in enumerate(ps):
+                    for q, c in _swap_by_scan(g, conn, p, t, inverse).items():
+                        want[new.paths[v].index(q), a] += c
+                assert abs(S[v] - want).max() == 0.0
+                assert abs(S[v] @ S[v].conj().T - np.eye(len(ps))).max() < 1e-12
+            hits.add((parity, inverse))
     assert len(hits) == 4
+
+
+def _transport_by_scan(g, cells, x):
+    """``horizontal_include`` on path-pair dicts: append each forward step,
+    then swap it left path by path with ``_swap_by_scan``."""
+    i, j = x.level
+    terms = {}
+    for (p1, p2), c in x.terms.items():
+        for e in g.out_edges[P.path_range(g, p1)]:
+            terms[(p1 + ((e, 1),), p2 + ((e, 1),))] = c
+    conn = {1: P.connection(g, cells, "even"), -1: P.connection(g, cells, "odd")}
+    for t in range(i + j - 1, j - 1, -1):
+        out = {}
+        for (p1, p2), c in terms.items():
+            right = _swap_by_scan(g, conn[p2[t][1]], p2, t, False)
+            for q1, a in _swap_by_scan(g, conn[p1[t][1]], p1, t, False).items():
+                for q2, b in right.items():
+                    out[(q1, q2)] = out.get((q1, q2), 0.0) + c * a * b.conjugate()
+        terms = out
+    return terms
+
+
+def test_horizontal_include_matches_dict_transport():
+    g = build_A(6)
+    cells = solve_cells(g)
+    for (i, j) in [(2, 0), (2, 1), (3, 0), (1, 2)]:
+        x = rand_elem(g, i, j, seed=31)
+        got = P.horizontal_include(g, cells, x).terms
+        want = _transport_by_scan(g, cells, x)
+        assert got
+        assert max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)) < 1e-12
 
 
 def test_u_form_invariant(setups):
@@ -361,6 +399,30 @@ def test_flatness_positive_control(setups):
     bad = CellSystem(g, vals, 0.0)
     rep = P.flatness_check(g, bad, 2, 2)
     assert rep["max_commutator"] > 1e-3
+
+
+def test_flatness_matches_dense_commutators(setups):
+    # flatness_check forms only some columns of each ab - ba; the full
+    # products of the embedded elements are the reference
+    g, cells, _ = setups[5]
+    vals = dict(cells.values)
+    key = sorted(vals)[0]
+    vals[key] = vals[key] * 1.01
+    bad = CellSystem(g, vals, 0.0)
+    for cs, (h, v) in itertools.product((cells, bad), [(2, 2), (3, 2), (1, 3)]):
+        ev, eh = [], []
+        for pair in P.enumerate_pairs(g, v, 0):
+            y = PathAlgElement(g, (v, 0), {pair: 1.0})
+            for _ in range(h):
+                y = P.horizontal_include(g, cs, y)
+            ev.append(y)
+        for pair in P.enumerate_pairs(g, 0, h):
+            y = PathAlgElement(g, (0, h), {pair: 1.0})
+            for _ in range(v):
+                y = P.vertical_include(g, y)
+            eh.append(y)
+        want = max((a * b - b * a).norm() for a in ev for b in eh)
+        assert P.flatness_check(g, cs, h, v)["max_commutator"] == pytest.approx(want, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

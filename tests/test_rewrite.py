@@ -17,6 +17,7 @@ from a2planar.rewrite import (
 from a2planar.scalar import Laurent, alpha, delta
 from a2planar.web import (
     Web,
+    WebError,
     crossing_web,
     cupcap_web,
     hexagon_web,
@@ -180,6 +181,22 @@ class TestBasis:
         monkeypatch.setattr("a2planar.rewrite.walk_dim", lambda s: walk_dim(s) + 1)
         with pytest.raises(ArithmeticError):
             enumerate_basis("---+++")
+
+    def test_invalid_piece_is_caught_by_certificate(self, monkeypatch):
+        # the growth pieces are built unchecked; a cup with its edge turned
+        # against the boundary signs must still be refused
+        from a2planar import rewrite
+
+        cup = rewrite._attach_cup
+
+        def reversed_cup(s, i):
+            w = cup(s, i)
+            (a, b) = w.edges[-1]
+            return Web(w.top, w.bot, w.verts, w.edges[:-1] + ((b, a),), check=False)
+
+        monkeypatch.setattr(rewrite, "_attach_cup", reversed_cup)
+        with pytest.raises(WebError):
+            enumerate_basis("-+")
 
 
 class TestLinearity:
