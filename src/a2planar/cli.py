@@ -13,6 +13,7 @@ malformed input files included.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -146,6 +147,13 @@ def _sigma(ctx, param, value: str) -> str:
     return sigma
 
 
+def _tol(ctx, param, value: float) -> float:
+    """``--tol``, a positive finite bound."""
+    if not 0 < value < math.inf:
+        raise click.BadParameter(f"{value!r} is not a positive finite number")
+    return value
+
+
 @click.group()
 def main():
     """Exact engine for the two-colour spider calculus and its path algebras."""
@@ -223,7 +231,7 @@ def decompose_cmd(infile, max_len):
 @click.option("--m", default=4, type=click.IntRange(min=2))
 @click.option("--n", default=7, type=click.IntRange(min=4))
 @click.option("--seed", default=0, type=int)
-@click.option("--trials", default=1000, type=int)
+@click.option("--trials", default=100, type=click.IntRange(min=1))
 def relcheck_cmd(suite, m, n, seed, trials):
     """Run one of the exact relation suites."""
     import random
@@ -236,7 +244,7 @@ def relcheck_cmd(suite, m, n, seed, trials):
     elif suite == "frels":
         results = check_frels(m)
     elif suite == "markov":
-        results = check_markov(m, min(trials, 100), random.Random(seed))
+        results = check_markov(m, trials, random.Random(seed))
     elif suite == "braid":
         results = check_braid(m)
     elif suite == "spherical":
@@ -295,8 +303,8 @@ def cells_grp():
 @cells_grp.command("solve")
 @click.option("--n", default=None, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--tol", default=1e-10, type=float)
-@click.option("--seed", default=0, type=int)
+@click.option("--tol", default=1e-10, type=float, callback=_tol)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 def cells_solve_cmd(n, graph_file, tol, seed):
     """Solve the frame equations for cell weights on a graph."""
     g = _graph_option(n, graph_file)
@@ -321,7 +329,7 @@ def connection_grp():
 @connection_grp.command("check")
 @click.option("--n", default=None, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--tol", default=1e-10, type=float)
+@click.option("--tol", default=1e-10, type=float, callback=_tol)
 def connection_check_cmd(n, graph_file, tol):
     """Unitarity and commuting-square residuals for both parities."""
     g = _graph_option(n, graph_file)
@@ -347,7 +355,7 @@ def flat_grp():
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
 @click.option("--hmax", default=2, type=click.IntRange(min=0))
 @click.option("--vmax", default=2, type=click.IntRange(min=0))
-@click.option("--tol", default=1e-8, type=float)
+@click.option("--tol", default=1e-8, type=float, callback=_tol)
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
     g = _graph_option(n, graph_file)

@@ -28,6 +28,7 @@ import math
 from .algebra import (
     WebSum,
     cyclo_rank,
+    fsum,
     identity,
     mult,
     trace_right,
@@ -194,8 +195,6 @@ def _letter_sum(m: int, letter) -> WebSum:
     if kind == "w":
         return wsum(m, i)
     if kind == "f":
-        from .algebra import fsum
-
         return fsum(m, i)
     if kind == "fl":
         return cupcap_sum(m, i)

@@ -450,7 +450,7 @@ class Connection:
         g = self.graph
         phi = g.phi
 
-        def pr(edge, down):
+        def pr(edge):
             # path-sense (from, to) of a vertical edge for this parity
             u, v = g.edges[edge]
             if self.parity == "even":
@@ -467,7 +467,7 @@ class Connection:
             for (r1, r3) in row:
                 u = g.source(r1)
                 v = g.range(r1)
-                x = pr(r3, True)[1]
+                x = pr(r3)[1]
                 pairs.setdefault((u, v, x), set()).add((r1, r3))
         worst = 0.0
         for (u, v, x), ps in pairs.items():
@@ -480,25 +480,16 @@ class Connection:
                         b = row.get((s1p, s3p))
                         if a is None or b is None:
                             continue
-                        s2s, s2r = pr(r2, True)
-                        s4s, s4r = g.edges[r4]
+                        s2s, s2r = pr(r2)
                         wgt = (
                             phi[s2r]
-                            * math.sqrt(phi[pr(s3, True)[0]] * phi[pr(s3p, True)[0]])
-                            / (phi[s2s] * phi[s4s])
+                            * math.sqrt(phi[pr(s3)[0]] * phi[pr(s3p)[0]])
+                            / (phi[s2s] * phi[g.source(r4)])
                         )
                         acc += wgt * a * b.conjugate()
                     want = 1.0 if (s1, s3) == (s1p, s3p) else 0.0
                     worst = max(worst, abs(acc - want))
         return worst
-
-
-def _conn_even_value(g, U, r1, r2, r3, r4):
-    n = g.n
-    qp = cmath.exp(2j * math.pi / (3 * n))
-    qm = cmath.exp(-1j * math.pi / (3 * n))
-    delta = 1.0 if (r1 == r3 and r2 == r4) else 0.0
-    return qp * delta - qm * U.get(((r1, r2), (r3, r4)), 0.0 + 0.0j)
 
 
 def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
@@ -510,42 +501,31 @@ def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
 
 
 def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
+    """Read both connections off ``cells.U``.  The even square
+    (r1, r2, r3, r4) is q^(2/3) delta - q^(-1/3) U[(r1, r2), (r3, r4)], so
+    it is nonzero only on the diagonal and on U's keys; the odd square is
+    the even one at (r4, r2, r3, r1), conjugated and scaled by the phi
+    ratio.  Values are chopped after both are derived."""
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
     phi = g.phi
     U = cells.U
+    qp = cmath.exp(2j * math.pi / (3 * g.n))
+    qm = cmath.exp(-1j * math.pi / (3 * g.n))
+    squares = {(r1, r2, r1, r2) for r1 in range(len(g.edges)) for r2 in g.out_edges[g.range(r1)]}
+    squares.update(top + bot for top, bot in U)
     X: dict = {}
-    if parity == "even":
-        for r1 in range(len(g.edges)):
-            v = g.range(r1)
-            u = g.source(r1)
-            for r2 in g.out_edges[v]:
-                w = g.range(r2)
-                for r3 in g.out_edges[u]:
-                    for r4 in g.out_edges[g.range(r3)]:
-                        if g.range(r4) != w:
-                            continue
-                        val = _conn_even_value(g, U, r1, r2, r3, r4)
-                        if abs(val) > _CHOP:
-                            X[(r1, r2, r3, r4)] = val
-        return Connection(g, "even", X)
-    if parity != "odd":
-        raise ValueError("parity must be 'even' or 'odd'")
-    for r1 in range(len(g.edges)):
-        u, v = g.edges[r1]
-        for r2 in g.in_edges[v]:  # graph edge w -> v, walked backward
-            w = g.source(r2)
-            for r3 in g.in_edges[u]:  # graph edge x -> u, walked backward
-                x = g.source(r3)
-                for r4 in g.out_edges[x]:
-                    if g.range(r4) != w:
-                        continue
-                    ratio = math.sqrt(
-                        phi[g.source(r3)] * phi[g.range(r2)]
-                        / (phi[g.range(r3)] * phi[g.source(r2)])
-                    )
-                    val = ratio * _conn_even_value(g, U, r4, r2, r3, r1).conjugate()
-                    if abs(val) > _CHOP:
-                        X[(r1, r2, r3, r4)] = val
-    return Connection(g, "odd", X)
+    for r1, r2, r3, r4 in squares:
+        delta = 1.0 if (r1 == r3 and r2 == r4) else 0.0
+        val = qp * delta - qm * U.get(((r1, r2), (r3, r4)), 0.0 + 0.0j)
+        if parity == "odd":
+            ratio = math.sqrt(
+                phi[g.source(r3)] * phi[g.range(r2)]
+                / (phi[g.range(r3)] * phi[g.source(r2)])
+            )
+            r1, r4, val = r4, r1, ratio * val.conjugate()
+        X[(r1, r2, r3, r4)] = val
+    return Connection(g, parity, {k: v for k, v in sorted(X.items()) if abs(v) > _CHOP})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Two scalar domains:
 * :class:`Cyclo` -- elements of the cyclotomic field Q(zeta) with
   ``zeta = e^(i*pi/3n)`` a primitive ``6n``-th root of unity, so that
   ``q = zeta^3 = e^(i*pi/n)`` and ``t = zeta`` exactly.  Used for exact
-  Gram ranks at roots of unity.
+  Gram ranks at roots of unity.  Every element is a rational polynomial
+  in zeta reduced modulo the monic integer Phi_{6n} by one routine,
+  ``CycloField._reduce``: a Laurent polynomial puts each t^e at e mod 6n
+  first, a product or conjugate reduces its coefficient list.
 
 All values are immutable; operations are pure.
 """
@@ -216,11 +219,13 @@ def alpha() -> Laurent:
 
 
 class CycloField:
-    """The field Q(zeta) with zeta a primitive 6n-th root of unity.
+    """The field Q(zeta) = Q[x]/Phi_{6n} with zeta a primitive 6n-th root
+    of unity.
 
-    Elements are stored reduced modulo the 6n-th cyclotomic polynomial, as
-    coefficient tuples of length phi(6n) over the power basis
-    1, zeta, ..., zeta^(d-1).
+    Elements are coefficient tuples of length d = phi(6n) over the power
+    basis 1, zeta, ..., zeta^(d-1): the remainder modulo the monic integer
+    polynomial Phi_{6n}, which ``_reduce`` computes for every constructor
+    and operation.
     """
 
     _cache: dict[int, "CycloField"] = {}
@@ -230,25 +235,11 @@ class CycloField:
             raise ValueError("root order n must be >= 4 (A^(n) undefined below 4)")
         self.n = n
         self.order = 6 * n
-        coeffs = list(cyclotomic(self.order))
-        # monic: coeffs[d] == 1
-        self.d = len(coeffs) - 1
-        self._phi_coeffs = coeffs
-        # power table: zeta^k reduced, for k = 0 .. 6n-1
-        d = self.d
-        pows = []
-        cur = [Fraction(0)] * d
-        cur[0] = Fraction(1)
-        for _ in range(self.order):
-            pows.append(tuple(cur))
-            # multiply by zeta
-            lead = cur[d - 1]
-            nxt = [Fraction(0)] + cur[: d - 1]
-            if lead:
-                for i in range(d):
-                    nxt[i] -= lead * coeffs[i]
-            cur = nxt
-        self._pows = pows
+        phi = cyclotomic(self.order)
+        self.d = len(phi) - 1
+        self._phi_coeffs = phi
+        # the nonzero coefficients of Phi below its leading 1
+        self._phi_terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
         self._zeta_complex = cmath.exp(1j * cmath.pi / (3 * n))
 
     @classmethod
@@ -258,78 +249,57 @@ class CycloField:
             f = cls._cache[n] = CycloField(n)
         return f
 
+    def _reduce(self, p) -> tuple:
+        """The remainder of the coefficient list ``p`` modulo Phi_{6n}:
+        from the top degree k >= d down, subtract p[k] x^(k-d) Phi.  A
+        coefficient +-1 (every one for n < 35) skips the rational product."""
+        d = self.d
+        p = list(p) + [0] * (d - len(p))
+        for k in range(len(p) - 1, d - 1, -1):
+            c = p[k]
+            if c:
+                for i, a in self._phi_terms:
+                    if a == -1:
+                        p[k - d + i] += c
+                    else:
+                        p[k - d + i] -= c if a == 1 else c * a
+        return tuple(p[:d])
+
     # -- element constructors -----------------------------------------
 
     def zero(self) -> "Cyclo":
-        return Cyclo(self, (Fraction(0),) * self.d)
+        return Cyclo(self, (0,) * self.d)
 
     def one(self) -> "Cyclo":
-        v = [Fraction(0)] * self.d
-        v[0] = Fraction(1)
-        return Cyclo(self, tuple(v))
+        return Cyclo(self, self._reduce([1]))
 
     def from_laurent(self, x: Laurent) -> "Cyclo":
-        v = [Fraction(0)] * self.d
+        p = [0] * self.order
         for e, coeff in x.c.items():
-            p = self._pows[e % self.order]
-            for i in range(self.d):
-                v[i] += coeff * p[i]
-        return Cyclo(self, tuple(v))
+            p[e % self.order] += coeff
+        return Cyclo(self, self._reduce(p))
 
     def from_coeffs(self, coeffs) -> "Cyclo":
-        v = [Fraction(0)] * self.d
-        for i, coeff in enumerate(coeffs):
-            if i < self.d:
-                v[i] = _frac(coeff)
-            elif coeff:
-                raise ValueError("coefficient vector longer than field degree")
-        return Cyclo(self, tuple(v))
+        return Cyclo(self, self._reduce([_frac(c) for c in coeffs]))
 
     # -- internal polynomial helpers ----------------------------------
 
     def _mul_vec(self, a, b):
-        d = self.d
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        # reduce powers >= d using the power table
-        v = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                p = self._pows[k % self.order]
-                for i in range(d):
-                    v[i] += c * p[i]
-        return tuple(v)
+        return self._reduce(_poly_mul(a, b))
 
     def _inv_vec(self, a):
         # extended Euclid in Q[x] against Phi_{6n}
-        phi = [Fraction(c) for c in self._phi_coeffs]
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        r0, r1 = self._phi_coeffs, a
+        s0, s1 = [0], [1]
         while any(r1):
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 = gcd (a constant, since Phi is irreducible and a != 0 mod Phi)
-        deg = _poly_deg(r0)
-        if deg != 0:
+        if _poly_deg(r0) != 0:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         inv_lead = Fraction(1) / r0[0]
-        s0 = [c * inv_lead for c in s0]
-        v = [Fraction(0)] * self.d
-        for i, c in enumerate(s0):
-            if i < self.d:
-                v[i] += c
-            elif c:
-                p = self._pows[i % self.order]
-                for j in range(self.d):
-                    v[j] += c * p[j]
-        return tuple(v)
+        return self._reduce([c * inv_lead for c in s0])
 
 
 # Polynomials are coefficient lists, constant term first; the helpers
@@ -418,9 +388,7 @@ class Cyclo:
 
     def _check(self, other) -> "Cyclo":
         if isinstance(other, (int, Fraction)):
-            w = [Fraction(0)] * self.field.d
-            w[0] = _frac(other)
-            return Cyclo(self.field, w)
+            return self.field.from_coeffs([other])
         if not isinstance(other, Cyclo) or other.field.n != self.field.n:
             raise TypeError("cyclotomic order mismatch")
         return other
@@ -464,15 +432,12 @@ class Cyclo:
         return hash((self.field.n, self.v))
 
     def conjugate(self) -> "Cyclo":
-        """Complex conjugation: zeta -> zeta^(-1), exactly."""
+        """Complex conjugation: zeta^i -> zeta^((-i) mod 6n), exactly."""
         f = self.field
-        v = [Fraction(0)] * f.d
+        p = [0] * f.order
         for i, c in enumerate(self.v):
-            if c:
-                p = f._pows[(-i) % f.order]
-                for j in range(f.d):
-                    v[j] += c * p[j]
-        return Cyclo(f, tuple(v))
+            p[(-i) % f.order] += c
+        return Cyclo(f, f._reduce(p))
 
     def to_complex(self) -> complex:
         z = self.field._zeta_complex

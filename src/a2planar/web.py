@@ -300,7 +300,6 @@ class Web:
         while rest:
             v0 = next(iter(rest))
             best = None
-            best_set = None
             # canonical root of a closed component: minimum over root darts
             stack = [v0]
             comp = set()
@@ -315,10 +314,9 @@ class Web:
                         stack.append(other[0])
             for v in sorted(comp):
                 for s in range(self.valence(v)):
-                    c, vs = component_code([(v, s)])
-                    c = (self.verts[v], s * 0, c)
+                    c = (self.verts[v], component_code([(v, s)])[0])
                     if best is None or c < best:
-                        best, best_set = c, vs
+                        best = c
             comp_codes.append(best)
             rest -= comp
         comp_codes.sort()

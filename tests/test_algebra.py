@@ -1,5 +1,7 @@
 """Algebra-level identities: products, traces, inner products, Gram ranks."""
 
+import json
+import os
 import random
 
 import pytest
@@ -254,6 +256,17 @@ def test_gram_hermitian():
     for i in range(len(rows)):
         for j in range(len(rows)):
             assert rows[i][j] == rows[j][i].conjugate()
+
+
+def test_gram_matches_recorded():
+    """Gram payloads recorded with a table of reduced powers of zeta in
+    place of the reduction by Phi_6n: reduced coefficients are unique, so
+    the two routes must agree digit for digit."""
+    with open(os.path.join(os.path.dirname(__file__), "gram_recorded.json")) as fh:
+        recorded = json.load(fh)
+    for case in recorded:
+        _, rows = gram(case["sigma"], case["n"])
+        assert [[c.to_json() for c in row] for row in rows] == case["gram"]
 
 
 def test_rank_generic_equals_basis_size():

@@ -270,6 +270,32 @@ def test_relcheck_markov_too_few_strands(runner):
     assert_input_error(run(runner, ["relcheck", "--suite", "markov", "--m", "0"]), "--m")
 
 
+@pytest.mark.parametrize("cmd", [
+    ["cells", "solve", "--n", "5"],
+    ["connection", "check", "--n", "5"],
+    ["flat", "check", "--n", "5"],
+], ids=["cells-solve", "connection-check", "flat-check"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+def test_tol_not_positive_finite(runner, cmd, tol):
+    assert_input_error(run(runner, cmd + ["--tol", tol]), "--tol")
+
+
+def test_cells_solve_negative_seed(runner):
+    assert_input_error(run(runner, ["cells", "solve", "--n", "5", "--seed", "-1"]), "--seed")
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_relcheck_markov_no_trials(runner, trials):
+    assert_input_error(
+        run(runner, ["relcheck", "--suite", "markov", "--m", "3", "--trials", trials]), "--trials")
+
+
+def test_relcheck_markov_default_trials(runner):
+    doc = report(run(runner, ["relcheck", "--suite", "markov", "--m", "2"]))
+    assert doc["config"]["trials"] == 100
+    assert doc["checks"][0]["id"].endswith("100 trials")
+
+
 def test_graph_needed(runner):
     for cmd in (["cells", "solve"], ["connection", "check"], ["flat", "check"]):
         assert_input_error(run(runner, cmd), "--n or --graph")

@@ -1,12 +1,23 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2planar.scalar import Cyclo, CycloField, Laurent, alpha, cyclotomic, delta, qint
+from a2planar.scalar import (
+    Cyclo,
+    CycloField,
+    Laurent,
+    _poly_divmod,
+    _poly_mul,
+    alpha,
+    cyclotomic,
+    delta,
+    qint,
+)
 
 
 def laurents(max_terms=4, max_exp=6, max_num=8):
@@ -57,6 +68,56 @@ class TestLaurent:
     def test_bar_is_ring_hom(self, a, b):
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
         assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+def _remainder(poly, n) -> tuple:
+    """``poly`` modulo Phi_6n by long division, padded to the field degree."""
+    phi = cyclotomic(6 * n)
+    d = len(phi) - 1
+    _, r = _poly_divmod(poly, phi)
+    assert not any(r[d:])
+    return tuple(r[:d]) + (0,) * (d - len(r))
+
+
+def _poly(x: Laurent, n) -> list:
+    """A coefficient list equal to ``x`` at t = zeta_6n: every exponent is
+    raised by the same multiple of 6n, which zeta^(6n) = 1 allows."""
+    shift = 6 * n * max(0, -(min(x.c, default=0) // (6 * n)))
+    p = [0] * (max(x.c, default=0) + shift + 1)
+    for e, c in x.c.items():
+        p[e + shift] = c
+    return p
+
+
+class TestReduction:
+    """Every Cyclo constructor and operation against long division by
+    Phi_6n, on polynomials up to three times the order long."""
+
+    def test_monomials(self):
+        for n in range(4, 13):
+            f = CycloField.get(n)
+            for k in range(-6 * n, 12 * n + 1):
+                assert f.from_laurent(Laurent.t(k)).v == _remainder(_poly(Laurent.t(k), n), n)
+
+    def test_products_conjugates_inverses(self):
+        rng = random.Random(7)
+        for n in range(4, 13):
+            f = CycloField.get(n)
+            for _ in range(6):
+                a, b = (
+                    Laurent({
+                        rng.randrange(-6 * n, 6 * n):
+                            Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                        for _ in range(4)
+                    })
+                    for _ in range(2)
+                )
+                x, y = f.from_laurent(a), f.from_laurent(b)
+                assert x.v == _remainder(_poly(a, n), n)
+                assert (x * y).v == _remainder(_poly_mul(_poly(a, n), _poly(b, n)), n)
+                assert x.conjugate().v == _remainder(_poly(a.conjugate(), n), n)
+                if not x.is_zero():
+                    assert (x * x.inv()).v == _remainder([1], n)
 
 
 class TestCyclo:
