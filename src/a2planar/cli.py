@@ -168,9 +168,9 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def normalize_cmd(infile, out):
     """Reduce a web sum to its normal form."""
+    rep = Report("normalize", infile=infile)
     x = _load_websum(infile)
     nf = normalize(list(x.terms.items()))
-    rep = Report("normalize", infile=infile)
     rep.add("normalize", True, residual=0)
     y = WebSum(x.top, x.bot, nf)
     sys.exit(rep.emit(out, payload=_dump_websum(y)))
@@ -180,9 +180,9 @@ def normalize_cmd(infile, out):
 @click.option("--in", "infile", required=True, type=click.Path(exists=True))
 def trace_cmd(infile):
     """Closed-diagram trace of a web sum, as an exact Laurent polynomial."""
+    rep = Report("trace", infile=infile)
     x = _load_websum(infile)
     val = trace_right(x)
-    rep = Report("trace", infile=infile)
     rep.add("trace", True, residual=0)
     sys.exit(rep.emit(None, payload=val.to_json()))
 
@@ -194,11 +194,11 @@ def trace_cmd(infile):
 @click.option("--rank", "want_rank", is_flag=True)
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
-    basis, rows = gram_rows(sigma, n)
     rep = Report("gram", sigma=sigma, n=n)
+    basis, rows = gram_rows(sigma, n)
+    r = cyclo_rank(rows) if want_rank else None
     rep.add("gram", True, residual=0)
     if want_rank:
-        r = cyclo_rank(rows)
         click.echo(str(r))
         sys.exit(rep.emit(None, payload={"rank": r}))
     payload = [[c.to_json() for c in row] for row in rows]
@@ -406,8 +406,8 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
 @click.option("--n", required=True, type=click.IntRange(min=4))
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
-    d = quotient_dim(sigma, n)
     rep = Report("quotient-dim", sigma=sigma, n=n)
+    d = quotient_dim(sigma, n)
     rep.add("quotient_dim", True, residual=0)
     click.echo(str(d))
     sys.exit(rep.emit(None, payload={"dim": d}))

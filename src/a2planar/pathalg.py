@@ -20,7 +20,11 @@ provides
 * the horizontal/vertical inclusions and a flatness report, and
 * ``present_Z``: evaluation of a diagram given as a word of horizontal
   strips (cups, caps, trivalent forks, labelled rectangles) as a vector
-  of paths, together with builders for the named strip words.
+  of paths, together with builders for the named strip words.  A cup,
+  cap or fork is the signs it replaces and the signs it puts in their
+  place; one rule replaces the steps of each path and weighs the closed
+  loop the old and new steps make: a step and its reverse by a ratio of
+  sqrt(phi), a triangle by its cell over sqrt(phi phi).
 
 All arithmetic on this side is complex floating point (64-bit); the
 default comparison tolerance in the callers is 1e-10.
@@ -626,142 +630,76 @@ def flatness_check(
 # ---------------------------------------------------------------------------
 # strip words and the presenting map Z
 
-def _word_top(token, bot, labels_sigma):
-    """Top boundary word of a strip, given its bottom word."""
-    kind = token[0]
-    if kind == "CUP":
-        i = token[1]
-        if not 1 <= i <= len(bot) - 1:
-            raise ValueError("cup out of range")
-        if bot[i] != flip(bot[i - 1]):
-            raise ValueError("cup needs opposite adjacent signs")
-        return bot[: i - 1] + bot[i + 1:]
-    if kind == "CAP":
-        i, s = token[1], token[2]
-        if not 1 <= i <= len(bot) + 1:
-            raise ValueError("cap out of range")
-        return bot[: i - 1] + s + flip(s) + bot[i - 1:]
-    if kind == "FORK_IN":
-        i = token[1]
-        if bot[i - 1: i + 1] != "++":
-            raise ValueError("incoming fork needs '++' below")
-        return bot[: i - 1] + "-" + bot[i + 1:]
-    if kind == "FORK_OUT":
-        i = token[1]
-        if bot[i - 1: i + 1] != "--":
-            raise ValueError("outgoing fork needs '--' below")
-        return bot[: i - 1] + "+" + bot[i + 1:]
-    if kind == "FORK_IN_INV":
-        i = token[1]
-        if bot[i - 1] != "+":
-            raise ValueError("incoming inverted fork needs '+' below")
-        return bot[: i - 1] + "--" + bot[i:]
-    if kind == "FORK_OUT_INV":
-        i = token[1]
-        if bot[i - 1] != "-":
-            raise ValueError("outgoing inverted fork needs '-' below")
-        return bot[: i - 1] + "++" + bot[i:]
+# The signs a fork strip replaces (below) and the signs it puts in their
+# place (above).  A cup replaces two opposite signs by nothing; a cap of
+# sign s puts s and its opposite in place of nothing.
+_FORKS = {
+    "FORK_IN": ("++", "-"),
+    "FORK_OUT": ("--", "+"),
+    "FORK_IN_INV": ("+", "--"),
+    "FORK_OUT_INV": ("-", "++"),
+}
+
+
+def _strip(token, bot: str, labels):
+    """The word on top of a strip that sits on the word ``bot``, and the
+    strip's ``(position, below, above)``, or None for a rectangle;
+    ValueError unless the strip fits."""
+    kind, i = token[0], token[1]
     if kind == "RECT":
-        idx, left, right = token[1], token[2], token[3]
+        left, right = token[2], token[3]
         if left != 0:
             raise NotImplementedError("rectangles with strings on the left")
         if len(bot) != right:
             raise ValueError("rectangle interface mismatch")
-        return labels_sigma[idx] + bot
-    raise ValueError(f"unknown strip token {kind!r}")
+        if not 0 <= i < len(labels):
+            raise ValueError(f"rectangle label {i} out of range")
+        return sigma_word(*labels[i].level) + bot, None
+    if kind == "CUP":
+        below, above = bot[i - 1:i + 1], ""
+        if below not in ("-+", "+-"):
+            raise ValueError(f"cup at {i} needs opposite signs below in {bot!r}")
+    elif kind == "CAP":
+        if token[2] not in ("-", "+"):
+            raise ValueError(f"cap sign {token[2]!r} is not '-' or '+'")
+        below, above = "", token[2] + flip(token[2])
+    elif kind in _FORKS:
+        below, above = _FORKS[kind]
+    else:
+        raise ValueError(f"unknown strip token {kind!r}")
+    if not 1 <= i <= len(bot) - len(below) + 1 or bot[i - 1:i - 1 + len(below)] != below:
+        raise ValueError(f"{kind} at {i} needs {below!r} below in {bot!r}")
+    return bot[:i - 1] + above + bot[i - 1 + len(below):], (i, below, above)
 
 
-def _apply_cup(g, phi, vec, i):
-    out = {}
+def _apply_strip(g, cells, vec, i, below, above):
+    """On each path, the ``len(below)`` steps at position i give way to
+    every run of steps along ``above`` with the same ends.  The weight is
+    that of the closed loop of the old steps followed by the new reversed:
+    sqrt(phi_turn / phi_start) for a step and its reverse, and the cell
+    W / sqrt(phi_a phi_b) for a triangle, a and b the ends of the old
+    steps, conjugated when the loop runs along its edges (a source)."""
+    phi = g.phi
+    m = len(below)
+    out: dict = {}
     for p, c in vec.items():
-        if p[i] != step_reverse(p[i - 1]):
-            continue
-        a, b = step_ends(g, p[i - 1])
-        q = p[: i - 1] + p[i + 1:]
-        out[q] = out.get(q, 0.0 + 0.0j) + c * math.sqrt(phi[b] / phi[a])
-    return out
-
-
-def _apply_cap(g, phi, vec, i, sign):
-    out = {}
-    for p, c in vec.items():
-        v = path_range(g, p[: i - 1])
-        steps = (
-            [(e, 1) for e in g.out_edges[v]]
-            if sign == "-"
-            else [(e, -1) for e in g.in_edges[v]]
-        )
-        for s in steps:
-            b = step_ends(g, s)[1]
-            q = p[: i - 1] + (s, step_reverse(s)) + p[i - 1:]
-            out[q] = out.get(q, 0.0 + 0.0j) + c * math.sqrt(phi[b] / phi[v])
-    return out
-
-
-def _apply_fork(g, cells, phi, vec, i, kind):
-    """Trivalent-vertex strips.
-
-    FORK_IN / FORK_OUT merge the bottom pair (i, i+1) into one top string;
-    FORK_IN_INV / FORK_OUT_INV split the bottom string i into a top pair.
-    The weight is W(triangle)/sqrt(phi phi) over the single string's
-    endpoints: the plain weight at a sink vertex (all strings inward),
-    the conjugate at a source.
-    """
-    out = {}
-    for p, c in vec.items():
-        if kind in ("FORK_IN", "FORK_OUT"):
-            b1, b2 = p[i - 1], p[i]
-            a = step_ends(g, b1)[0]
-            b = step_ends(g, b2)[1]
-            coeff0 = c / math.sqrt(phi[a] * phi[b])
-            if kind == "FORK_IN":
-                # bottom '++', top '-': triangle a->b, b->., .->a
-                cands = [e for e in g.out_edges[a] if g.range(e) == b]
-                for e in cands:
-                    w = cells.W(e, b2[0], b1[0])
-                    if w == 0:
-                        continue
-                    q = p[: i - 1] + ((e, 1),) + p[i + 1:]
-                    out[q] = out.get(q, 0.0 + 0.0j) + coeff0 * w
+        old = p[i - 1:i - 1 + m]
+        a = path_range(g, p[:i - 1])
+        b = path_range(g, old, start=a)
+        for new, end in enumerate_paths(g, above, start=a):
+            if end != b:
+                continue
+            loop = old + tuple(step_reverse(s) for s in reversed(new))
+            if len(loop) == 2:
+                if loop[1] != step_reverse(loop[0]):
+                    continue
+                w = math.sqrt(phi[step_ends(g, loop[0])[1]] / phi[a])
             else:
-                # bottom '--', top '+': graph edge b->a on top
-                cands = [e for e in g.out_edges[b] if g.range(e) == a]
-                for e in cands:
-                    w = cells.W(e, b1[0], b2[0]).conjugate()
-                    if w == 0:
-                        continue
-                    q = p[: i - 1] + ((e, -1),) + p[i + 1:]
-                    out[q] = out.get(q, 0.0 + 0.0j) + coeff0 * w
-        else:
-            b1 = p[i - 1]
-            a, cv = step_ends(g, b1)
-            coeff0 = c / math.sqrt(phi[a] * phi[cv])
-            if kind == "FORK_IN_INV":
-                # bottom '+', top '--': paths a->b->cv forward
-                for e1 in g.out_edges[a]:
-                    bmid = g.range(e1)
-                    for e2 in g.out_edges[bmid]:
-                        if g.range(e2) != cv:
-                            continue
-                        w = cells.W(e1, e2, b1[0])
-                        if w == 0:
-                            continue
-                        q = p[: i - 1] + ((e1, 1), (e2, 1)) + p[i:]
-                        out[q] = out.get(q, 0.0 + 0.0j) + coeff0 * w
-            elif kind == "FORK_OUT_INV":
-                # bottom '-', top '++': graph edges b->a and cv->b
-                for e1 in g.in_edges[a]:
-                    bmid = g.source(e1)
-                    for e2 in g.in_edges[bmid]:
-                        if g.source(e2) != cv:
-                            continue
-                        w = cells.W(e1, b1[0], e2).conjugate()
-                        if w == 0:
-                            continue
-                        q = p[: i - 1] + ((e1, -1), (e2, -1)) + p[i:]
-                        out[q] = out.get(q, 0.0 + 0.0j) + coeff0 * w
-            else:
-                raise ValueError(kind)
+                edges = [e for e, _ in loop]
+                w = cells.W(*edges).conjugate() if loop[0][1] == 1 else cells.W(*edges[::-1])
+                w /= math.sqrt(phi[a] * phi[b])
+            q = p[:i - 1] + new + p[i - 1 + m:]
+            out[q] = out.get(q, 0.0 + 0.0j) + c * w
     return out
 
 
@@ -791,10 +729,9 @@ def strip_boundary(strips, labels) -> str:
     """Outer boundary word of a top-to-bottom strip word, built from the
     bottom up; ValueError (or IndexError, TypeError) if a strip does not
     fit the word below it."""
-    labels_sigma = [sigma_word(*x.level) for x in labels or []]
-    sigma = ""
+    labels, sigma = labels or [], ""
     for token in reversed(strips):
-        sigma = _word_top(token, sigma, labels_sigma)
+        sigma, _ = _strip(token, sigma, labels)
     return sigma
 
 
@@ -807,20 +744,14 @@ def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
     even boundary length.
     """
     phi = g.phi
-    sigma = strip_boundary(strips, labels)
+    labels, sigma = labels or [], ""
     vec = {(): 1.0 + 0.0j}
     for token in reversed(strips):
-        kind = token[0]
-        if kind == "CUP":
-            vec = _apply_cup(g, phi, vec, token[1])
-        elif kind == "CAP":
-            vec = _apply_cap(g, phi, vec, token[1], token[2])
-        elif kind.startswith("FORK"):
-            vec = _apply_fork(g, cells, phi, vec, token[1], kind)
-        elif kind == "RECT":
+        sigma, signs = _strip(token, sigma, labels)
+        if signs is None:
             vec = _apply_rect(g, vec, element_to_pathvec(labels[token[1]]))
         else:
-            raise ValueError(kind)
+            vec = _apply_strip(g, cells, vec, *signs)
         vec = {p: c for p, c in vec.items() if abs(c) > _CHOP}
     if len(sigma) % 2 == 0 and sigma:
         half = len(sigma) // 2

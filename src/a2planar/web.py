@@ -445,7 +445,6 @@ class Web:
         new_edges, extra_loops = _glue(edges, partner)
         verts = dict(self.verts)
         verts.update(overts)
-        verts, new_edges = _prune_isolated(verts, new_edges)
         return Web(
             self.top,
             other.bot,
@@ -505,8 +504,7 @@ class Web:
             partner[("I", "t", kt)] = ("I", "u", kb)
             partner[("I", "u", kb)] = ("I", "t", kt)
         new_edges, extra = _glue(edges, partner)
-        verts, new_edges = _prune_isolated(dict(self.verts), new_edges)
-        return Web(new_top, new_bot, verts, new_edges, self.loops + extra)
+        return Web(new_top, new_bot, dict(self.verts), new_edges, self.loops + extra)
 
     # -- serialization ------------------------------------------------
 
@@ -567,17 +565,6 @@ def _glue(edges, partner):
             used[j] = True
             j = tail_at[partner[edges[j][1]]]
     return out, loops
-
-
-def _prune_isolated(verts, edges):
-    """Drop vertices no edge mentions (cannot occur for valid webs, but keeps
-    intermediate surgery honest)."""
-    touched = set()
-    for a, b in edges:
-        for node, slot in (a, b):
-            if slot != -1:
-                touched.add(node)
-    return {v: k for v, k in verts.items() if v in touched}, edges
 
 
 # ---------------------------------------------------------------------------

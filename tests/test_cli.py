@@ -347,6 +347,13 @@ def test_zmap_strip_missing_position(runner, tmp_path):
     assert_input_error(result, "--strips")
 
 
+def test_zmap_empty_cap(runner, tmp_path):
+    f = tmp_path / "cap.json"
+    f.write_text(json.dumps([["CAP", 1, ""]]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--strips", "cap sign")
+
+
 def test_zmap_strips_off_level(runner, tmp_path):
     f = tmp_path / "word.json"
     f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
@@ -420,4 +427,25 @@ def test_cells_solve_runtime_covers_the_solve(runner):
     assert result.exit_code == 0
     (check,) = report(result)["checks"]
     assert check["id"] == "frame_equations"
+    assert check["runtime_ms"] >= 0.5 * wall_ms
+
+
+@pytest.mark.parametrize("args", [
+    ["normalize"],
+    ["trace"],
+    ["gram", "--sigma", "---+++", "--n", "7", "--rank"],
+    ["quotient-dim", "--sigma", "---+++", "--n", "7"],
+], ids=lambda a: a[0])
+def test_diagram_runtime_covers_the_work(runner, tmp_path, args):
+    if args[0] in ("normalize", "trace"):
+        # (w_0 w_1)^6 on four strands, composed but not reduced
+        w = wgen_web("----", 0)
+        for k in [1, 0] * 5 + [1]:
+            w = w.compose(wgen_web("----", k))
+        args = args + ["--in", _write_websum(tmp_path / "x.json", WebSum.from_web(w))]
+    t0 = time.perf_counter()
+    result = run(runner, args)
+    wall_ms = 1000 * (time.perf_counter() - t0)
+    assert result.exit_code == 0
+    (check,) = report(result)["checks"]
     assert check["runtime_ms"] >= 0.5 * wall_ms

@@ -3,7 +3,9 @@ strip-word evaluation map."""
 
 import gc
 import itertools
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -429,14 +431,11 @@ def test_flatness_matches_dense_commutators(setups):
 # strip-word invariants
 
 def apply_word(g, cells, phi, word, vec):
+    # the sign string of the paths in vec, which all share it
+    bot = "".join("-" if d == 1 else "+" for _, d in next(iter(vec)))
     for token in reversed(word):
-        kind = token[0]
-        if kind == "CUP":
-            vec = P._apply_cup(g, phi, vec, token[1])
-        elif kind == "CAP":
-            vec = P._apply_cap(g, phi, vec, token[1], token[2])
-        else:
-            vec = P._apply_fork(g, cells, phi, vec, token[1], kind)
+        bot, signs = P._strip(token, bot, [])
+        vec = P._apply_strip(g, cells, vec, *signs)
     return {k: v for k, v in vec.items() if abs(v) > 1e-13}
 
 
@@ -517,9 +516,40 @@ def test_strip_word_validation(setups):
         P.present_Z([("CUP", 1)], [], g, cells)
     with pytest.raises(ValueError):
         P.present_Z([("FORK_IN", 1), ("CAP", 1, "-")], [], g, cells)
+    x = P.identity_element(g, 0, 1)
     with pytest.raises(NotImplementedError):
-        x = P.identity_element(g, 0, 1)
         P.present_Z([("RECT", 0, 1, 1)], [x], g, cells)
+    for word, labels in [
+        ([("FORK_IN_INV", 0), ("CAP", 1, "-")], []),
+        ([("FORK_OUT_INV", 0), ("CAP", 1, "+")], []),
+        ([("CAP", 1, "x")], []),
+        ([("CAP", 1, "")], []),
+        ([("RECT", -1, 0, 0)], [x]),
+    ]:
+        with pytest.raises(ValueError):
+            P.strip_boundary(word, labels)
+        with pytest.raises(ValueError):
+            P.present_Z(word, labels, g, cells)
+
+
+def test_z_matches_recorded():
+    """Cell values and present_Z outputs of 40 strip words at n = 5, 6,
+    recorded from the per-kind appliers that the strip table replaced."""
+    with open(os.path.join(os.path.dirname(__file__), "zmap_recorded.json")) as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == ["5", "6"]
+    for n, doc in recorded.items():
+        g = build_A(int(n))
+        cells = CellSystem(
+            g, {tuple(t): complex(re, im) for t, re, im in doc["cells"]}, doc["residual"])
+        labels = [PathAlgElement.from_json(g, x["level"], x["terms"]) for x in doc["labels"]]
+        for row in doc["words"]:
+            word = [tuple(t) for t in row["strips"]]
+            want = {tuple(tuple(s) for s in p): complex(re, im) for p, re, im in row["vec"]}
+            sigma, vec = P.present_Z(word, labels, g, cells)
+            assert sigma == row["sigma"]
+            assert vec.keys() == want.keys()
+            assert vdist(vec, want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
