@@ -8,6 +8,9 @@ Every subcommand prints a report of the form::
 
 and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
 malformed input files included.
+
+The diagram-side commands are exact and import neither numpy nor scipy;
+the path-side commands import ``graph`` and ``pathalg`` when they run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import time
 
 import click
 
-from . import pathalg as pa
 from .algebra import (
     WebSum,
     check_braid,
@@ -34,7 +36,6 @@ from .algebra import (
     quotient_dim,
     trace_right,
 )
-from .graph import FusionGraph, build_A, solve_cells
 from .hecke import decompose as hecke_decompose, f13_relations
 from .rewrite import normalize
 from .scalar import Laurent
@@ -121,20 +122,24 @@ def _dump_websum(x: WebSum):
     return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]
 
 
-def _checked_graph(obj) -> FusionGraph:
-    g = FusionGraph.from_json(obj)
+def _checked_graph(obj):
+    from . import graph
+
+    g = graph.FusionGraph.from_json(obj)
     g.phi  # cached on g; raises ValueError unless the PF eigenvalue is [3]
     return g
 
 
-def _graph_option(n, graph_file) -> FusionGraph:
+def _graph_option(n, graph_file):
     """The graph in ``--graph FILE``, else the weight-lattice graph at ``--n``."""
     if graph_file:
         return _read_input("--graph", graph_file, _checked_graph)
     if n is None:
         raise click.UsageError("need --n or --graph")
+    from . import graph
+
     try:
-        return build_A(n)
+        return graph.build_A(n)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--n'") from None
 
@@ -207,7 +212,7 @@ def gram_cmd(sigma, n, want_rank):
 
 @main.command("decompose")
 @click.option("--in", "infile", required=True, type=click.Path(exists=True))
-@click.option("--max-len", default=8, type=int)
+@click.option("--max-len", default=8, type=click.IntRange(min=0))
 def decompose_cmd(infile, max_len):
     """Write a web sum as a word in the standard generators."""
     x = _load_websum(infile)
@@ -266,6 +271,8 @@ def relcheck_cmd(suite, m, n, seed, trials):
 @click.option("--j", "jj", required=True, type=click.IntRange(min=0))
 def dims_cmd(n, graph_file, ii, jj):
     """Dimension of the level-(i, j) path-pair algebra."""
+    from . import pathalg as pa
+
     g = _graph_option(n, graph_file)
     rep = Report("dims", n=g.n, graph=g.name or graph_file, i=ii, j=jj)
     d = pa.dims(g, ii, jj)
@@ -307,9 +314,11 @@ def cells_grp():
 @click.option("--seed", default=0, type=click.IntRange(min=0))
 def cells_solve_cmd(n, graph_file, tol, seed):
     """Solve the frame equations for cell weights on a graph."""
+    from . import graph
+
     g = _graph_option(n, graph_file)
     rep = Report("cells:solve", n=g.n, graph=g.name or graph_file, tol=tol, seed=seed)
-    cells = solve_cells(g, tol=tol, seed=seed)
+    cells = graph.solve_cells(g, tol=tol, seed=seed)
     rep.add("frame_equations", cells.residual < tol, residual=cells.residual)
     payload = {
         "residual": cells.residual,
@@ -332,8 +341,10 @@ def connection_grp():
 @click.option("--tol", default=1e-10, type=float, callback=_tol)
 def connection_check_cmd(n, graph_file, tol):
     """Unitarity and commuting-square residuals for both parities."""
+    from . import graph, pathalg as pa
+
     g = _graph_option(n, graph_file)
-    cells = solve_cells(g)
+    cells = graph.solve_cells(g)
     rep = Report("connection:check", n=g.n, graph=g.name or graph_file, tol=tol)
     for parity in ("even", "odd"):
         conn = pa.connection(g, cells, parity)
@@ -358,9 +369,11 @@ def flat_grp():
 @click.option("--tol", default=1e-8, type=float, callback=_tol)
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
+    from . import graph, pathalg as pa
+
     g = _graph_option(n, graph_file)
     rep = Report("flat:check", n=g.n, graph=g.name or graph_file, hmax=hmax, vmax=vmax, tol=tol)
-    cells = solve_cells(g)
+    cells = graph.solve_cells(g)
     result = pa.flatness_check(g, cells, hmax, vmax)
     rep.add("flatness", result["max_commutator"] < tol, residual=result["max_commutator"])
     sys.exit(rep.emit(None, payload=result))
@@ -368,6 +381,8 @@ def flat_check_cmd(n, graph_file, hmax, vmax, tol):
 
 def _strip_word(tokens, labels, i: int, j: int) -> list:
     """The strip tokens, checked to stack up to the level-(i, j) boundary."""
+    from . import pathalg as pa
+
     word = [tuple(tok) for tok in tokens]
     sigma = pa.strip_boundary(word, labels)
     want = pa.sigma_word(i, j)
@@ -387,6 +402,8 @@ def _strip_word(tokens, labels, i: int, j: int) -> list:
 @click.option("--j", "jj", required=True, type=click.IntRange(min=0))
 def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     """Evaluate a strip word as a level-(i, j) path-pair element."""
+    from . import graph, pathalg as pa
+
     g = _graph_option(n, graph_file)
     labs = []
     if labels:
@@ -395,7 +412,7 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
         ])
     word = _read_input("--strips", strips, lambda toks: _strip_word(toks, labs, ii, jj))
     rep = Report("zmap", n=g.n, graph=g.name or graph_file, i=ii, j=jj, strips=strips)
-    cells = solve_cells(g)
+    cells = graph.solve_cells(g)
     z = pa.z_element(word, labs, g, cells, ii, jj)
     rep.add("evaluate", True, residual=0)
     sys.exit(rep.emit(None, payload=z.to_json()))

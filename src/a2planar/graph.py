@@ -34,7 +34,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "FusionGraph",
@@ -49,6 +48,15 @@ __all__ = [
     "path_space",
     "qnum",
 ]
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call.  Importing
+    scipy.optimize takes about 0.5 s on a 2-vCPU Xeon, and only the cell
+    solver uses it."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
 
 
 def qnum(m: int, n: int) -> float:

@@ -313,6 +313,11 @@ def test_decompose_other_boundary(runner, tmp_path, x):
     assert_input_error(run(runner, ["decompose", "--in", f]), "--in", "boundary")
 
 
+def test_decompose_negative_max_len(runner, tmp_path):
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
+    assert_input_error(run(runner, ["decompose", "--in", f, "--max-len", "-1"]), "--max-len")
+
+
 def test_decompose_same_under_hash_seeds(tmp_path):
     """The printed report, apart from its timing, does not depend on set
     and dict order."""
@@ -449,3 +454,51 @@ def test_diagram_runtime_covers_the_work(runner, tmp_path, args):
     assert result.exit_code == 0
     (check,) = report(result)["checks"]
     assert check["runtime_ms"] >= 0.5 * wall_ms
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from a2planar.cli import main
+seen = {}
+for argv in json.loads(sys.argv[1]):
+    code = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen[" ".join(argv)] = [code, [m for m in ("numpy", "scipy") if m in sys.modules]]
+print(json.dumps(seen))
+"""
+
+
+def _imports_after(*argvs) -> dict:
+    """For each argv run in turn in one fresh process: its exit code and
+    which of numpy and scipy are imported once it has run."""
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    return {cmd: tuple(v) for cmd, v in json.loads(out).items()}
+
+
+def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
+    argvs = [
+        ["--help"],
+        ["normalize", "--in", f],
+        ["trace", "--in", f],
+        ["gram", "--sigma", "--++", "--n", "5", "--rank"],
+        ["quotient-dim", "--sigma", "--++", "--n", "5"],
+        ["decompose", "--in", f],
+        ["relcheck", "--suite", "hecke", "--m", "3"],
+    ]
+    assert _imports_after(*argvs) == {" ".join(a): (0, []) for a in argvs}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "5", "--i", "1", "--j", "1"],
+    ["graph", "build-a", "--n", "5"],
+], ids=["dims", "graph-build-a"])
+def test_path_commands_without_cells_leave_scipy_out(argv):
+    assert _imports_after(argv) == {" ".join(argv): (0, ["numpy"])}
