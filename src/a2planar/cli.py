@@ -10,7 +10,8 @@ and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
 malformed input files included.
 
 The diagram-side commands are exact and import neither numpy nor scipy;
-the path-side commands import ``graph`` and ``pathalg`` when they run.
+the path-side commands import ``graph`` and ``pathalg`` when they run, and
+scipy only when they solve the cells of a ``--graph`` file.
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ def cells_grp():
 @click.option("--n", default=None, type=int)
 @click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
 @click.option("--tol", default=1e-10, type=float, callback=_tol)
-@click.option("--seed", default=0, type=click.IntRange(min=0))
+@click.option("--seed", default=0, type=click.IntRange(min=0),
+              help="restart seed of the least-squares route (--graph only)")
 def cells_solve_cmd(n, graph_file, tol, seed):
     """Solve the frame equations for cell weights on a graph."""
     from . import graph

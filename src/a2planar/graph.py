@@ -18,13 +18,16 @@ vertex weights:
   Boltzmann operators built from the cells must satisfy the braid-type
   relation U_i U_{i+1} U_i - U_i = U_{i+1} U_i U_{i+1} - U_{i+1}.
 
-Cells are found numerically by least squares with restarts.  The
-objective is compiled once per solve into numpy index arrays (triangle of
-each cell rotation, frame terms, Boltzmann entries, Hecke-matrix
-entries), so an evaluation is a few gathers and scatters.  Correctness is
-certified by residuals only (the gauge is arbitrary): the accepted cells
-are checked again through the slow route, ``type_I_residual`` and the
-braid relation of ``hecke_operator`` on ``cells.U``.
+On the weight-lattice graphs A(n) the cells have a closed form
+(Evans-Pugh, arXiv:0906.4307), a real positive weight per triangle.  Any
+other graph, such as one loaded from JSON, gets its cells numerically, by
+Levenberg-Marquardt least squares with restarts.  That objective is
+compiled once per solve into numpy index arrays (triangle of each cell
+rotation, frame terms, Boltzmann entries, Hecke-matrix entries), so an
+evaluation is a few gathers and scatters.  Either way the cells are
+certified by residuals only (the gauge is arbitrary): they are checked
+through the slow route, ``type_I_residual`` and the braid relation of
+``hecke_operator`` on ``cells.U``.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def pf_eigen(g: FusionGraph) -> dict:
     if abs(lam - qnum(3, n)) > 1e-9:
         raise ValueError("Perron-Frobenius eigenvalue is not [3]")
     phi = {v: float(vec[g._vindex[v]]) for v in g.vertices}
-    if all(isinstance(v, tuple) for v in g.vertices):
+    if _weight_lattice(g):
         closed = {
             (a, b): qnum(a + 1, n) * qnum(b + 1, n) * qnum(a + b + 2, n) / qnum(2, n)
             for a, b in g.vertices
@@ -196,6 +199,20 @@ def pf_eigen(g: FusionGraph) -> dict:
     if res > 1e-10:
         raise ValueError(f"eigen-residual {res:.2e}")
     return phi
+
+
+def _weight_lattice(g: FusionGraph) -> bool:
+    """Whether the vertices are weights (a, b), as ``build_A`` makes them;
+    a graph read from JSON has string vertex ids."""
+    return all(isinstance(v, tuple) for v in g.vertices)
+
+
+def _parallel_edges(g: FusionGraph) -> dict:
+    """Edge ids grouped by (source, range), each group in increasing order."""
+    out: dict = {}
+    for k, e in enumerate(g.edges):
+        out.setdefault(e, []).append(k)
+    return out
 
 
 def triangles(g: FusionGraph) -> list[tuple[int, int, int]]:
@@ -248,11 +265,10 @@ def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
     """
     phi = g.phi
     d = qnum(2, g.n)
+    parallel = _parallel_edges(g)
     worst = 0.0
     for u in range(len(g.edges)):
-        for v in range(len(g.edges)):
-            if g.edges[u][0] != g.edges[v][0] or g.edges[u][1] != g.edges[v][1]:
-                continue
+        for v in parallel[g.edges[u]]:
             s = 0.0 + 0.0j
             for a in g.out_edges[g.range(u)]:
                 for b in g.out_edges[g.range(a)]:
@@ -350,10 +366,11 @@ def _compile_objective(g: FusionGraph, tris: list):
             tri_of[rot] = k
 
     # type I: frame f sums W(u,a,b) conj(W(v,a,b)) over the loops (u,a,b)
+    parallel = _parallel_edges(g)
     f_id, f_w, f_wbar, want = [], [], [], []
     for u in range(len(g.edges)):
-        for v in range(u, len(g.edges)):
-            if g.edges[u] != g.edges[v]:
+        for v in parallel[g.edges[u]]:
+            if v < u:
                 continue
             for a in g.out_edges[g.range(u)]:
                 for b in g.out_edges[g.range(a)]:
@@ -431,21 +448,35 @@ def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
     return float(np.max(np.abs((u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2))))
 
 
-def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem:
-    """Find cell weights satisfying both frame equations.
+def _cells_A(g: FusionGraph, tris: list) -> dict:
+    """The closed-form cells of the weight-lattice graph A(n).
 
-    Least squares over real and imaginary parts of one weight per
-    triangle; the objective stacks the type I (digon) equations and the
-    braid-type relation of the operators built from the weights (the
-    square relation), compiled once into index arrays.  Up to 12
-    randomized restarts.  The accepted weights are certified again by
-    the slow route, ``type_I_residual`` and the braid relation of
-    ``hecke_operator`` on ``cells.U``; ``cells.residual`` is the larger of
-    the two routes, and the solve raises if it exceeds ``tol``.
+    Each triangle gets the real positive W = sqrt(|W|^2).  With lambda =
+    (a, b) its lowest vertex, l1 = a + 1 and l2 = b + 1:
+    up {lambda, lambda+(1,0), lambda+(0,1)}:
+    |W|^2 = [l1][l1+1][l2][l2+1][l1+l2][l1+l2+1] / [2]^2;
+    down {lambda, lambda+(1,-1), lambda+(1,0)}:
+    |W|^2 = [l1][l1+1][l2-1][l2][l1+l2][l1+l2+1] / [2]^2.
     """
-    tris = triangles(g)
-    if not tris:
-        return CellSystem(g, {}, 0.0)
+
+    def q(m):
+        return qnum(m, g.n)
+
+    vals = {}
+    for t in tris:
+        corners = {g.source(e) for e in t}
+        a, b = min(corners)
+        l1, l2 = a + 1, b + 1
+        k = l2 if (a, b + 1) in corners else l2 - 1  # up or down
+        w2 = q(l1) * q(l1 + 1) * q(k) * q(k + 1) * q(l1 + l2) * q(l1 + l2 + 1)
+        vals[t] = complex(math.sqrt(w2) / q(2))
+    return vals
+
+
+def _cells_lm(g: FusionGraph, tris: list, tol: float, seed: int):
+    """Cell weights by Levenberg-Marquardt on the compiled objective, with
+    up to 12 restarts from ``seed``; returns the weights and the
+    objective's max residual, and raises if no restart reaches ``tol``."""
     rng = np.random.default_rng(seed)
     objective = _compile_objective(g, tris)
     best = None
@@ -460,7 +491,29 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem
     resid, x = best
     if resid > tol:
         raise ValueError(f"cell solver stalled at residual {resid:.2e}")
-    vals = {t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)}
+    return {t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)}, resid
+
+
+def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem:
+    """Cell weights satisfying both frame equations.
+
+    A graph from ``build_A`` (weight vertices) gets the closed form of
+    ``_cells_A``.  Any other graph gets ``_cells_lm``: least squares over
+    real and imaginary parts of one weight per triangle, on the type I
+    (digon) equations and the braid-type relation of the operators built
+    from the weights (the square relation), compiled once into index
+    arrays; ``seed`` acts only on this route.  Either way the weights are
+    certified by the slow route, ``type_I_residual`` and the braid
+    relation of ``hecke_operator`` on ``cells.U``; ``cells.residual`` is
+    the largest residual seen, and the solve raises if it exceeds ``tol``.
+    """
+    tris = triangles(g)
+    if not tris:
+        return CellSystem(g, {}, 0.0)
+    if _weight_lattice(g):
+        vals, resid = _cells_A(g, tris), 0.0
+    else:
+        vals, resid = _cells_lm(g, tris, tol, seed)
     cells = CellSystem(g, vals, 0.0)
     cells.residual = max(resid, type_I_residual(g, cells), _braid_residual(g, cells))
     if cells.residual > tol:

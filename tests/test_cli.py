@@ -499,6 +499,22 @@ def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["dims", "--n", "5", "--i", "1", "--j", "1"],
     ["graph", "build-a", "--n", "5"],
-], ids=["dims", "graph-build-a"])
-def test_path_commands_without_cells_leave_scipy_out(argv):
+    ["cells", "solve", "--n", "5"],
+    ["connection", "check", "--n", "5"],
+    ["flat", "check", "--n", "5"],
+    ["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"],
+], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap"])
+def test_path_commands_without_cells_leave_scipy_out(argv, tmp_path):
+    """Path commands that solve no cells, and those whose cells are the
+    closed form of a ``--n`` graph, load numpy but not scipy."""
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
+    argv = [a.format(word=word) for a in argv]
     assert _imports_after(argv) == {" ".join(argv): (0, ["numpy"])}
+
+
+def test_cells_solve_on_a_json_graph_loads_scipy(tmp_path):
+    f = tmp_path / "A5.json"
+    f.write_text(json.dumps(build_A(5).to_json()))
+    argv = ["cells", "solve", "--graph", str(f)]
+    assert _imports_after(argv) == {" ".join(argv): (0, ["numpy", "scipy"])}

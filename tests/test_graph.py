@@ -127,17 +127,40 @@ def test_path_space_counts():
 # -- cell systems ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def _json_A(n):
+    """A(n) read back from its JSON form: string vertex ids, so
+    ``solve_cells`` takes the least-squares route."""
+    return FusionGraph.from_json(build_A(n).to_json())
+
+
+# one input per cell route: the closed form and least squares
+ROUTES = pytest.mark.parametrize("make", [build_A, _json_A], ids=["build_A", "json"])
+
+
+@pytest.mark.parametrize("n", range(4, 31))
 def test_solve_cells_residuals(n):
+    """The closed-form cells keep the absolute bound up to n = 30, where the
+    frame entries [2] phi_s phi_r reach 1.6e5 and roundoff alone is about
+    1e-11."""
     g = build_A(n)
     cells = solve_cells(g)
     assert cells.residual < 1e-10
     assert type_I_residual(g, cells) < 1e-10
+    assert cells.residual == max(type_I_residual(g, cells), G._braid_residual(g, cells))
+    assert all(v.imag == 0 and v.real > 0 for v in cells.values.values())
+
+
+def test_closed_form_cells_reproducible():
+    first = solve_cells(build_A(7)).values
+    for _ in range(5):
+        assert solve_cells(build_A(7)).values == first
 
 
 def test_solve_cells_calls_least_squares_by_module_attribute(monkeypatch):
     """``solve_cells`` reaches the solver through ``graph.least_squares``, the
-    name that perfbench's tracer rebinds to count calls and evaluations."""
+    name that perfbench's tracer rebinds to count calls and evaluations.
+    Only graphs without weight vertices, here A(5) read from JSON, take that
+    route."""
     nfev = []
     real = G.least_squares
 
@@ -147,7 +170,7 @@ def test_solve_cells_calls_least_squares_by_module_attribute(monkeypatch):
         return sol
 
     monkeypatch.setattr(G, "least_squares", counted)
-    solve_cells(build_A(5))
+    solve_cells(_json_A(5))
     assert nfev and all(k > 0 for k in nfev)
 
 
@@ -280,7 +303,8 @@ def test_compiled_objective_matches_dict_route(g):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_cells_match_recorded_moduli():
+@ROUTES
+def test_cells_match_recorded_moduli(make):
     """|W| per triangle is gauge invariant; the recorded values come from
     the solver that built U as a dict on every evaluation."""
     path = os.path.join(os.path.dirname(__file__), "cells_moduli_recorded.json")
@@ -288,15 +312,16 @@ def test_cells_match_recorded_moduli():
         recorded = json.load(fh)
     assert sorted(map(int, recorded)) == list(range(4, 10))
     for n, rows in recorded.items():
-        cells = solve_cells(build_A(int(n)))
+        cells = solve_cells(make(int(n)))
         assert sorted(cells.values) == [tuple(t) for t, _ in rows]
         for t, modulus in rows:
             assert abs(abs(cells.values[tuple(t)]) - modulus) < 1e-12
 
 
-def test_solve_cells_certified_by_slow_route(monkeypatch):
+@ROUTES
+def test_solve_cells_certified_by_slow_route(monkeypatch, make):
     monkeypatch.setattr(G, "type_I_residual", lambda g, cells: 1e-6)
     with pytest.raises(ValueError, match="slow-route"):
-        solve_cells(build_A(5))
+        solve_cells(make(5))
     monkeypatch.setattr(G, "type_I_residual", lambda g, cells: 1e-11)
-    assert solve_cells(build_A(5)).residual == 1e-11
+    assert solve_cells(make(5)).residual == 1e-11
