@@ -21,13 +21,14 @@ vertex weights:
 On the weight-lattice graphs A(n) the cells have a closed form
 (Evans-Pugh, arXiv:0906.4307), a real positive weight per triangle.  Any
 other graph, such as one loaded from JSON, gets its cells numerically, by
-Levenberg-Marquardt least squares with restarts.  That objective is
-compiled once per solve into numpy index arrays (triangle of each cell
-rotation, frame terms, Boltzmann entries, Hecke-matrix entries), so an
-evaluation is a few gathers and scatters.  Either way the cells are
-certified by residuals only (the gauge is arbitrary): they are checked
-through the slow route, ``type_I_residual`` and the braid relation of
-``hecke_operator`` on ``cells.U``.
+``least_squares``, a short Levenberg-Marquardt in numpy, with restarts
+from a fixed seed, so the same graph always gets the same cells.  Its
+objective is compiled once per solve into numpy index arrays (triangle
+of each cell rotation, frame terms, Boltzmann entries, Hecke-matrix
+entries), so an evaluation is a few gathers and scatters.  Either way
+the cells are certified by residuals only (the gauge is arbitrary): they
+are checked through the slow route, ``type_I_residual`` and the braid
+relation of ``hecke_operator`` on ``cells.U``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "pf_eigen",
     "triangles",
     "solve_cells",
+    "UncertifiedCells",
     "CellSystem",
     "boltzmann_U",
     "type_I_residual",
@@ -53,13 +56,55 @@ __all__ = [
 ]
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call.  Importing
-    scipy.optimize takes about 0.5 s on a 2-vCPU Xeon, and only the cell
-    solver uses it."""
-    from scipy.optimize import least_squares
+class Fit(NamedTuple):
+    """Result of ``least_squares``: the point reached and the number of
+    objective evaluations, Jacobian columns included."""
 
-    return least_squares(*args, **kwargs)
+    x: np.ndarray
+    nfev: int
+
+
+def least_squares(fun, x0, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit:
+    """Minimize ``sum(fun(x)**2)`` by Levenberg-Marquardt from ``x0``.
+
+    The Jacobian is a forward difference with step 1.5e-8 max(1, |x_i|).
+    The damping mu follows the gain ratio rho of each step (Nielsen):
+    mu *= max(1/3, 1 - (2 rho - 1)^3) on an accepted step, mu *= nu and
+    nu *= 2 on a rejected one.  It stops once an accepted step lowers the
+    squared residual by at most ``ftol`` of itself, once a step (accepted
+    or not) is at most ``xtol`` of |x|, or after 100 (len(x0) + 1)
+    evaluations.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    nfev, budget = 1, 100 * (len(x) + 1)
+    jac, mu, nu = None, None, 2.0
+    while nfev < budget:
+        if jac is None:  # at the start and after each accepted step
+            jac = np.empty((len(f), len(x)))
+            for i in range(len(x)):
+                xi = x.copy()
+                xi[i] += 1.5e-8 * max(1.0, abs(x[i]))
+                jac[:, i] = (fun(xi) - f) / (xi[i] - x[i])
+            nfev += len(x)
+            a, g, cost = jac.T @ jac, jac.T @ f, float(f @ f)
+            if mu is None:
+                mu = 1e-3 * float(np.max(np.diag(a)))
+        step = np.linalg.solve(a + mu * np.eye(len(x)), -g)
+        if np.linalg.norm(step) <= xtol * np.linalg.norm(x):
+            break
+        f_new = fun(x + step)
+        nfev += 1
+        cost_new = float(f_new @ f_new)
+        rho = (cost - cost_new) / float(step @ (mu * step - g))
+        if rho > 0:
+            x, f, jac = x + step, f_new, None
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            if cost - cost_new <= ftol * cost:
+                break
+        else:
+            mu, nu = mu * nu, nu * 2
+    return Fit(x, nfev)
 
 
 def qnum(m: int, n: int) -> float:
@@ -473,28 +518,35 @@ def _cells_A(g: FusionGraph, tris: list) -> dict:
     return vals
 
 
-def _cells_lm(g: FusionGraph, tris: list, tol: float, seed: int):
+def _cells_lm(g: FusionGraph, tris: list, tol: float):
     """Cell weights by Levenberg-Marquardt on the compiled objective, with
-    up to 12 restarts from ``seed``; returns the weights and the
-    objective's max residual, and raises if no restart reaches ``tol``."""
-    rng = np.random.default_rng(seed)
+    up to 12 restarts drawn from a fixed generator until one reaches
+    ``tol``; returns the best weights and the objective's max residual."""
+    rng = np.random.default_rng(0)
     objective = _compile_objective(g, tris)
     best = None
     for _ in range(12):
         x0 = rng.normal(scale=1.0, size=2 * len(tris))
-        sol = least_squares(objective, x0, method="lm", xtol=1e-15, ftol=1e-15)
-        resid = float(np.max(np.abs(objective(sol.x)))) if sol.x is not None else np.inf
+        sol = least_squares(objective, x0)
+        resid = float(np.max(np.abs(objective(sol.x))))
         if best is None or resid < best[0]:
             best = (resid, sol.x)
         if resid < tol:
             break
     resid, x = best
-    if resid > tol:
-        raise ValueError(f"cell solver stalled at residual {resid:.2e}")
     return {t: complex(x[2 * k], x[2 * k + 1]) for k, t in enumerate(tris)}, resid
 
 
-def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem:
+class UncertifiedCells(ValueError):
+    """Raised by ``solve_cells`` when its cells miss ``tol``; ``cells``
+    holds them, with their residual."""
+
+    def __init__(self, cells: CellSystem):
+        super().__init__(f"cells fail the slow-route check at residual {cells.residual:.2e}")
+        self.cells = cells
+
+
+def solve_cells(g: FusionGraph, tol: float = 1e-10) -> CellSystem:
     """Cell weights satisfying both frame equations.
 
     A graph from ``build_A`` (weight vertices) gets the closed form of
@@ -502,10 +554,11 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem
     real and imaginary parts of one weight per triangle, on the type I
     (digon) equations and the braid-type relation of the operators built
     from the weights (the square relation), compiled once into index
-    arrays; ``seed`` acts only on this route.  Either way the weights are
+    arrays.  Either way the weights are
     certified by the slow route, ``type_I_residual`` and the braid
     relation of ``hecke_operator`` on ``cells.U``; ``cells.residual`` is
-    the largest residual seen, and the solve raises if it exceeds ``tol``.
+    the largest residual seen, and the solve raises ``UncertifiedCells``
+    unless it is below ``tol``.
     """
     tris = triangles(g)
     if not tris:
@@ -513,9 +566,9 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10, seed: int = 0) -> CellSystem
     if _weight_lattice(g):
         vals, resid = _cells_A(g, tris), 0.0
     else:
-        vals, resid = _cells_lm(g, tris, tol, seed)
+        vals, resid = _cells_lm(g, tris, tol)
     cells = CellSystem(g, vals, 0.0)
     cells.residual = max(resid, type_I_residual(g, cells), _braid_residual(g, cells))
-    if cells.residual > tol:
-        raise ValueError(f"cells fail the slow-route check at residual {cells.residual:.2e}")
+    if not cells.residual < tol:
+        raise UncertifiedCells(cells)
     return cells

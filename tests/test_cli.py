@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from a2planar import cli
+from a2planar import graph as G
 from a2planar import pathalg as P
 from a2planar.algebra import WebSum, identity, mult, wsum
 from a2planar.cli import main
@@ -280,8 +281,37 @@ def test_tol_not_positive_finite(runner, cmd, tol):
     assert_input_error(run(runner, cmd + ["--tol", tol]), "--tol")
 
 
-def test_cells_solve_negative_seed(runner):
-    assert_input_error(run(runner, ["cells", "solve", "--n", "5", "--seed", "-1"]), "--seed")
+def assert_failed_check(result):
+    """Exit 1 through the report, with one failed check whose residual is a
+    number, and no traceback."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (check,) = report(result)["checks"]
+    assert check["status"] == "fail"
+    assert isinstance(check["residual"], float)
+
+
+@pytest.mark.parametrize("argv", [["--n", "5", "--tol", "1e-20"], ["--n", "31"]],
+                         ids=["tol-below-roundoff", "n31"])
+def test_cells_solve_reports_failed_certificate(runner, argv):
+    """``--n 31`` misses the absolute bound 1e-10 by roundoff alone."""
+    assert_failed_check(run(runner, ["cells", "solve", *argv]))
+
+
+def test_cells_solve_reports_stalled_solver(runner, tmp_path, monkeypatch):
+    """A least-squares solve that never moves from its start fails the
+    ``frame_equations`` check after all 12 restarts."""
+    f = tmp_path / "A5.json"
+    f.write_text(json.dumps(build_A(5).to_json()))
+    calls = []
+
+    def stalled(fun, x0, **kwargs):
+        calls.append(1)
+        return G.Fit(x0, 1)
+
+    monkeypatch.setattr(G, "least_squares", stalled)
+    assert_failed_check(run(runner, ["cells", "solve", "--graph", str(f)]))
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -503,18 +533,17 @@ def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
     ["connection", "check", "--n", "5"],
     ["flat", "check", "--n", "5"],
     ["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"],
-], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap"])
+    ["cells", "solve", "--graph", "{graph}"],
+    ["connection", "check", "--graph", "{graph}"],
+], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap",
+        "cells-solve-json", "connection-check-json"])
 def test_path_commands_without_cells_leave_scipy_out(argv, tmp_path):
-    """Path commands that solve no cells, and those whose cells are the
-    closed form of a ``--n`` graph, load numpy but not scipy."""
+    """Every path command loads numpy but not scipy: those that solve no
+    cells, those whose cells are the closed form of a ``--n`` graph, and
+    those that solve the cells of a ``--graph`` file by least squares."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
-    argv = [a.format(word=word) for a in argv]
+    graph = tmp_path / "A5.json"
+    graph.write_text(json.dumps(build_A(5).to_json()))
+    argv = [a.format(word=word, graph=graph) for a in argv]
     assert _imports_after(argv) == {" ".join(argv): (0, ["numpy"])}
-
-
-def test_cells_solve_on_a_json_graph_loads_scipy(tmp_path):
-    f = tmp_path / "A5.json"
-    f.write_text(json.dumps(build_A(5).to_json()))
-    argv = ["cells", "solve", "--graph", str(f)]
-    assert _imports_after(argv) == {" ".join(argv): (0, ["numpy", "scipy"])}

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,61 @@ def test_solve_cells_calls_least_squares_by_module_attribute(monkeypatch):
     monkeypatch.setattr(G, "least_squares", counted)
     solve_cells(_json_A(5))
     assert nfev and all(k > 0 for k in nfev)
+
+
+def test_least_squares_linear_problem():
+    """On a full-rank linear problem the minimum is the lstsq solution.
+    The right-hand side lies in the range: the forward-difference Jacobian
+    is accurate to about 1e-8, which moves a minimum with nonzero residual
+    by as much, but not one with zero residual."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(30, 8))
+    b = a @ rng.normal(size=8)
+    sol = G.least_squares(lambda x: a @ x - b, np.zeros(8))
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.max(np.abs(sol.x - want)) < 1e-10
+    assert sol.nfev > 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", range(4, 13))
+def test_json_cells_solve_on_first_start(monkeypatch, n):
+    """JSON A(4)..A(12) each pass the certificate with one least-squares
+    call, the first of the 12 restarts."""
+    calls = []
+    real = G.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(G, "least_squares", counted)
+    assert solve_cells(_json_A(n)).residual < 1e-10
+    assert len(calls) == 1
+
+
+_JSON_CELLS = """
+import json
+from a2planar.graph import FusionGraph, build_A, solve_cells
+print(json.dumps({n: sorted((t, v.real, v.imag) for t, v in solve_cells(
+    FusionGraph.from_json(build_A(n).to_json())).values.items()) for n in (7, 9)}))
+"""
+
+
+def test_json_cells_reproducible_across_calls_and_processes():
+    """Twenty solves of JSON A(7) and of JSON A(9) in this process give one
+    cell set each, and three fresh processes give the same sets."""
+    here = {}
+    for n in (7, 9):
+        first = solve_cells(_json_A(n)).values
+        for _ in range(19):
+            assert solve_cells(_json_A(n)).values == first
+        here[str(n)] = [[list(t), v.real, v.imag] for t, v in sorted(first.items())]
+    src = os.path.dirname(os.path.dirname(G.__file__))
+    for _ in range(3):
+        out = subprocess.run([sys.executable, "-c", _JSON_CELLS], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert json.loads(out) == here
 
 
 def test_triangle_free_graph_vacuous():
