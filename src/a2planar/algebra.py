@@ -13,12 +13,16 @@ involving ``tr`` are asserted in cleared form over the Laurent ring.
 
 ``gram`` evaluates the pairing matrix of the reduced-web basis of a
 boundary word in a cyclotomic field, and ``quotient_dim`` is its exact
-rank, i.e. the dimension of the quotient by null vectors.
+rank, i.e. the dimension of the quotient by null vectors.  Both build the
+matrix from its upper triangle (``_gram_values``).  The rank is taken in
+the ring Z[2cos(pi/n)] by fraction-free elimination
+(``real_cyclo_rank``); ``cyclo_rank``, elimination in Q(zeta_6n), is the
+independent reference.
 """
 
 from __future__ import annotations
 
-from .scalar import Cyclo, CycloField, Laurent, _as_laurent, alpha, delta
+from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, delta
 from .rewrite import enumerate_basis, expand_crossing, first_crossing, normalize
 from .web import Web, WebError, crossing_web, flip, identity_web, wgen_web
 
@@ -37,6 +41,7 @@ __all__ = [
     "gram",
     "quotient_dim",
     "cyclo_rank",
+    "real_cyclo_rank",
     "check_hecke",
     "check_su3",
     "check_frels",
@@ -277,14 +282,35 @@ def inner_product(a: WebSum, b: WebSum, n: int) -> Cyclo:
         ]
     )
     field = CycloField.get(n)
-    out = field.from_laurent(raw)
-    ainv = field.from_laurent(alpha()).inv()
-    for _ in range(len(a.bot)):
-        out = out * ainv
-    return out
+    return field.from_laurent(raw) * field.inv_alpha_power(len(a.bot))
 
 
 # -- Gram matrices and quotient dimensions ---------------------------------
+
+
+def _gram_values(sigma: str, convert):
+    """The reduced-web basis of ``sigma`` and its Gram matrix, each distinct
+    closed web evaluated once and passed through ``convert``.
+
+    Entry (i, j) is the closed-diagram value of b_j* stacked over b_i.  Only
+    i <= j is built: entry (j, i) is the value of the adjoint closed web,
+    the bar of entry (i, j), and a closed web's value is an integer
+    polynomial in [2] and [3], which the bar fixes.
+    ``RealCycloRing.from_laurent`` checks that on every value it converts.
+    """
+    basis = enumerate_basis(sigma)
+    stars = [b.star() for b in basis]
+    m = len(basis)
+    rows = [[None] * m for _ in range(m)]
+    vals = {}
+    for i, bi in enumerate(basis):
+        for j in range(i, m):
+            closed = stars[j].compose(bi, check=False)
+            c = vals.get(closed)
+            if c is None:
+                c = vals[closed] = convert(_closed_value(closed))
+            rows[i][j] = rows[j][i] = c
+    return basis, rows
 
 
 def gram(sigma: str, n: int):
@@ -294,21 +320,13 @@ def gram(sigma: str, n: int):
     this is ``[3]^|sigma|`` times the normalized pairing, so its rank
     equals the dimension of the quotient by null vectors.
     """
-    basis = enumerate_basis(sigma)
-    field = CycloField.get(n)
-    vals: dict[Web, Cyclo] = {}
-    rows = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            closed = bj.star().compose(bi, check=False)
-            c = vals.get(closed)
-            if c is None:
-                c = field.from_laurent(_closed_value(closed))
-                vals[closed] = c
-            row.append(c)
-        rows.append(row)
-    return basis, rows
+    field, ring = CycloField.get(n), RealCycloRing.get(n)
+
+    def convert(value):
+        ring.from_laurent(value)  # raises unless the bar fixes the value
+        return field.from_laurent(value)
+
+    return _gram_values(sigma, convert)
 
 
 def cyclo_rank(rows) -> int:
@@ -333,9 +351,49 @@ def cyclo_rank(rows) -> int:
     return rank
 
 
+def real_cyclo_rank(rows) -> int:
+    """Exact rank of a matrix over Z[x]/psi_n, by fraction-free (Bareiss)
+    elimination.
+
+    Each row below the pivot row becomes (p * row - a * pivot row) / p',
+    with p the pivot, a the row's entry in the pivot column and p' the
+    previous pivot.  The division is exact, because every entry is then a
+    minor of the matrix (Sylvester's identity), so the entries stay in
+    Z[x]/psi_n and grow only as the minors do.  It is taken as a product
+    with b and an exact division by the integer k, where p' b = k.  An
+    entry is zero exactly when its reduced coefficients are, since psi_n
+    is irreducible.
+    """
+    mat = [list(r) for r in rows]
+    rank = 0
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    b = None  # p' b = k for the previous pivot p'
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, nrows):
+            a = mat[r][col]
+            if b is None:
+                new = [p * x - a * y for x, y in zip(mat[r][col + 1:], top[col + 1:])]
+            else:
+                pb, ab = p * b, a * b
+                new = [(pb * x - ab * y) // k for x, y in zip(mat[r][col + 1:], top[col + 1:])]
+            mat[r][col + 1:] = new  # columns up to col are never read again
+        b, k = p.scaled_inverse()
+        rank += 1
+    return rank
+
+
 def quotient_dim(sigma: str, n: int) -> int:
-    _, rows = gram(sigma, n)
-    return cyclo_rank(rows)
+    """Rank of the Gram matrix of ``sigma`` at the order-``n`` root,
+    computed over Z[2cos(pi/n)]."""
+    _, rows = _gram_values(sigma, RealCycloRing.get(n).from_laurent)
+    return real_cyclo_rank(rows)
 
 
 # -- identity suites -------------------------------------------------------

@@ -32,7 +32,6 @@ from .algebra import (
     check_markov,
     check_spherical,
     check_su3,
-    cyclo_rank,
     gram as gram_rows,
     quotient_dim,
     trace_right,
@@ -160,6 +159,18 @@ def _tol(ctx, param, value: float) -> float:
     return value
 
 
+def _certified_cells(g, rep: Report):
+    """The cells of ``g``.  If they miss their slow-route certificate, emit
+    ``rep`` with a failed ``frame_equations`` check and exit 1."""
+    from . import graph
+
+    try:
+        return graph.solve_cells(g)
+    except graph.UncertifiedCells as exc:
+        rep.add("frame_equations", False, residual=exc.cells.residual)
+        sys.exit(rep.emit())
+
+
 @click.group()
 def main():
     """Exact engine for the two-colour spider calculus and its path algebras."""
@@ -201,12 +212,13 @@ def trace_cmd(infile):
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
     rep = Report("gram", sigma=sigma, n=n)
-    basis, rows = gram_rows(sigma, n)
-    r = cyclo_rank(rows) if want_rank else None
-    rep.add("gram", True, residual=0)
     if want_rank:
+        r = quotient_dim(sigma, n)
+        rep.add("gram", True, residual=0)
         click.echo(str(r))
         sys.exit(rep.emit(None, payload={"rank": r}))
+    _, rows = gram_rows(sigma, n)
+    rep.add("gram", True, residual=0)
     payload = [[c.to_json() for c in row] for row in rows]
     sys.exit(rep.emit(None, payload=payload))
 
@@ -344,11 +356,11 @@ def connection_grp():
 @click.option("--tol", default=1e-10, type=float, callback=_tol)
 def connection_check_cmd(n, graph_file, tol):
     """Unitarity and commuting-square residuals for both parities."""
-    from . import graph, pathalg as pa
+    from . import pathalg as pa
 
     g = _graph_option(n, graph_file)
-    cells = graph.solve_cells(g)
     rep = Report("connection:check", n=g.n, graph=g.name or graph_file, tol=tol)
+    cells = _certified_cells(g, rep)
     for parity in ("even", "odd"):
         conn = pa.connection(g, cells, parity)
         rep.start()
@@ -372,11 +384,11 @@ def flat_grp():
 @click.option("--tol", default=1e-8, type=float, callback=_tol)
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
-    from . import graph, pathalg as pa
+    from . import pathalg as pa
 
     g = _graph_option(n, graph_file)
     rep = Report("flat:check", n=g.n, graph=g.name or graph_file, hmax=hmax, vmax=vmax, tol=tol)
-    cells = graph.solve_cells(g)
+    cells = _certified_cells(g, rep)
     result = pa.flatness_check(g, cells, hmax, vmax)
     rep.add("flatness", result["max_commutator"] < tol, residual=result["max_commutator"])
     sys.exit(rep.emit(None, payload=result))
@@ -405,7 +417,7 @@ def _strip_word(tokens, labels, i: int, j: int) -> list:
 @click.option("--j", "jj", required=True, type=click.IntRange(min=0))
 def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     """Evaluate a strip word as a level-(i, j) path-pair element."""
-    from . import graph, pathalg as pa
+    from . import pathalg as pa
 
     g = _graph_option(n, graph_file)
     labs = []
@@ -415,7 +427,7 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
         ])
     word = _read_input("--strips", strips, lambda toks: _strip_word(toks, labs, ii, jj))
     rep = Report("zmap", n=g.n, graph=g.name or graph_file, i=ii, j=jj, strips=strips)
-    cells = graph.solve_cells(g)
+    cells = _certified_cells(g, rep)
     z = pa.z_element(word, labs, g, cells, ii, jj)
     rep.add("evaluate", True, residual=0)
     sys.exit(rep.emit(None, payload=z.to_json()))

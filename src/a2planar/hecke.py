@@ -27,10 +27,10 @@ import math
 
 from .algebra import (
     WebSum,
-    cyclo_rank,
     fsum,
     identity,
     mult,
+    real_cyclo_rank,
     trace_right,
     wsum,
 )
@@ -40,8 +40,8 @@ from .oracle import walk_dim
 # perfbench/selftest.py checks that the tracer wraps it here too.
 from .rewrite import enumerate_basis  # noqa: F401
 from .scalar import (
-    CycloField,
     Laurent,
+    RealCycloRing,
     _poly_divmod,
     _poly_exquo,
     _poly_mul,
@@ -434,16 +434,16 @@ def f13_relations(m: int = 3, n: int = 7) -> list[tuple[str, bool]]:
     # it to 6 dimensions for larger n.
     tl = [one, f1, f2, f12, f21]
     full = tl + [f3]
-    field = CycloField.get(n)
+    ring = RealCycloRing.get(n)
 
     def gmat(els):
         return [
-            [field.from_laurent(trace_right(mult(y.star(), z))) for y in els]
+            [ring.from_laurent(trace_right(mult(y.star(), z))) for y in els]
             for z in els
         ]
 
-    r_tl = cyclo_rank(gmat(tl))
-    r_full = cyclo_rank(gmat(full))
+    r_tl = real_cyclo_rank(gmat(tl))
+    r_full = real_cyclo_rank(gmat(full))
     out.append((f"cup-cap subalgebra rank 5 at n={n}", r_tl == 5))
     expected = 5 if n == 5 else 6
     out.append(
@@ -454,7 +454,7 @@ def f13_relations(m: int = 3, n: int = 7) -> list[tuple[str, bool]]:
         # f1_3 - ([3] 1 - c1 - c2 + [3](c1 c2 + c2 c1)) is a null vector
         diff = f3 - (one.scale(a) - f1 - f2 + (f12 + f21).scale(a))
         null = all(
-            field.from_laurent(trace_right(mult(y.star(), diff))).is_zero()
+            ring.from_laurent(trace_right(mult(y.star(), diff))).is_zero()
             for y in full
         )
         out.append(("f1_3 = [3] - c1 - c2 + [3](c1 c2 + c2 c1) mod null at n=5", null))

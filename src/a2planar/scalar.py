@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic.
 
-Two scalar domains:
+Three scalar domains:
 
 * :class:`Laurent` -- Laurent polynomials in ``t = q^(1/3)`` with rational
   coefficients.  This ring houses every coefficient produced by web
@@ -8,11 +8,18 @@ Two scalar domains:
   the quantum integers, ...).
 * :class:`Cyclo` -- elements of the cyclotomic field Q(zeta) with
   ``zeta = e^(i*pi/3n)`` a primitive ``6n``-th root of unity, so that
-  ``q = zeta^3 = e^(i*pi/n)`` and ``t = zeta`` exactly.  Used for exact
-  Gram ranks at roots of unity.  Every element is a rational polynomial
-  in zeta reduced modulo the monic integer Phi_{6n} by one routine,
-  ``CycloField._reduce``: a Laurent polynomial puts each t^e at e mod 6n
-  first, a product or conjugate reduces its coefficient list.
+  ``q = zeta^3 = e^(i*pi/n)`` and ``t = zeta`` exactly.  Used for the
+  ``gram`` payload, the normalized pairing ``inner_product`` and the
+  reference rank ``cyclo_rank``.
+* :class:`RealCyclo` -- elements of the ring Z[x]/psi_n with
+  ``x = q + q^(-1) = 2cos(pi/n)``, of degree phi(2n)/2 against phi(6n).
+  Closed webs evaluate to integer polynomials in [2] and [3], which lie
+  in it, so the Gram ranks are taken here.
+
+Both root-of-unity domains reduce with one routine, ``_reduce``, which
+takes the monic integer modulus (Phi_{6n} or psi_n): a Laurent polynomial
+puts each t^e at e mod 6n (or rewrites q^k + q^(-k) in x) first, a
+product or conjugate reduces its coefficient list.
 
 All values are immutable; operations are pure.
 """
@@ -21,9 +28,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from fractions import Fraction
 
-__all__ = ["Laurent", "CycloField", "Cyclo", "qint", "delta", "alpha", "cyclotomic"]
+__all__ = [
+    "Laurent", "CycloField", "Cyclo", "RealCycloRing", "RealCyclo",
+    "qint", "delta", "alpha", "cyclotomic",
+]
 
 
 def _frac(x) -> Fraction:
@@ -225,7 +236,7 @@ class CycloField:
     Elements are coefficient tuples of length d = phi(6n) over the power
     basis 1, zeta, ..., zeta^(d-1): the remainder modulo the monic integer
     polynomial Phi_{6n}, which ``_reduce`` computes for every constructor
-    and operation.
+    and operation.  ``inv_alpha_power`` caches [3]^(-m) on the field.
     """
 
     _cache: dict[int, "CycloField"] = {}
@@ -241,6 +252,7 @@ class CycloField:
         # the nonzero coefficients of Phi below its leading 1
         self._phi_terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
         self._zeta_complex = cmath.exp(1j * cmath.pi / (3 * n))
+        self._inv_alpha: dict[int, Cyclo] = {}
 
     @classmethod
     def get(cls, n: int) -> "CycloField":
@@ -249,61 +261,67 @@ class CycloField:
             f = cls._cache[n] = CycloField(n)
         return f
 
-    def _reduce(self, p) -> tuple:
-        """The remainder of the coefficient list ``p`` modulo Phi_{6n}:
-        from the top degree k >= d down, subtract p[k] x^(k-d) Phi.  A
-        coefficient +-1 (every one for n < 35) skips the rational product."""
-        d = self.d
-        p = list(p) + [0] * (d - len(p))
-        for k in range(len(p) - 1, d - 1, -1):
-            c = p[k]
-            if c:
-                for i, a in self._phi_terms:
-                    if a == -1:
-                        p[k - d + i] += c
-                    else:
-                        p[k - d + i] -= c if a == 1 else c * a
-        return tuple(p[:d])
-
     # -- element constructors -----------------------------------------
 
     def zero(self) -> "Cyclo":
         return Cyclo(self, (0,) * self.d)
 
     def one(self) -> "Cyclo":
-        return Cyclo(self, self._reduce([1]))
+        return Cyclo(self, _reduce([1], self.d, self._phi_terms))
 
     def from_laurent(self, x: Laurent) -> "Cyclo":
         p = [0] * self.order
         for e, coeff in x.c.items():
             p[e % self.order] += coeff
-        return Cyclo(self, self._reduce(p))
+        return Cyclo(self, _reduce(p, self.d, self._phi_terms))
 
     def from_coeffs(self, coeffs) -> "Cyclo":
-        return Cyclo(self, self._reduce([_frac(c) for c in coeffs]))
+        return Cyclo(self, _reduce([_frac(c) for c in coeffs], self.d, self._phi_terms))
 
-    # -- internal polynomial helpers ----------------------------------
-
-    def _mul_vec(self, a, b):
-        return self._reduce(_poly_mul(a, b))
-
-    def _inv_vec(self, a):
-        # extended Euclid in Q[x] against Phi_{6n}
-        r0, r1 = self._phi_coeffs, a
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 = gcd (a constant, since Phi is irreducible and a != 0 mod Phi)
-        if _poly_deg(r0) != 0:
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        inv_lead = Fraction(1) / r0[0]
-        return self._reduce([c * inv_lead for c in s0])
+    def inv_alpha_power(self, m: int) -> "Cyclo":
+        """[3]^(-m), inverted once per field and ``m``."""
+        c = self._inv_alpha.get(m)
+        if c is None:
+            c = self._inv_alpha[m] = self.from_laurent(alpha() ** m).inv()
+        return c
 
 
 # Polynomials are coefficient lists, constant term first; the helpers
 # below work over Z (int entries) and Q (Fraction entries) alike.
+
+
+def _reduce(p, d: int, terms) -> tuple:
+    """The remainder of the coefficient list ``p`` modulo a monic integer
+    polynomial of degree ``d``, given by ``terms``, its nonzero (i, a_i)
+    below the leading 1: from the top degree k >= d down, subtract
+    p[k] x^(k-d) times the modulus.  A coefficient +-1 (every one of
+    Phi_{6n} for n < 35) skips the product."""
+    p = list(p) + [0] * (d - len(p))
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for i, a in terms:
+                if a == -1:
+                    p[k - d + i] += c
+                else:
+                    p[k - d + i] -= c if a == 1 else c * a
+    return tuple(p[:d])
+
+
+def _inverse(a, modulus, terms) -> tuple:
+    """The inverse of ``a`` modulo the irreducible monic ``modulus`` (whose
+    ``terms`` are as in ``_reduce``), by extended Euclid in Q[x]."""
+    r0, r1 = modulus, a
+    s0, s1 = [0], [1]
+    while any(r1):
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    # r0 = gcd (a constant, since the modulus is irreducible and a != 0 mod it)
+    if _poly_deg(r0) != 0:
+        raise ZeroDivisionError("inverse of zero")
+    inv_lead = Fraction(1) / r0[0]
+    return _reduce([c * inv_lead for c in s0], len(modulus) - 1, terms)
 
 
 @functools.cache
@@ -410,12 +428,14 @@ class Cyclo:
 
     def __mul__(self, other):
         other = self._check(other)
-        return Cyclo(self.field, self.field._mul_vec(self.v, other.v))
+        f = self.field
+        return Cyclo(f, _reduce(_poly_mul(self.v, other.v), f.d, f._phi_terms))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        return Cyclo(self.field, self.field._inv_vec(self.v))
+        f = self.field
+        return Cyclo(f, _inverse(self.v, f._phi_coeffs, f._phi_terms))
 
     def __truediv__(self, other):
         return self * self._check(other).inv()
@@ -437,7 +457,7 @@ class Cyclo:
         p = [0] * f.order
         for i, c in enumerate(self.v):
             p[(-i) % f.order] += c
-        return Cyclo(f, f._reduce(p))
+        return Cyclo(f, _reduce(p, f.d, f._phi_terms))
 
     def to_complex(self) -> complex:
         z = self.field._zeta_complex
@@ -461,3 +481,129 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo(n={self.field.n}, {self.to_complex():.6g})"
+
+
+# ---------------------------------------------------------------------------
+# The ring Z[2cos(pi/n)] = Z[x]/psi_n
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _chebyshev(k: int) -> tuple:
+    """Integer coefficients of P_k, where q^k + q^(-k) = P_k(q + q^(-1)):
+    P_0 = 2, P_1 = x and P_(k+1) = x P_k - P_(k-1)."""
+    if k < 2:
+        return ((2,), (0, 1))[k]
+    a, b = _chebyshev(k - 1), _chebyshev(k - 2) + (0, 0)
+    return tuple((a[i - 1] if i else 0) - b[i] for i in range(k + 1))
+
+
+def _in_x(half: dict) -> list:
+    """The coefficients in x = q + q^(-1) of c_0 + sum_(k>0) c_k (q^k + q^(-k)),
+    given ``half`` = {k: c_k} over k >= 0."""
+    out = [0] * (max(half, default=0) + 1)
+    for k, c in half.items():
+        for i, a in enumerate(_chebyshev(k) if k else (1,)):
+            out[i] += c * a
+    return out
+
+
+class RealCycloRing:
+    """The ring Z[x]/psi_n with x = q + q^(-1) = 2cos(pi/n).
+
+    psi_n is the minimal polynomial of 2cos(pi/n): q^(-d/2) Phi_{2n}(q),
+    with d = phi(2n), rewritten in x.  It is monic, integer and
+    irreducible, of degree d/2.  Elements are integer coefficient tuples
+    over 1, x, ..., x^(d/2 - 1), reduced by the same ``_reduce`` as
+    ``CycloField``; since Z[x]/psi_n embeds in the field Q[x]/psi_n, an
+    element is zero exactly when its coefficients are.
+
+    Every closed web evaluates to an integer polynomial in [2] and [3],
+    which lies in this ring.  ``from_laurent`` converts such a value and
+    raises ArithmeticError on anything else.
+    """
+
+    _cache: dict[int, "RealCycloRing"] = {}
+
+    def __init__(self, n: int):
+        if n < 4:
+            raise ValueError("root order n must be >= 4 (A^(n) undefined below 4)")
+        self.n = n
+        phi = cyclotomic(2 * n)
+        h = (len(phi) - 1) // 2
+        self.psi = tuple(_in_x({k: phi[h + k] for k in range(h + 1)}))
+        self.d = h
+        self._psi_terms = [(i, c) for i, c in enumerate(self.psi[:-1]) if c]
+
+    @classmethod
+    def get(cls, n: int) -> "RealCycloRing":
+        r = cls._cache.get(n)
+        if r is None:
+            r = cls._cache[n] = RealCycloRing(n)
+        return r
+
+    def from_laurent(self, x: Laurent) -> "RealCyclo":
+        """The value of ``x`` at q = e^(i pi/n).  ArithmeticError unless
+        ``x`` is a polynomial in q (every t-exponent a multiple of 3) with
+        integer coefficients that is symmetric under q -> q^(-1)."""
+        half = {}
+        for e, v in x.c.items():
+            k, r = divmod(e, 3)
+            if r:
+                raise ArithmeticError(f"t^{e} is not a power of q")
+            if v.denominator != 1:
+                raise ArithmeticError(f"coefficient {v} is not an integer")
+            if x.c.get(-e) != v:
+                raise ArithmeticError("not symmetric under q -> q^(-1)")
+            if k >= 0:
+                half[k] = v.numerator
+        return RealCyclo(self, _reduce(_in_x(half), self.d, self._psi_terms))
+
+
+class RealCyclo:
+    """An element of Z[x]/psi_n, reduced mod psi_n."""
+
+    __slots__ = ("ring", "v")
+
+    def __init__(self, ring: RealCycloRing, v):
+        self.ring = ring
+        self.v = tuple(v)
+
+    def _check(self, other) -> "RealCyclo":
+        if not isinstance(other, RealCyclo) or other.ring.n != self.ring.n:
+            raise TypeError("root order mismatch")
+        return other
+
+    def __sub__(self, other):
+        other = self._check(other)
+        return RealCyclo(self.ring, tuple(a - b for a, b in zip(self.v, other.v)))
+
+    def __mul__(self, other):
+        other = self._check(other)
+        r = self.ring
+        return RealCyclo(r, _reduce(_poly_mul(self.v, other.v), r.d, r._psi_terms))
+
+    def __floordiv__(self, k: int) -> "RealCyclo":
+        """Exact division by the integer ``k``; ArithmeticError unless ``k``
+        divides every coefficient."""
+        if any(c % k for c in self.v):
+            raise ArithmeticError(f"{k} does not divide {self!r}")
+        return RealCyclo(self.ring, tuple(c // k for c in self.v))
+
+    def scaled_inverse(self) -> tuple["RealCyclo", int]:
+        """(b, k) with b in Z[x]/psi_n, k a positive integer and self * b = k."""
+        r = self.ring
+        inv = _inverse(self.v, r.psi, r._psi_terms)
+        k = math.lcm(*(c.denominator for c in inv))
+        return RealCyclo(r, [int(c * k) for c in inv]), k
+
+    def is_zero(self) -> bool:
+        return not any(self.v)
+
+    def __eq__(self, other):
+        if not isinstance(other, RealCyclo):
+            return NotImplemented
+        return self.ring.n == other.ring.n and self.v == other.v
+
+    def __repr__(self):
+        return f"RealCyclo(n={self.ring.n}, {self.v})"

@@ -25,13 +25,14 @@ from a2planar.algebra import (
     inner_product,
     mult,
     quotient_dim,
+    real_cyclo_rank,
     trace_left,
     trace_right,
     wsum,
 )
 from a2planar.oracle import walk_dim_truncated
 from a2planar.rewrite import enumerate_basis, find_redexes, normalize
-from a2planar.scalar import CycloField, Laurent, alpha, delta, qint
+from a2planar.scalar import CycloField, Laurent, RealCycloRing, alpha, delta, qint
 from a2planar.web import WebError, crossing_web, flip, identity_web, wgen_web
 
 
@@ -299,6 +300,29 @@ def test_cyclo_rank_degenerate():
     assert cyclo_rank([[o, o], [o, o]]) == 1
     assert cyclo_rank([[z, z], [z, z]]) == 0
     assert cyclo_rank([[o, z], [z, o]]) == 2
+
+
+def test_real_cyclo_rank_degenerate():
+    ring = RealCycloRing.get(5)
+    z, o = ring.from_laurent(Laurent.zero()), ring.from_laurent(Laurent.one())
+    assert real_cyclo_rank([]) == 0
+    assert real_cyclo_rank([[o, o], [o, o]]) == 1
+    assert real_cyclo_rank([[z, z], [z, z]]) == 0
+    assert real_cyclo_rank([[o, z], [z, o]]) == 2
+    assert real_cyclo_rank([[z, o], [o, z]]) == 2
+
+
+@pytest.mark.parametrize("sigma, n, rank", [
+    ("--++", 4, 1), ("-+-+", 4, 1), ("---+++", 4, 1), ("---+++", 5, 5),
+    ("--+-++", 5, 5), ("-+-+-+", 5, 5), ("+-+-+-", 5, 5), ("-+-+-+-+", 5, 13),
+    ("-+-+-+-+", 6, 22), ("--+-++-+", 5, 13),
+    ("--++", 5, 2), ("---+++", 6, 6), ("-+-+-+", 6, 6), ("--+-++-+", 7, 23),
+])
+def test_real_cyclo_rank_matches_cyclo_rank(sigma, n, rank):
+    """The rank over Z[2cos(pi/n)] against elimination in Q(zeta_6n), on
+    10 rank-deficient and 4 full-rank Gram matrices."""
+    _, rows = gram(sigma, n)
+    assert quotient_dim(sigma, n) == cyclo_rank(rows) == rank
 
 
 # -- property-based checks ------------------------------------------------

@@ -298,6 +298,22 @@ def test_cells_solve_reports_failed_certificate(runner, argv):
     assert_failed_check(run(runner, ["cells", "solve", *argv]))
 
 
+@pytest.mark.parametrize("command", ["connection", "flat", "zmap"])
+def test_cell_commands_report_failed_certificate(runner, tmp_path, command):
+    """The other commands that solve cells report the missed certificate at
+    ``--n 31`` the way ``cells solve`` does, before any work of their own."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
+    argv = {
+        "connection": ["connection", "check"],
+        "flat": ["flat", "check"],
+        "zmap": ["zmap", "--strips", str(f), "--i", "1", "--j", "2"],
+    }[command]
+    result = run(runner, [*argv, "--n", "31"])
+    assert_failed_check(result)
+    assert report(result)["checks"][0]["id"] == "frame_equations"
+
+
 def test_cells_solve_reports_stalled_solver(runner, tmp_path, monkeypatch):
     """A least-squares solve that never moves from its start fails the
     ``frame_equations`` check after all 12 restarts."""

@@ -193,6 +193,25 @@ def test_f13_relations(n):
     assert all(ok for _, ok in report)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_f13_relations_report(n):
+    """The whole report, checks and outcomes, for the 3-strand hexagon."""
+    want = [
+        "(f1_3)^2 = [2] f1_3 + (c1 + c2) + (c1 c2 + c2 c1)",
+        "c1 f1_3 = [2] c1 + [2] c1 c2",
+        "c2 f1_3 = [2] c2 + [2] c2 c1",
+        "c1 f1_3 c1 = [2]^3 c1",
+        "f1_3 c1 f1_3 = [2]^2 (c1 + c2 + c1 c2 + c2 c1)",
+        "c2 f1_3 c2 = [2]^3 c2",
+        "f1_3 c2 f1_3 = [2]^2 (c1 + c2 + c1 c2 + c2 c1)",
+        f"cup-cap subalgebra rank 5 at n={n}",
+        f"rank with hexagonal element = {5 if n == 5 else 6} at n={n}",
+    ]
+    if n == 5:
+        want.append("f1_3 = [3] - c1 - c2 + [3](c1 c2 + c2 c1) mod null at n=5")
+    assert f13_relations(3, n) == [(name, True) for name in want]
+
+
 def test_f13_relations_wider_strip():
     assert all(ok for _, ok in f13_relations(4, 7))
 

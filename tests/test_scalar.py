@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from a2planar.scalar import (
     Cyclo,
     CycloField,
     Laurent,
+    RealCycloRing,
     _poly_divmod,
     _poly_mul,
     alpha,
@@ -183,3 +185,67 @@ def test_cyclotomic_6n(n):
     assert len(phi) - 1 == sum(1 for k in range(1, big + 1) if math.gcd(k, big) == 1)
     z = cmath.exp(2j * cmath.pi / big)
     assert abs(sum(c * z**k for k, c in enumerate(phi))) < 1e-6
+
+
+# -- the ring Z[2cos(pi/n)] -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_real_cyclotomic_modulus(n):
+    """psi_n is monic of degree phi(2n)/2, and 2cos(pi/n) lies within 1e-12
+    of one of its roots: a Newton step from it, taken in 50 digits, is
+    shorter than that."""
+    psi = RealCycloRing.get(n).psi
+    assert psi[-1] == 1
+    assert len(psi) - 1 == sum(1 for k in range(1, 2 * n + 1) if math.gcd(k, 2 * n) == 1) // 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(2 * math.cos(math.pi / n))
+        value = sum(c * x**i for i, c in enumerate(psi))
+        slope = sum(i * c * x ** (i - 1) for i, c in enumerate(psi) if i)
+        assert abs(value / slope) < decimal.Decimal("1e-12")
+
+
+@pytest.mark.parametrize("x", [
+    Laurent.t(1) + Laurent.t(-1),
+    Laurent({0: Fraction(1, 2)}),
+    Laurent.q(1) - Laurent.q(-1),
+], ids=["t-exponent", "half", "q-minus-inverse"])
+def test_real_from_laurent_rejects(x):
+    with pytest.raises(ArithmeticError):
+        RealCycloRing.get(7).from_laurent(x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 8, 12])
+def test_real_from_laurent_values(n):
+    """On integer polynomials in [2] and [3], the conversion is a ring
+    homomorphism, and its value at x = 2cos(pi/n) is the value at the root."""
+    ring = RealCycloRing.get(n)
+    x = 2 * math.cos(math.pi / n)
+    rng = random.Random(n)
+    for _ in range(10):
+        a, b = (
+            sum((delta() ** rng.randrange(4) * alpha() ** rng.randrange(3) * rng.randrange(-5, 6)
+                 for _ in range(3)), Laurent.zero())
+            for _ in range(2)
+        )
+        ra, rb = ring.from_laurent(a), ring.from_laurent(b)
+        assert ring.from_laurent(a * b) == ra * rb
+        assert ring.from_laurent(a - b) == ra - rb
+        assert abs(sum(c * x**i for i, c in enumerate(ra.v)) - a.complex_at(n).real) < 1e-9
+    assert ring.from_laurent(qint(n)).is_zero()
+
+
+def test_real_scaled_inverse_and_exact_division():
+    ring = RealCycloRing.get(7)
+    two, three = (ring.from_laurent(Laurent.from_int(k)) for k in (2, 3))
+    for x in (Laurent.one(), delta(), alpha() + 2, delta() ** 3 - 3 * alpha()):
+        a = ring.from_laurent(x)
+        b, k = a.scaled_inverse()
+        assert k > 0 and a * b == ring.from_laurent(Laurent.from_int(k))
+        assert (a * three) // 3 == a
+    assert ring.from_laurent(delta()).scaled_inverse()[1] == 1  # [2] = 2cos(pi/7) is a unit
+    with pytest.raises(ArithmeticError):
+        two // 3
+    with pytest.raises(ZeroDivisionError):
+        ring.from_laurent(Laurent.zero()).scaled_inverse()
