@@ -360,15 +360,16 @@ def real_cyclo_rank(rows) -> int:
     previous pivot.  The division is exact, because every entry is then a
     minor of the matrix (Sylvester's identity), so the entries stay in
     Z[x]/psi_n and grow only as the minors do.  It is taken as a product
-    with b and an exact division by the integer k, where p' b = k.  An
-    entry is zero exactly when its reduced coefficients are, since psi_n
-    is irreducible.
+    with b and an exact division by the integer k, where p' b = k, so each
+    entry is one ``RealCyclo.cross``, (p b x - a b y) // k; before the
+    first pivot b = k = 1.  An entry is zero exactly when its reduced
+    coefficients are, since psi_n is irreducible.
     """
     mat = [list(r) for r in rows]
     rank = 0
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    b = None  # p' b = k for the previous pivot p'
+    b, k = None, 1  # p' b = k for the previous pivot p'
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
         if piv is None:
@@ -376,14 +377,12 @@ def real_cyclo_rank(rows) -> int:
         mat[rank], mat[piv] = mat[piv], mat[rank]
         top = mat[rank]
         p = top[col]
+        pb = p if b is None else p * b
         for r in range(rank + 1, nrows):
-            a = mat[r][col]
-            if b is None:
-                new = [p * x - a * y for x, y in zip(mat[r][col + 1:], top[col + 1:])]
-            else:
-                pb, ab = p * b, a * b
-                new = [(pb * x - ab * y) // k for x, y in zip(mat[r][col + 1:], top[col + 1:])]
-            mat[r][col + 1:] = new  # columns up to col are never read again
+            row = mat[r]
+            ab = row[col] if b is None else row[col] * b
+            # columns up to col are never read again
+            row[col + 1:] = [pb.cross(x, ab, y, k) for x, y in zip(row[col + 1:], top[col + 1:])]
         b, k = p.scaled_inverse()
         rank += 1
     return rank

@@ -159,16 +159,33 @@ def _tol(ctx, param, value: float) -> float:
     return value
 
 
-def _certified_cells(g, rep: Report):
-    """The cells of ``g``.  If they miss their slow-route certificate, emit
-    ``rep`` with a failed ``frame_equations`` check and exit 1."""
+def _fail(rep: Report, check_id: str, residual: float):
+    """Emit ``rep`` with a failed check ``check_id`` and exit 1."""
+    rep.add(check_id, False, residual=residual)
+    sys.exit(rep.emit())
+
+
+def _solve_cells(g, rep: Report, tol: float = 1e-10):
+    """``graph.solve_cells(g, tol)``.  If the Perron-Frobenius weights of
+    ``g`` fail their cross-check, fail a ``perron_frobenius`` check with
+    the disagreement."""
     from . import graph
 
     try:
-        return graph.solve_cells(g)
+        return graph.solve_cells(g, tol=tol)
+    except graph.EigenvectorMismatch as exc:
+        _fail(rep, "perron_frobenius", exc.residual)
+
+
+def _certified_cells(g, rep: Report):
+    """The cells of ``g``.  If they miss their slow-route certificate, fail
+    a ``frame_equations`` check with the residual."""
+    from . import graph
+
+    try:
+        return _solve_cells(g, rep)
     except graph.UncertifiedCells as exc:
-        rep.add("frame_equations", False, residual=exc.cells.residual)
-        sys.exit(rep.emit())
+        _fail(rep, "frame_equations", exc.cells.residual)
 
 
 @click.group()
@@ -331,7 +348,7 @@ def cells_solve_cmd(n, graph_file, tol):
     g = _graph_option(n, graph_file)
     rep = Report("cells:solve", n=g.n, graph=g.name or graph_file, tol=tol)
     try:
-        cells = graph.solve_cells(g, tol=tol)
+        cells = _solve_cells(g, rep, tol)
     except graph.UncertifiedCells as exc:
         cells = exc.cells
     rep.add("frame_equations", cells.residual < tol, residual=cells.residual)

@@ -47,6 +47,7 @@ __all__ = [
     "triangles",
     "solve_cells",
     "UncertifiedCells",
+    "EigenvectorMismatch",
     "CellSystem",
     "boltzmann_U",
     "type_I_residual",
@@ -217,7 +218,8 @@ def pf_eigen(g: FusionGraph) -> dict:
     For the weight-lattice graphs the entries are computed in closed
     form, phi_(a,b) = [a+1][b+1][a+b+2]/[2]; for any graph they are
     cross-checked against (or, for JSON graphs, obtained from) a dense
-    eigensolve.  The eigenvalue must be [3] to 1e-12.
+    eigensolve, and ``EigenvectorMismatch`` is raised when they differ by
+    more than 1e-9.  The eigenvalue must be [3] to 1e-12.
     """
     n = g.n
     adj = g.adjacency()
@@ -234,8 +236,9 @@ def pf_eigen(g: FusionGraph) -> dict:
             (a, b): qnum(a + 1, n) * qnum(b + 1, n) * qnum(a + b + 2, n) / qnum(2, n)
             for a, b in g.vertices
         }
-        if max(abs(closed[v] - phi[v]) for v in g.vertices) > 1e-9:
-            raise ValueError("closed-form eigenvector disagrees with eigensolve")
+        gap = max(abs(closed[v] - phi[v]) for v in g.vertices)
+        if gap > 1e-9:
+            raise EigenvectorMismatch(gap)
         phi = closed
     res = max(
         abs(sum(phi[g.range(e)] for e in g.out_edges[v]) - qnum(3, n) * phi[v])
@@ -244,6 +247,16 @@ def pf_eigen(g: FusionGraph) -> dict:
     if res > 1e-10:
         raise ValueError(f"eigen-residual {res:.2e}")
     return phi
+
+
+class EigenvectorMismatch(ValueError):
+    """Raised by ``pf_eigen`` when the closed-form weights of a
+    weight-lattice graph differ from the eigensolve by more than 1e-9;
+    ``residual`` is the largest difference."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"closed-form eigenvector disagrees with eigensolve by {residual:.2e}")
+        self.residual = residual
 
 
 def _weight_lattice(g: FusionGraph) -> bool:

@@ -5,7 +5,12 @@ Three scalar domains:
 * :class:`Laurent` -- Laurent polynomials in ``t = q^(1/3)`` with rational
   coefficients.  This ring houses every coefficient produced by web
   normalization and crossing expansion (``q``, ``q^(1/3)``, ``q^(8/3)``,
-  the quantum integers, ...).
+  the quantum integers, ...).  The constructor stores a coefficient as
+  an ``int`` when it is integral and as a ``Fraction`` only otherwise, so
+  the integer spider and crossing rules stay in ``int`` arithmetic.  Both
+  types carry ``numerator`` and ``denominator``, and an integral
+  ``Fraction`` left by Fraction arithmetic compares, hashes and
+  serializes like the ``int``.
 * :class:`Cyclo` -- elements of the cyclotomic field Q(zeta) with
   ``zeta = e^(i*pi/3n)`` a primitive ``6n``-th root of unity, so that
   ``q = zeta^3 = e^(i*pi/n)`` and ``t = zeta`` exactly.  Used for the
@@ -19,7 +24,9 @@ Three scalar domains:
 Both root-of-unity domains reduce with one routine, ``_reduce``, which
 takes the monic integer modulus (Phi_{6n} or psi_n): a Laurent polynomial
 puts each t^e at e mod 6n (or rewrites q^k + q^(-k) in x) first, a
-product or conjugate reduces its coefficient list.
+product or conjugate reduces its coefficient list.  ``RealCyclo.cross``,
+the Bareiss update (p x - a y) // k, sums both products into one list
+before its one reduction.
 
 All values are immutable; operations are pure.
 """
@@ -37,18 +44,21 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x) -> int | Fraction:
+    """``x`` as an exact rational: an ``int`` when it is integral, else a
+    ``Fraction``."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class Laurent:
-    """Sparse Laurent polynomial in t = q^(1/3) over Q."""
+    """Sparse Laurent polynomial in t = q^(1/3) over Q: ``c`` maps each
+    exponent to a nonzero ``int`` or ``Fraction``."""
 
     __slots__ = ("c",)
 
@@ -134,7 +144,7 @@ class Laurent:
         if k < 0:
             if len(self.c) == 1:
                 ((e, v),) = self.c.items()
-                return Laurent({e * k: v**k})
+                return Laurent({e * k: Fraction(v) ** k})
             raise ValueError("negative powers only defined for monomials")
         acc = Laurent.one()
         base = self
@@ -589,6 +599,21 @@ class RealCyclo:
         if any(c % k for c in self.v):
             raise ArithmeticError(f"{k} does not divide {self!r}")
         return RealCyclo(self.ring, tuple(c // k for c in self.v))
+
+    def cross(self, x: "RealCyclo", a: "RealCyclo", y: "RealCyclo", k: int = 1) -> "RealCyclo":
+        """(self * x - a * y) // k, the Bareiss update: both products summed
+        into one coefficient list, one reduction mod psi_n and one exact
+        division by the integer ``k``; ArithmeticError unless ``k`` divides
+        every coefficient.  All four elements lie in the same ring."""
+        out = _poly_mul(self.v, x.v)
+        yv = y.v
+        for i, ai in enumerate(a.v):
+            if ai:
+                for j, yj in enumerate(yv):
+                    out[i + j] -= ai * yj
+        r = self.ring
+        fused = RealCyclo(r, _reduce(out, r.d, r._psi_terms))
+        return fused if k == 1 else fused // k
 
     def scaled_inverse(self) -> tuple["RealCyclo", int]:
         """(b, k) with b in Z[x]/psi_n, k a positive integer and self * b = k."""

@@ -253,71 +253,86 @@ class Web:
 
         Deterministic traversal anchored at the boundary; internal vertex
         slots are read relative to the arrival slot, so the key depends only
-        on the cyclic rotation data.
+        on the cyclic rotation data.  A closed component is keyed by
+        ``(kind of v, code)`` minimized over its root darts (v, s), where
+        code is the traversal from the port across (v, s).  Every code of a
+        component has the same length, one symbol per port, so the minimum
+        is found symbol by symbol: only darts at vertices of the least kind
+        are tried, and a traversal stops at the first symbol above the best
+        code's symbol at that position.
         """
         if self._key is not None:
             return self._key
+        verts = self.verts
+        valence = {v: _VALENCE[k] for v, k in verts.items()}
         adj = {}
         for a, b in self.edges:
             adj[a] = (b, 1)
             adj[b] = (a, 0)
 
-        def component_code(seed_ports):
+        # turn[v]: the far ends of v's ports in rotation order, twice over,
+        # so that a slice starting at any slot reads one full turn
+        turn = {v: [adj[(v, s)] for s in range(k)] * 2 for v, k in valence.items()}
+
+        def component_code(seed, best=None):
+            """The traversal code from the far ends ``seed`` of the seed
+            ports, and its vertices in visiting order; None as soon as the
+            code exceeds ``best``, a code of the same length, or once it ends
+            equal to it."""
             newid = {}
             arrival = {}
             order = []
             code = []
-
-            def enc(p):
-                node, slot = p
-                if slot == -1:
-                    return ("b", node)
-                if node not in newid:
-                    newid[node] = len(newid)
-                    arrival[node] = slot
-                    order.append(node)
-                    return ("n", newid[node], self.verts[node])
-                rel = (slot - arrival[node]) % self.valence(node)
-                return ("o", newid[node], rel)
-
-            for p in seed_ports:
-                other, d = adj[p]
-                code.append((d, enc(other)))
+            tie = best is not None
+            ends = seed
             i = 0
-            while i < len(order):
+            while True:
+                for (node, slot), d in ends:
+                    if slot == -1:
+                        sym = (d, ("b", node))
+                    elif node in newid:
+                        sym = (d, ("o", newid[node], (slot - arrival[node]) % valence[node]))
+                    else:
+                        newid[node] = len(newid)
+                        arrival[node] = slot
+                        order.append(node)
+                        sym = (d, ("n", newid[node], verts[node]))
+                    if tie:
+                        b = best[len(code)]
+                        if sym != b:
+                            if sym > b:
+                                return None
+                            tie = False
+                    code.append(sym)
+                if i == len(order):
+                    break
                 v = order[i]
                 i += 1
                 a0 = arrival[v]
-                val = self.valence(v)
-                for off in range(val):
-                    other, d = adj[(v, (a0 + off) % val)]
-                    code.append((d, enc(other)))
-            return tuple(code), set(order)
+                ends = turn[v][a0:a0 + valence[v]]
+            return None if tie else (tuple(code), order)
 
-        code, visited = component_code([(k, -1) for k in range(self.m) if (k, -1) in adj])
-        rest = set(self.verts) - visited
+        code, visited = component_code([adj[(k, -1)] for k in range(self.m) if (k, -1) in adj])
+        rest = set(verts).difference(visited)
         comp_codes = []
         while rest:
-            v0 = next(iter(rest))
-            best = None
-            # canonical root of a closed component: minimum over root darts
-            stack = [v0]
+            stack = [next(iter(rest))]
             comp = set()
             while stack:
                 v = stack.pop()
                 if v in comp:
                     continue
                 comp.add(v)
-                for s in range(self.valence(v)):
-                    other, _ = adj[(v, s)]
-                    if other[1] != -1:
-                        stack.append(other[0])
-            for v in sorted(comp):
-                for s in range(self.valence(v)):
-                    c = (self.verts[v], component_code([(v, s)])[0])
-                    if best is None or c < best:
-                        best = c
-            comp_codes.append(best)
+                stack.extend(node for (node, slot), _ in turn[v][:valence[v]] if slot != -1)
+            kind = min(verts[v] for v in comp)
+            best = None
+            for v in comp:
+                if verts[v] == kind:
+                    for end in turn[v][:valence[v]]:
+                        found = component_code([end], best)
+                        if found is not None:
+                            best = found[0]
+            comp_codes.append((kind, best))
             rest -= comp
         comp_codes.sort()
         self._key = (self.top, self.bot, self.loops, code, tuple(comp_codes))

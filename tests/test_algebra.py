@@ -294,6 +294,10 @@ def test_rank_matches_walk_oracle_on_the_23_web_word():
         assert quotient_dim("--+-++-+", n) == walk_dim_truncated("--+-++-+", n) == 23
 
 
+def test_rank_matches_walk_oracle_at_length_10():
+    assert quotient_dim("-+-+-+-+-+", 7) == walk_dim_truncated("-+-+-+-+-+", 7) == 102
+
+
 def test_cyclo_rank_degenerate():
     f = CycloField.get(5)
     z, o = f.zero(), f.one()

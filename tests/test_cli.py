@@ -314,6 +314,29 @@ def test_cell_commands_report_failed_certificate(runner, tmp_path, command):
     assert report(result)["checks"][0]["id"] == "frame_equations"
 
 
+@pytest.mark.parametrize("command", ["cells", "connection", "flat", "zmap"])
+def test_cell_commands_report_eigenvector_mismatch(runner, tmp_path, command):
+    """From about ``--n 36`` the eigensolve's roundoff can put the
+    closed-form Perron-Frobenius weights more than the absolute bound 1e-9
+    away; every command that solves cells reports that as a failed check,
+    not a traceback.  The gap depends on the BLAS threads (1.07e-9 or
+    below 1e-9 at n = 36); at n = 46 it is 2.7e-9 with one and 3.1e-9
+    with two."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
+    argv = {
+        "cells": ["cells", "solve"],
+        "connection": ["connection", "check"],
+        "flat": ["flat", "check"],
+        "zmap": ["zmap", "--strips", str(f), "--i", "1", "--j", "2"],
+    }[command]
+    result = run(runner, [*argv, "--n", "46"])
+    assert_failed_check(result)
+    (check,) = report(result)["checks"]
+    assert check["id"] == "perron_frobenius"
+    assert check["residual"] > 1e-9
+
+
 def test_cells_solve_reports_stalled_solver(runner, tmp_path, monkeypatch):
     """A least-squares solve that never moves from its start fails the
     ``frame_equations`` check after all 12 restarts."""

@@ -12,6 +12,7 @@ from a2planar.scalar import (
     Cyclo,
     CycloField,
     Laurent,
+    RealCyclo,
     RealCycloRing,
     _poly_divmod,
     _poly_mul,
@@ -54,6 +55,17 @@ class TestLaurent:
     def test_json_round_trip(self):
         x = Laurent.t(-4, Fraction(3, 7)) + 2
         assert Laurent.from_json(x.to_json()) == x
+
+    def test_negative_power_coefficient_is_exact(self):
+        (c,) = (Laurent.t(3, 2) ** -2).c.values()
+        assert type(c) is Fraction and c == Fraction(1, 4)
+        assert Laurent.t(3, -1) ** -3 == Laurent.t(-9, -1)
+
+    def test_json_keeps_integral_coefficients_integer(self):
+        doc = {"laurent": {"-1": "1/2", "2": "3/1"}}
+        x = Laurent.from_json(doc)
+        assert x.to_json() == doc
+        assert x.c == {-1: Fraction(1, 2), 2: 3} and type(x.c[2]) is int
 
     @given(laurents(), laurents(), laurents())
     @settings(max_examples=60, deadline=None)
@@ -249,3 +261,24 @@ def test_real_scaled_inverse_and_exact_division():
         two // 3
     with pytest.raises(ZeroDivisionError):
         ring.from_laurent(Laurent.zero()).scaled_inverse()
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 12])
+def test_real_cross_is_the_two_product_update(n):
+    """``p.cross(x, a, y, k)`` against (p x - a y) // k taken with two
+    products, on seeded triples; with k dividing the update and without."""
+    ring = RealCycloRing.get(n)
+    rng = random.Random(n)
+
+    def rand(bits):
+        return RealCyclo(ring, [rng.randrange(-(1 << bits), 1 << bits) for _ in range(ring.d)])
+
+    for _ in range(50):
+        p, x, a, y = (rand(rng.choice((2, 40, 300))) for _ in range(4))
+        assert p.cross(x, a, y) == p * x - a * y
+        k = rng.randrange(2, 10**6)
+        pk, ak = (RealCyclo(ring, [k * c for c in e.v]) for e in (p, a))
+        assert pk.cross(x, ak, y, k) == (pk * x - ak * y) // k == p * x - a * y
+    one, zero = ring.from_laurent(Laurent.one()), ring.from_laurent(Laurent.zero())
+    with pytest.raises(ArithmeticError):
+        one.cross(one, zero, one, 2)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2planar.rewrite import enumerate_basis, random_reducible_web
 from a2planar.web import (
     Web,
     WebError,
@@ -212,3 +215,92 @@ class TestJson:
     def test_identity_round_trip(self, sigma):
         w = identity_web(sigma)
         assert Web.from_json(w.to_json()) == w
+
+
+# -- canonical keys against the exhaustive root search --------------------
+
+
+def exhaustive_key(w: Web):
+    """The canonical key with no pruning: a closed component's code is the
+    minimum of ``(kind, code)`` over every root dart of the component."""
+    adj = {}
+    for a, b in w.edges:
+        adj[a] = (b, 1)
+        adj[b] = (a, 0)
+
+    def component_code(seed_ports):
+        newid, arrival, order, code = {}, {}, [], []
+
+        def enc(p):
+            node, slot = p
+            if slot == -1:
+                return ("b", node)
+            if node not in newid:
+                newid[node] = len(newid)
+                arrival[node] = slot
+                order.append(node)
+                return ("n", newid[node], w.verts[node])
+            return ("o", newid[node], (slot - arrival[node]) % w.valence(node))
+
+        for p in seed_ports:
+            other, d = adj[p]
+            code.append((d, enc(other)))
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            a0, val = arrival[v], w.valence(v)
+            for off in range(val):
+                other, d = adj[(v, (a0 + off) % val)]
+                code.append((d, enc(other)))
+        return tuple(code), set(order)
+
+    code, visited = component_code([(k, -1) for k in range(w.m) if (k, -1) in adj])
+    rest = set(w.verts) - visited
+    comp_codes = []
+    while rest:
+        stack, comp = [next(iter(rest))], set()
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack.extend(adj[(v, s)][0][0] for s in range(w.valence(v))
+                             if adj[(v, s)][0][1] != -1)
+        comp_codes.append(min(
+            (w.verts[v], component_code([(v, s)])[0])
+            for v in comp for s in range(w.valence(v))
+        ))
+        rest -= comp
+    comp_codes.sort()
+    return (w.top, w.bot, w.loops, code, tuple(comp_codes))
+
+
+def _orbit(word: str) -> list:
+    """Every rotation of ``word``, of its reversal and of their sign flips."""
+    out = set()
+    for x in (word, word[::-1], flip(word), flip(word)[::-1]):
+        out.update(x[k:] + x[:k] for k in range(len(x)))
+    return sorted(out)
+
+
+DIAGRAM_WORDS = ("----++++", "-+-+-+-+", "--+--+++", "-----++")
+
+
+@pytest.mark.parametrize("sigma", [*DIAGRAM_WORDS, *_orbit("--+-++-+"), "-+-+-+-+-+"])
+def test_canonical_key_matches_exhaustive_search(sigma):
+    """Byte-identical keys on every basis web of ``sigma`` and every closed
+    web b_j* b_i (i <= j) of its Gram matrix."""
+    basis = enumerate_basis(sigma)
+    stars = [b.star() for b in basis]
+    closed = [stars[j].compose(b, check=False)
+              for i, b in enumerate(basis) for j in range(i, len(basis))]
+    for w in basis + closed:
+        assert repr(w.canonical_key()) == repr(exhaustive_key(w))
+
+
+def test_canonical_key_matches_exhaustive_search_on_random_webs():
+    rng = random.Random(2024)
+    for _ in range(500):
+        w = random_reducible_web(rng)
+        for x in (w, w.close_right()):
+            assert repr(x.canonical_key()) == repr(exhaustive_key(x))
