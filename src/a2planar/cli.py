@@ -9,9 +9,12 @@ Every subcommand prints a report of the form::
 and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
 malformed input files included.
 
-The diagram-side commands are exact and do not import numpy; the
-path-side commands import ``graph`` and ``pathalg``, and with them numpy,
-when they run.
+Each command imports the modules it runs when it runs, before its report
+starts, so ``--help`` loads none of them.  The diagram-side commands are
+exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
+``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
+f13`` load ``hecke``.  The path-side commands import ``graph`` and
+``pathalg``, and with them numpy and ``web``, and no other diagram module.
 """
 
 from __future__ import annotations
@@ -23,23 +26,6 @@ import sys
 import time
 
 import click
-
-from .algebra import (
-    WebSum,
-    check_braid,
-    check_frels,
-    check_hecke,
-    check_markov,
-    check_spherical,
-    check_su3,
-    gram as gram_rows,
-    quotient_dim,
-    trace_right,
-)
-from .hecke import decompose as hecke_decompose, f13_relations
-from .rewrite import normalize
-from .scalar import Laurent
-from .web import Web, WebError
 
 
 def _precision() -> int:
@@ -107,18 +93,22 @@ def _read_input(option: str, path: str, parse):
         raise _bad_file(option, path, exc) from None
 
 
-def _websum(rows) -> WebSum:
+def _websum(rows):
+    from .algebra import WebSum
+    from .scalar import Laurent
+    from .web import Web
+
     webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
     if not webs:
         raise ValueError("empty web sum")
     return WebSum(webs[0][0].top, webs[0][0].bot, webs)
 
 
-def _load_websum(path: str) -> WebSum:
+def _load_websum(path: str):
     return _read_input("--in", path, _websum)
 
 
-def _dump_websum(x: WebSum):
+def _dump_websum(x):
     return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]
 
 
@@ -202,6 +192,9 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def normalize_cmd(infile, out):
     """Reduce a web sum to its normal form."""
+    from .algebra import WebSum
+    from .rewrite import normalize
+
     rep = Report("normalize", infile=infile)
     x = _load_websum(infile)
     nf = normalize(list(x.terms.items()))
@@ -214,6 +207,8 @@ def normalize_cmd(infile, out):
 @click.option("--in", "infile", required=True, type=click.Path(exists=True))
 def trace_cmd(infile):
     """Closed-diagram trace of a web sum, as an exact Laurent polynomial."""
+    from .algebra import trace_right
+
     rep = Report("trace", infile=infile)
     x = _load_websum(infile)
     val = trace_right(x)
@@ -228,13 +223,15 @@ def trace_cmd(infile):
 @click.option("--rank", "want_rank", is_flag=True)
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
+    from .algebra import gram, quotient_dim
+
     rep = Report("gram", sigma=sigma, n=n)
     if want_rank:
         r = quotient_dim(sigma, n)
         rep.add("gram", True, residual=0)
         click.echo(str(r))
         sys.exit(rep.emit(None, payload={"rank": r}))
-    _, rows = gram_rows(sigma, n)
+    _, rows = gram(sigma, n)
     rep.add("gram", True, residual=0)
     payload = [[c.to_json() for c in row] for row in rows]
     sys.exit(rep.emit(None, payload=payload))
@@ -245,10 +242,13 @@ def gram_cmd(sigma, n, want_rank):
 @click.option("--max-len", default=8, type=click.IntRange(min=0))
 def decompose_cmd(infile, max_len):
     """Write a web sum as a word in the standard generators."""
+    from .hecke import decompose
+    from .web import WebError
+
     x = _load_websum(infile)
     rep = Report("decompose", infile=infile)
     try:
-        word = hecke_decompose(x, max_len=max_len)  # certifies evaluate(word) == x
+        word = decompose(x, max_len=max_len)  # certifies evaluate(word) == x
     except WebError as exc:
         raise _bad_file("--in", infile, exc) from None
     except ArithmeticError:
@@ -271,20 +271,25 @@ def relcheck_cmd(suite, m, n, seed, trials):
     """Run one of the exact relation suites."""
     import random
 
+    from . import algebra
+
     rep = Report("relcheck:" + suite, m=m, n=n, seed=seed, trials=trials)
     if suite == "hecke":
-        results = check_hecke(m)
+        results = algebra.check_hecke(m)
     elif suite == "su3":
-        results = check_su3(m)
+        results = algebra.check_su3(m)
     elif suite == "frels":
-        results = check_frels(m)
+        results = algebra.check_frels(m)
     elif suite == "markov":
-        results = check_markov(m, trials, random.Random(seed))
+        results = algebra.check_markov(m, trials, random.Random(seed))
     elif suite == "braid":
-        results = check_braid(m)
+        results = algebra.check_braid(m)
     elif suite == "spherical":
-        results = check_spherical()
+        results = algebra.check_spherical()
     else:
+        from .hecke import f13_relations
+
+        rep.start()
         results = f13_relations(3, n)
     for name, ok in results:
         rep.add(name, ok, residual=0 if ok else None)
@@ -455,6 +460,8 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
 @click.option("--n", required=True, type=click.IntRange(min=4))
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
+    from .algebra import quotient_dim
+
     rep = Report("quotient-dim", sigma=sigma, n=n)
     d = quotient_dim(sigma, n)
     rep.add("quotient_dim", True, residual=0)

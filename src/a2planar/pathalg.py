@@ -17,7 +17,10 @@ provides
   ladder, with unitarity and commuting-square residuals; it keeps one
   swap matrix per end vertex, so a single-square basis change is one
   conjugation per block,
-* the horizontal/vertical inclusions and a flatness report, and
+* the horizontal/vertical inclusions, and a flatness report that moves
+  B[v,0] up to level (v, h) by one product T of swap matrices per end
+  vertex and reads the commutators with the embedded B[0,h] off each
+  moved matrix unit, by the commutant of B[0,h], without forming them, and
 * ``present_Z``: evaluation of a diagram given as a word of horizontal
   strips (cups, caps, trivalent forks, labelled rectangles) as a vector
   of paths, together with builders for the named strip words.  A cup,
@@ -33,6 +36,7 @@ default comparison tolerance in the callers is 1e-10.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from types import MappingProxyType
 
@@ -188,9 +192,9 @@ class PathAlgElement:
 
     It is stored as one dense complex block per end vertex v, whose rows
     and columns follow ``index.paths[v]``.  ``index`` belongs to the sign
-    string of the level, except in the middle of ``horizontal_include``,
-    where the new horizontal step has been moved only partway past the
-    vertical ones.
+    string of the level, except after a ``basis_change`` that leaves a
+    horizontal step partway past the vertical ones, as in the middle of
+    ``horizontal_include``.
     """
 
     __slots__ = ("graph", "level", "index", "blocks")
@@ -585,6 +589,43 @@ def horizontal_include(g: FusionGraph, cells: CellSystem, x: PathAlgElement) -> 
     return y
 
 
+def _transport(g: FusionGraph, cells: CellSystem, vmax: int, hmax: int) -> dict:
+    """``horizontal_include`` applied ``hmax`` times to B[vmax,0], as one
+    matrix T per end vertex: x becomes T (x (x) 1) T^dagger.  The columns
+    of T follow the paths of ``level_signs(vmax, 0) + '-' * hmax`` and its
+    rows those of ``level_signs(vmax, hmax)``.  A swap acts on two steps
+    only, so appending every forward step first and then moving the k-th
+    one left past the vertical steps gives the same transport."""
+    signs = level_signs(vmax, 0) + "-" * hmax
+    T = {w: np.eye(len(ps), dtype=complex) for w, ps in path_index(g, signs).paths.items()}
+    for k in range(hmax):
+        for t in range(vmax + k - 1, k - 1, -1):
+            # a forward vertical step crosses an even square, a reverse one an odd
+            conn = connection(g, cells, "even" if signs[t] == "-" else "odd")
+            T = {w: S @ T[w] for w, S in conn.swap(signs, t, False).items()}
+            signs = signs[:t] + "-" + signs[t] + signs[t + 2:]
+    return T
+
+
+def _prefix_blocks(g: FusionGraph, index: PathIndex, hmax: int) -> dict:
+    """Per end vertex of a level-(v, hmax) index: the mask of the entries
+    whose row and column paths have different horizontal prefixes, and for
+    each vertex where two or more prefixes end, the rows of those prefixes
+    as a (prefix, tail) array, each row of it in the order of the tails."""
+    out = {}
+    for w, ps in index.paths.items():
+        rows: dict = {}  # prefix -> {tail: row}
+        for r, p in enumerate(ps):
+            rows.setdefault(p[:hmax], {})[p[hmax:]] = r
+        label = np.empty(len(ps), dtype=int)
+        by_end: dict = {}
+        for k, (prefix, tails) in enumerate(rows.items()):
+            label[list(tails.values())] = k
+            by_end.setdefault(path_range(g, prefix), []).append([r for _, r in sorted(tails.items())])
+        out[w] = (label[:, None] != label, [np.array(R) for R in by_end.values() if len(R) > 1])
+    return out
+
+
 def flatness_check(
     g: FusionGraph,
     cells: CellSystem,
@@ -592,37 +633,45 @@ def flatness_check(
     vmax: int,
 ) -> dict:
     """Max commutator norm between B[vmax,0] and B[0,hmax] inside
-    B[vmax,hmax].  Report only; a flat connection gives ~0."""
-    # Each b is an embedded matrix unit, nonzero only in a few rows R and
-    # columns C of each block, so ab - ba vanishes outside the rows R and
-    # the columns C.  Both sides are closed under the adjoint, and
-    # (ab - ba)* = -(a*b* - b*a*) turns the rows R of one pair into the
-    # columns of another, so the columns C give the max.  Only the columns
-    # C of each b are kept, and one a is built at a time.
-    units = []
-    pairs_h = enumerate_pairs(g, 0, hmax)
-    for pair in pairs_h:
-        b = PathAlgElement(g, (0, hmax), {pair: 1.0})
-        for _ in range(vmax):
-            b = vertical_include(g, b)
-        for v, m in b.blocks.items():
-            C = np.flatnonzero(m.any(axis=0))
-            units.append((v, np.flatnonzero(m.any(axis=1)), C, m[:, C]))
+    B[vmax,hmax], over every pair of matrix units.  Report only; a flat
+    connection gives ~0.
+
+    The embedded B[0,hmax] is the sum over u of M(H_u) (x) 1, H_u the
+    horizontal paths ending at u, and its commutant is the sum of the
+    1 (x) x_u (Goodman, de la Harpe and Jones, "Coxeter graphs and towers of
+    algebras", 1989).  For a unit b = E_{h1 h2} (x) 1, the entries of
+    ab - ba are entries of a whose row and column prefixes differ, and
+    differences a_{h1 h1}(s, t) - a_{h2 h2}(s, t) of its diagonal sub-blocks
+    on the vertical tails s, t.  So the maximum over all b is read off each
+    transported unit a, with no b built and no product taken."""
+    vsigns, hsigns = level_signs(vmax, 0), "-" * hmax
+    T = _transport(g, cells, vmax, hmax)
+    cols = path_index(g, vsigns + hsigns)
+    blocks = _prefix_blocks(g, path_index(g, level_signs(vmax, hmax)), hmax)
+    paths_v = path_index(g, vsigns).paths
     worst = 0.0
-    pairs_v = enumerate_pairs(g, vmax, 0)
-    for pair in pairs_v:
-        a = PathAlgElement(g, (vmax, 0), {pair: 1.0})
-        for _ in range(hmax):
-            a = horizontal_include(g, cells, a)
-        for v, R, C, mC in units:
-            x = a.blocks[v]
-            comm = x[:, R] @ mC[R] - mC @ x[C][:, C]
-            worst = max(worst, float(np.abs(comm).max(initial=0.0)))
+    for u, ps in paths_v.items():
+        tails: dict = {}
+        for tail, w in enumerate_paths(g, hsigns, start=u):
+            tails.setdefault(w, []).append(tail)
+        # T on the columns of p followed by each tail: E_pq (x) 1 goes to
+        # T[:, P] T[:, Q]^dagger at each end vertex
+        cut = [{w: T[w][:, [cols.where[p + tail][1] for tail in ts]] for w, ts in tails.items()}
+               for p in ps]
+        adjoint = [{w: m.conj().T for w, m in c.items()} for c in cut]
+        for tp, tq in itertools.product(cut, adjoint):
+            for w, m in tp.items():
+                a = m @ tq[w]
+                off, stacks = blocks[w]
+                worst = max(worst, float(np.abs(a[off]).max(initial=0.0)))
+                for R in stacks:
+                    d = a[R[:, :, None], R[:, None, :]]
+                    worst = max(worst, float(np.abs(d[:, None] - d[None]).max()))
     return {
         "graph": g.name or "graph",
         "hmax": hmax,
         "vmax": vmax,
-        "pairs_checked": len(pairs_v) * len(pairs_h),
+        "pairs_checked": dims(g, vmax, 0) * dims(g, 0, hmax),
         "max_commutator": worst,
     }
 

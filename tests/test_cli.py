@@ -9,7 +9,6 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from a2planar import cli
 from a2planar import graph as G
 from a2planar import pathalg as P
 from a2planar.algebra import WebSum, identity, mult, wsum
@@ -469,7 +468,7 @@ def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
     def broken(x, max_len):
         raise ArithmeticError("round-trip check failed")
 
-    monkeypatch.setattr(cli, "hecke_decompose", broken)
+    monkeypatch.setattr("a2planar.hecke.decompose", broken)
     f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
     result = run(runner, ["decompose", "--in", f])
     assert result.exit_code == 1
@@ -488,7 +487,7 @@ def test_residuals_are_numbers_or_null(runner, tmp_path, monkeypatch):
     passing = _residuals(run(runner, ["decompose", "--in", f]))
     passing += _residuals(run(runner, ["relcheck", "--suite", "hecke", "--m", "3"]))
     assert passing and all(r == 0 and type(r) in (int, float) for r in passing)
-    monkeypatch.setattr(cli, "check_hecke", lambda m: [("h1", True), ("h2", False)])
+    monkeypatch.setattr("a2planar.algebra.check_hecke", lambda m: [("h1", True), ("h2", False)])
     result = run(runner, ["relcheck", "--suite", "hecke", "--m", "3"])
     assert result.exit_code == 1
     assert _residuals(result) == [0, None]
@@ -536,16 +535,17 @@ for argv in json.loads(sys.argv[1]):
             main(argv)
         except SystemExit as exc:
             code = exc.code
-    seen[" ".join(argv)] = [code, [m for m in ("numpy", "scipy") if m in sys.modules]]
+    seen[" ".join(argv)] = [code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]
 print(json.dumps(seen))
 """
 
 
-def _imports_after(*argvs) -> dict:
+def _imports_after(*argvs, modules=("numpy", "scipy")) -> dict:
     """For each argv run in turn in one fresh process: its exit code and
-    which of numpy and scipy are imported once it has run."""
+    which of ``modules`` are imported once it has run."""
     src = os.path.dirname(os.path.dirname(P.__file__))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
+                          json.dumps(modules)],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     return {cmd: tuple(v) for cmd, v in json.loads(out).items()}
@@ -563,6 +563,47 @@ def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
         ["relcheck", "--suite", "hecke", "--m", "3"],
     ]
     assert _imports_after(*argvs) == {" ".join(a): (0, []) for a in argvs}
+
+
+_DIAGRAM_MODULES = ("a2planar.algebra", "a2planar.rewrite", "a2planar.scalar", "a2planar.hecke")
+
+
+def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
+    """``--help`` and the path commands load none of ``algebra``,
+    ``rewrite``, ``scalar`` and ``hecke``; the diagram commands load
+    ``hecke`` only for ``decompose`` (and ``relcheck --suite f13``)."""
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
+    graph = tmp_path / "A5.json"
+    graph.write_text(json.dumps(build_A(5).to_json()))
+    path_argvs = [
+        ["--help"],
+        ["dims", "--n", "5", "--i", "1", "--j", "1"],
+        ["graph", "build-a", "--n", "5"],
+        ["cells", "solve", "--n", "5"],
+        ["connection", "check", "--n", "5"],
+        ["flat", "check", "--n", "5"],
+        ["zmap", "--strips", str(word), "--n", "5", "--i", "1", "--j", "2"],
+        ["cells", "solve", "--graph", str(graph)],
+        ["connection", "check", "--graph", str(graph)],
+    ]
+    assert _imports_after(*path_argvs, modules=_DIAGRAM_MODULES) == {
+        " ".join(a): (0, []) for a in path_argvs}
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
+    diagram_argvs = [
+        ["normalize", "--in", f],
+        ["trace", "--in", f],
+        ["gram", "--sigma", "--++", "--n", "5"],
+        ["gram", "--sigma", "--++", "--n", "5", "--rank"],
+        ["quotient-dim", "--sigma", "--++", "--n", "5"],
+        ["relcheck", "--suite", "hecke", "--m", "3"],
+    ]
+    assert _imports_after(*diagram_argvs, modules=("a2planar.hecke",)) == {
+        " ".join(a): (0, []) for a in diagram_argvs}
+    # the probe sees a module that a command does load
+    decompose = ["decompose", "--in", f]
+    assert _imports_after(decompose, modules=("a2planar.hecke",)) == {
+        " ".join(decompose): (0, ["a2planar.hecke"])}
 
 
 @pytest.mark.parametrize("argv", [

@@ -427,6 +427,45 @@ def test_flatness_matches_dense_commutators(setups):
         assert P.flatness_check(g, cs, h, v)["max_commutator"] == pytest.approx(want, abs=1e-15)
 
 
+def _flatness_by_units(g, cells, h, v):
+    """max |ab - ba| over the matrix units a of B[v,0], carried up by
+    ``horizontal_include``, and b of B[0,h], carried up by
+    ``vertical_include``, with full products: the matrix-unit route that
+    ``flatness_check`` reads off without building b."""
+    ev, eh = [], []
+    for pair in P.enumerate_pairs(g, v, 0):
+        y = PathAlgElement(g, (v, 0), {pair: 1.0})
+        for _ in range(h):
+            y = P.horizontal_include(g, cells, y)
+        ev.append(y)
+    for pair in P.enumerate_pairs(g, 0, h):
+        y = PathAlgElement(g, (0, h), {pair: 1.0})
+        for _ in range(v):
+            y = P.vertical_include(g, y)
+        eh.append(y)
+    return max((a * b - b * a).norm() for a in ev for b in eh)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_flatness_matches_matrix_unit_route(n):
+    g = build_A(n)
+    cells = solve_cells(g)
+    vals = dict(cells.values)
+    key = sorted(vals)[0]
+    vals[key] = vals[key] * 1.01
+    bad = CellSystem(g, vals, 0.0)
+    for cs, h, v in itertools.product((cells, bad), range(5), range(5)):
+        got = P.flatness_check(g, cs, h, v)["max_commutator"]
+        assert abs(got - _flatness_by_units(g, cs, h, v)) <= 1e-14, (cs is bad, h, v)
+
+
+@pytest.mark.parametrize("hmax, vmax, pairs", [(0, 0, 1), (0, 3, 5), (3, 0, 5), (1, 1, 1)])
+def test_flatness_edge_levels(setups, hmax, vmax, pairs):
+    g, cells, _ = setups[5]
+    rep = P.flatness_check(g, cells, hmax, vmax)
+    assert (rep["pairs_checked"], rep["max_commutator"]) == (pairs, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # strip-word invariants
 
