@@ -22,9 +22,10 @@ independent reference.
 
 from __future__ import annotations
 
+from .oracle import flip
 from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, delta
 from .rewrite import enumerate_basis, expand_crossing, first_crossing, normalize
-from .web import Web, WebError, crossing_web, flip, identity_web, wgen_web
+from .web import Web, WebError, crossing_web, identity_web, wgen_web
 
 __all__ = [
     "WebSum",

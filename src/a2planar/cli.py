@@ -7,34 +7,26 @@ Every subcommand prints a report of the form::
      "config": {...}}
 
 and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
-malformed input files included.
+malformed input files included, with one ``Error:`` line.  The parser is
+built once, at import; it abbreviates no option, and a value may start with
+``-``, as in ``--sigma -+``.
 
 Each command imports the modules it runs when it runs, before its report
 starts, so ``--help`` loads none of them.  The diagram-side commands are
 exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
 ``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
 f13`` load ``hecke``.  The path-side commands import ``graph`` and
-``pathalg``, and with them numpy and ``web``, and no other diagram module.
+``pathalg``, and with them numpy, and no diagram module.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import sys
 import time
-
-import click
-
-
-def _precision() -> int:
-    bits = int(os.environ.get("A2P_PRECISION", "64"))
-    if bits != 64:
-        raise click.UsageError(
-            "only 64-bit floating point is supported (A2P_PRECISION=64)"
-        )
-    return bits
 
 
 class Report:
@@ -44,7 +36,7 @@ class Report:
 
     def __init__(self, suite: str, **config):
         self.suite = suite
-        self.config = dict(config, precision_bits=_precision())
+        self.config = dict(config, precision_bits=64)
         self.checks = []
         self.start()
 
@@ -73,14 +65,17 @@ class Report:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         else:
-            click.echo(text)
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:  # the reader left early, as ``| head -1`` does
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0 if all(c["status"] == "pass" for c in self.checks) else 1
 
 
-def _bad_file(option: str, path: str, exc: Exception) -> click.BadParameter:
+def _bad_file(option: str, path: str, exc: Exception) -> argparse.ArgumentError:
     """One-line usage error for an input file that cannot be read."""
     reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return click.BadParameter(f"{path}: {reason}", param_hint=f"'{option}'")
+    return argparse.ArgumentError(None, f"argument {option}: {path}: {reason}")
 
 
 def _read_input(option: str, path: str, parse):
@@ -89,7 +84,7 @@ def _read_input(option: str, path: str, parse):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (KeyError, IndexError, TypeError, ValueError, NotImplementedError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError, NotImplementedError) as exc:
         raise _bad_file(option, path, exc) from None
 
 
@@ -125,28 +120,35 @@ def _graph_option(n, graph_file):
     if graph_file:
         return _read_input("--graph", graph_file, _checked_graph)
     if n is None:
-        raise click.UsageError("need --n or --graph")
+        raise argparse.ArgumentError(None, "need --n or --graph")
     from . import graph
 
     try:
         return graph.build_A(n)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--n'") from None
+        raise argparse.ArgumentError(None, f"argument --n: {exc}") from None
 
 
-def _sigma(ctx, param, value: str) -> str:
-    """``--sigma`` with its optional commas removed."""
-    sigma = value.replace(",", "")
-    if set(sigma) - set("+-"):
-        raise click.BadParameter(f"{value!r} has signs other than '+' and '-'")
-    return sigma
+def _arg(what: str, ok, parse=str):
+    """An argparse type: ``parse(text)`` if it satisfies ``ok``, else an error."""
+    def convert(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
 
 
-def _tol(ctx, param, value: float) -> float:
-    """``--tol``, a positive finite bound."""
-    if not 0 < value < math.inf:
-        raise click.BadParameter(f"{value!r} is not a positive finite number")
-    return value
+def _at_least(low: int):
+    return _arg(f"an integer >= {low}", lambda k: k >= low, int)
+
+
+# --sigma, with its optional commas removed
+_SIGMA = _arg("a word in '+' and '-'", lambda s: not set(s) - set("+-"),
+              lambda text: text.replace(",", ""))
+_TOL = _arg("a positive finite number", lambda x: 0 < x < math.inf, float)
 
 
 def _fail(rep: Report, check_id: str, residual: float):
@@ -178,18 +180,62 @@ def _certified_cells(g, rep: Report):
         _fail(rep, "frame_equations", exc.cells.residual)
 
 
-@click.group()
-def main():
-    """Exact engine for the two-colour spider calculus and its path algebras."""
-    _precision()
+class _Formatter(argparse.HelpFormatter):
+    """Usage starts ``Usage: a2planar``, which ``perfbench/run.py`` checks."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Only ``--help`` built in, no abbreviations, one ``Error:`` line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
+
+
+def _subcommands(parser):
+    return parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+_PARSER = _Parser(prog="a2planar", description="Exact engine for the two-colour "
+                  "spider calculus and its path algebras.")
+_GROUPS = {"": _subcommands(_PARSER)}  # "" holds the top-level commands
+for _name, _doc in [("graph", "Fusion-graph utilities."),
+                    ("cells", "Cell-system (Boltzmann weight) utilities."),
+                    ("connection", "Commuting-square connection utilities."),
+                    ("flat", "Flatness of the connection.")]:
+    _GROUPS[_name] = _subcommands(_GROUPS[""].add_parser(_name, help=_doc, description=_doc))
+_VALUED = set()  # the options that take a value
+
+
+def _option(*flags, **kwargs):
+    """The arguments of one ``add_argument`` call."""
+    return flags, kwargs
+
+
+def _command(name: str, *options):
+    """Register the function below as the command ``name`` (``"flat check"``
+    in a group), with its docstring as help and its options as keywords."""
+    def register(fn):
+        group, _, leaf = name.rpartition(" ")
+        p = _GROUPS[group].add_parser(leaf, help=fn.__doc__.split("\n")[0], description=fn.__doc__)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+            _VALUED.update(flags if kwargs.get("action") is None else ())
+        p.set_defaults(command=fn, parser=p)
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # diagram-side commands
 
-@main.command("normalize")
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
-@click.option("--out", default=None, type=click.Path())
+@_command("normalize", _option("--in", dest="infile", required=True), _option("--out"))
 def normalize_cmd(infile, out):
     """Reduce a web sum to its normal form."""
     from .algebra import WebSum
@@ -203,8 +249,7 @@ def normalize_cmd(infile, out):
     sys.exit(rep.emit(out, payload=_dump_websum(y)))
 
 
-@main.command("trace")
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@_command("trace", _option("--in", dest="infile", required=True))
 def trace_cmd(infile):
     """Closed-diagram trace of a web sum, as an exact Laurent polynomial."""
     from .algebra import trace_right
@@ -216,11 +261,10 @@ def trace_cmd(infile):
     sys.exit(rep.emit(None, payload=val.to_json()))
 
 
-@main.command("gram")
-@click.option("--sigma", required=True, callback=_sigma,
-              help="boundary word, e.g. '---+++' or '-,-,-,+,+,+'")
-@click.option("--n", required=True, type=click.IntRange(min=4))
-@click.option("--rank", "want_rank", is_flag=True)
+@_command("gram", _option("--sigma", required=True, type=_SIGMA,
+                          help="boundary word, e.g. '---+++' or '-,-,-,+,+,+'"),
+          _option("--n", required=True, type=_at_least(4)),
+          _option("--rank", dest="want_rank", action="store_true"))
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
     from .algebra import gram, quotient_dim
@@ -229,7 +273,7 @@ def gram_cmd(sigma, n, want_rank):
     if want_rank:
         r = quotient_dim(sigma, n)
         rep.add("gram", True, residual=0)
-        click.echo(str(r))
+        print(r)
         sys.exit(rep.emit(None, payload={"rank": r}))
     _, rows = gram(sigma, n)
     rep.add("gram", True, residual=0)
@@ -237,9 +281,8 @@ def gram_cmd(sigma, n, want_rank):
     sys.exit(rep.emit(None, payload=payload))
 
 
-@main.command("decompose")
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
-@click.option("--max-len", default=8, type=click.IntRange(min=0))
+@_command("decompose", _option("--in", dest="infile", required=True),
+          _option("--max-len", default=8, type=_at_least(0)))
 def decompose_cmd(infile, max_len):
     """Write a web sum as a word in the standard generators."""
     from .hecke import decompose
@@ -258,15 +301,12 @@ def decompose_cmd(infile, max_len):
     sys.exit(rep.emit(None, payload=word.to_json()))
 
 
-@main.command("relcheck")
-@click.option(
-    "--suite", required=True,
-    type=click.Choice(["hecke", "su3", "frels", "markov", "braid", "spherical", "f13"]),
-)
-@click.option("--m", default=4, type=click.IntRange(min=2))
-@click.option("--n", default=7, type=click.IntRange(min=4))
-@click.option("--seed", default=0, type=int)
-@click.option("--trials", default=100, type=click.IntRange(min=1))
+@_command("relcheck", _option("--suite", required=True, choices=[
+              "hecke", "su3", "frels", "markov", "braid", "spherical", "f13"]),
+          _option("--m", default=4, type=_at_least(2)),
+          _option("--n", default=7, type=_at_least(4)),
+          _option("--seed", default=0, type=int),
+          _option("--trials", default=100, type=_at_least(1)))
 def relcheck_cmd(suite, m, n, seed, trials):
     """Run one of the exact relation suites."""
     import random
@@ -299,11 +339,10 @@ def relcheck_cmd(suite, m, n, seed, trials):
 # ---------------------------------------------------------------------------
 # path-side commands
 
-@main.command("dims")
-@click.option("--n", default=5, type=int)
-@click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--i", "ii", required=True, type=click.IntRange(min=0))
-@click.option("--j", "jj", required=True, type=click.IntRange(min=0))
+@_command("dims", _option("--n", default=5, type=int),
+          _option("--graph", dest="graph_file"),
+          _option("--i", dest="ii", required=True, type=_at_least(0)),
+          _option("--j", dest="jj", required=True, type=_at_least(0)))
 def dims_cmd(n, graph_file, ii, jj):
     """Dimension of the level-(i, j) path-pair algebra."""
     from . import pathalg as pa
@@ -312,18 +351,11 @@ def dims_cmd(n, graph_file, ii, jj):
     rep = Report("dims", n=g.n, graph=g.name or graph_file, i=ii, j=jj)
     d = pa.dims(g, ii, jj)
     rep.add("dims", True, residual=0)
-    click.echo(str(d))
+    print(d)
     sys.exit(rep.emit(None, payload={"dims": d}))
 
 
-@main.group("graph")
-def graph_grp():
-    """Fusion-graph utilities."""
-
-
-@graph_grp.command("build-a")
-@click.option("--n", required=True, type=int)
-@click.option("--out", default=None, type=click.Path())
+@_command("graph build-a", _option("--n", required=True, type=int), _option("--out"))
 def build_a_cmd(n, out):
     """Emit the weight-lattice graph at Coxeter number n as JSON.
 
@@ -337,15 +369,9 @@ def build_a_cmd(n, out):
     sys.exit(rep.emit(None, payload=g.to_json()))
 
 
-@main.group("cells")
-def cells_grp():
-    """Cell-system (Boltzmann weight) utilities."""
-
-
-@cells_grp.command("solve")
-@click.option("--n", default=None, type=int)
-@click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--tol", default=1e-10, type=float, callback=_tol)
+@_command("cells solve", _option("--n", type=int),
+          _option("--graph", dest="graph_file"),
+          _option("--tol", default=1e-10, type=_TOL))
 def cells_solve_cmd(n, graph_file, tol):
     """Solve the frame equations for cell weights on a graph."""
     from . import graph
@@ -367,15 +393,9 @@ def cells_solve_cmd(n, graph_file, tol):
     sys.exit(rep.emit(None, payload=payload))
 
 
-@main.group("connection")
-def connection_grp():
-    """Commuting-square connection utilities."""
-
-
-@connection_grp.command("check")
-@click.option("--n", default=None, type=int)
-@click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--tol", default=1e-10, type=float, callback=_tol)
+@_command("connection check", _option("--n", type=int),
+          _option("--graph", dest="graph_file"),
+          _option("--tol", default=1e-10, type=_TOL))
 def connection_check_cmd(n, graph_file, tol):
     """Unitarity and commuting-square residuals for both parities."""
     from . import pathalg as pa
@@ -393,17 +413,11 @@ def connection_check_cmd(n, graph_file, tol):
     sys.exit(rep.emit())
 
 
-@main.group("flat")
-def flat_grp():
-    """Flatness of the connection."""
-
-
-@flat_grp.command("check")
-@click.option("--n", default=None, type=int)
-@click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--hmax", default=2, type=click.IntRange(min=0))
-@click.option("--vmax", default=2, type=click.IntRange(min=0))
-@click.option("--tol", default=1e-8, type=float, callback=_tol)
+@_command("flat check", _option("--n", type=int),
+          _option("--graph", dest="graph_file"),
+          _option("--hmax", default=2, type=_at_least(0)),
+          _option("--vmax", default=2, type=_at_least(0)),
+          _option("--tol", default=1e-8, type=_TOL))
 def flat_check_cmd(n, graph_file, hmax, vmax, tol):
     """Commutators of horizontally and vertically supported elements."""
     from . import pathalg as pa
@@ -428,15 +442,14 @@ def _strip_word(tokens, labels, i: int, j: int) -> list:
     return word
 
 
-@main.command("zmap")
-@click.option("--strips", required=True, type=click.Path(exists=True),
-              help="JSON list of strip tokens, top to bottom")
-@click.option("--labels", default=None, type=click.Path(exists=True),
-              help="JSON list of labels: {level: [i, j], terms: [...]}")
-@click.option("--n", default=5, type=int)
-@click.option("--graph", "graph_file", default=None, type=click.Path(exists=True))
-@click.option("--i", "ii", required=True, type=click.IntRange(min=0))
-@click.option("--j", "jj", required=True, type=click.IntRange(min=0))
+@_command("zmap", _option("--strips", required=True,
+                          help="JSON list of strip tokens, top to bottom"),
+          _option("--labels",
+                  help="JSON list of labels: {level: [i, j], terms: [...]}"),
+          _option("--n", default=5, type=int),
+          _option("--graph", dest="graph_file"),
+          _option("--i", dest="ii", required=True, type=_at_least(0)),
+          _option("--j", dest="jj", required=True, type=_at_least(0)))
 def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     """Evaluate a strip word as a level-(i, j) path-pair element."""
     from . import pathalg as pa
@@ -455,9 +468,8 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     sys.exit(rep.emit(None, payload=z.to_json()))
 
 
-@main.command("quotient-dim")
-@click.option("--sigma", required=True, callback=_sigma)
-@click.option("--n", required=True, type=click.IntRange(min=4))
+@_command("quotient-dim", _option("--sigma", required=True, type=_SIGMA),
+          _option("--n", required=True, type=_at_least(4)))
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
     from .algebra import quotient_dim
@@ -465,8 +477,24 @@ def quotient_dim_cmd(sigma, n):
     rep = Report("quotient-dim", sigma=sigma, n=n)
     d = quotient_dim(sigma, n)
     rep.add("quotient_dim", True, residual=0)
-    click.echo(str(d))
+    print(d)
     sys.exit(rep.emit(None, payload={"dim": d}))
+
+
+def main(argv=None):
+    """Run ``a2planar ARGV``, with ``sys.argv[1:]`` by default, and exit."""
+    tokens = []  # "--sigma -+" as "--sigma=-+": argparse reads "-+" as an option
+    for tok in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in _VALUED:
+            tokens[-1] += "=" + tok
+        else:
+            tokens.append(tok)
+    args = vars(_PARSER.parse_args(tokens))
+    command, parser = args.pop("command"), args.pop("parser")
+    try:
+        command(**args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .algebra import (
     trace_right,
     wsum,
 )
-from .oracle import walk_dim
+from .oracle import flip, walk_dim
 
 # enumerate_basis is unused here but stays importable from this module:
 # perfbench/selftest.py checks that the tracer wraps it here too.
@@ -49,7 +49,7 @@ from .scalar import (
     alpha,
     delta,
 )
-from .web import WebError, cupcap_web, flip, hexagon_web, identity_web
+from .web import WebError, cupcap_web, hexagon_web, identity_web
 
 __all__ = [
     "GeneratorWord",

@@ -13,10 +13,16 @@ a + b <= n - 3, which counts walks on the fusion graph A^(n).
 
 from __future__ import annotations
 
-__all__ = ["walk_dim", "walk_dim_truncated", "walk_endpoints"]
+__all__ = ["flip", "walk_dim", "walk_dim_truncated", "walk_endpoints"]
 
+_FLIP = str.maketrans("+-", "-+")
 _MINUS_STEPS = ((1, 0), (-1, 1), (0, -1))
 _PLUS_STEPS = ((-1, 0), (1, -1), (0, 1))
+
+
+def flip(signs: str) -> str:
+    """Negate every boundary sign."""
+    return signs.translate(_FLIP)
 
 
 def _propagate(state: dict, sign: str, limit: int | None) -> dict:

@@ -14,7 +14,7 @@ provides
 * Hecke operators ``make_U`` built from the Boltzmann weights and Jones
   projections ``make_e`` on the vertical steps, from their path formulas,
 * the connection between the two path presentations of a square of the
-  ladder, with unitarity and commuting-square residuals; it keeps one
+  ladder, with unitarity and commuting-square residuals; it builds one
   swap matrix per end vertex, so a single-square basis change is one
   conjugation per block,
 * the horizontal/vertical inclusions, and a flatness report that moves
@@ -45,7 +45,7 @@ import numpy as np
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
 from .graph import CellSystem, FusionGraph, boltzmann_U, pf_eigen, qnum  # noqa: F401
-from .web import flip
+from .oracle import flip
 
 __all__ = [
     "PathAlgElement",
@@ -384,26 +384,24 @@ class Connection:
     square: r1 across the top, r2 down the right, r3 down the left, r4
     across the bottom.  For even parity all four are traversed forward;
     for odd parity the two vertical edges are traversed backward, so r2
-    runs w->v and r3 runs x->u on the graph.
+    runs w->v and r3 runs x->u on the graph.  Only ``X`` is kept: a swap
+    matrix is as large as the blocks of its sign string, and
+    ``flatness_check`` uses each one once.
     """
 
     def __init__(self, graph: FusionGraph, parity: str, X: dict):
         self.graph = graph
         self.parity = parity
         self.X = X
-        self._swaps: dict = {}  # (signs, t, inverse) -> {end vertex: matrix}
 
     def swap(self, signs: str, t: int, inverse: bool) -> dict:
         """The swap of steps (t, t+1) of the paths of ``signs``: per end
         vertex, the matrix whose column p holds the coefficients of p
-        re-expressed with the two steps exchanged.  Built on first use and
-        kept.  Forward, each square turns the (vertical, horizontal) pair
+        re-expressed with the two steps exchanged, built on each call.
+        Forward, each square turns the (vertical, horizontal) pair
         down the left and across the bottom into the (horizontal, vertical)
         pair across the top and down the right; inverse goes the other way
         with the conjugate."""
-        key = (signs, t, inverse)
-        if key in self._swaps:
-            return self._swaps[key]
         d = 1 if self.parity == "even" else -1
         old = path_index(self.graph, signs)
         new = path_index(self.graph, signs[:t] + signs[t + 1] + signs[t] + signs[t + 2:])
@@ -423,7 +421,6 @@ class Connection:
                 if hit is None or hit[0] != v:
                     raise ValueError("the swap leaves the paths of its end vertex")
                 S[v][hit[1], a] = val
-        self._swaps[key] = S
         return S
 
     def _blocks(self):

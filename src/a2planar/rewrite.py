@@ -28,7 +28,7 @@ each finished web is validated, and the result is certified against
 
 from __future__ import annotations
 
-from .oracle import walk_dim
+from .oracle import flip, walk_dim
 from .scalar import Laurent, alpha, delta
 from .web import (
     CROSSINGS,
@@ -37,7 +37,6 @@ from .web import (
     WebError,
     _glue,
     cupcap_web,
-    flip,
     identity_web,
     through_strands,
     wgen_web,

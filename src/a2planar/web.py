@@ -27,18 +27,17 @@ joining consecutive boundary points to close off the disk).
 
 from __future__ import annotations
 
+from .oracle import flip
+
 __all__ = [
     "Web",
     "WebError",
-    "flip",
     "identity_web",
     "cupcap_web",
     "wgen_web",
     "crossing_web",
     "hexagon_web",
 ]
-
-_FLIP = str.maketrans("+-", "-+")
 
 TRIVALENT = ("sink", "source")
 CROSSINGS = ("xpos", "xneg")
@@ -47,11 +46,6 @@ _STAR_KIND = {"sink": "source", "source": "sink", "xpos": "xneg", "xneg": "xpos"
 # slot relabeling under vertical reflection + orientation reversal
 _STAR_SLOT3 = {0: 0, 1: 2, 2: 1}
 _STAR_SLOT4 = {0: 1, 1: 0, 2: 3, 3: 2}
-
-
-def flip(signs: str) -> str:
-    """Negate every boundary sign."""
-    return signs.translate(_FLIP)
 
 
 class WebError(ValueError):

@@ -30,10 +30,10 @@ from a2planar.algebra import (
     trace_right,
     wsum,
 )
-from a2planar.oracle import walk_dim_truncated
+from a2planar.oracle import flip, walk_dim_truncated
 from a2planar.rewrite import enumerate_basis, find_redexes, normalize
 from a2planar.scalar import CycloField, Laurent, RealCycloRing, alpha, delta, qint
-from a2planar.web import WebError, crossing_web, flip, identity_web, wgen_web
+from a2planar.web import WebError, crossing_web, identity_web, wgen_web
 
 
 def rand_word(rng, m, length):

@@ -1,13 +1,15 @@
 """Command-line interface: reports, exit codes, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from a2planar import graph as G
 from a2planar import pathalg as P
@@ -15,16 +17,35 @@ from a2planar.algebra import WebSum, identity, mult, wsum
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
+from a2planar.oracle import walk_dim_truncated
 from a2planar.web import wgen_web
+
+
+class Runner:
+    """Runs ``main(args)`` in this process.  stdout and stderr go into one
+    buffer, ``output``; the ``SystemExit`` code becomes ``exit_code`` and
+    the exception is kept as ``exception``."""
+
+    def invoke(self, args):
+        out = io.StringIO()
+        result = SimpleNamespace(exit_code=0, exception=None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                main(args)
+            except SystemExit as exc:
+                result.exit_code = 0 if exc.code is None else exc.code
+                result.exception = exc
+        result.output = out.getvalue()
+        return result
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
-def run(runner, args, env=None):
-    return runner.invoke(main, args, env=env)
+def run(runner, args):
+    return runner.invoke(args)
 
 
 def report(result):
@@ -194,10 +215,40 @@ def test_zmap_with_labels(runner, tmp_path):
     assert z.dist(x) < 1e-12
 
 
-def test_precision_guard(runner):
-    result = run(runner, ["dims", "--n", "4", "--i", "0", "--j", "0"],
-                 env={"A2P_PRECISION": "128"})
-    assert result.exit_code == 2
+def test_help_as_the_console_script_runs_it():
+    """``main()`` reads ``sys.argv``, and ``--help`` prints usage on stdout
+    that starts with ``Usage: a2planar``."""
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    launch = "import sys; from a2planar.cli import main; sys.argv[0] = 'a2planar'; main()"
+    proc = subprocess.run([sys.executable, "-c", launch, "--help"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("Usage: a2planar")
+
+
+@pytest.mark.parametrize("cmd, sigma, n", [("gram", "--+--+++", 8), ("quotient-dim", "-----++", 6)])
+def test_sigma_starting_with_dashes_as_its_own_token(runner, cmd, sigma, n):
+    argv = [cmd, "--sigma", sigma, "--n", str(n)] + (["--rank"] if cmd == "gram" else [])
+    result = run(runner, argv)
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == str(walk_dim_truncated(sigma, n))
+
+
+@pytest.mark.parametrize("sig", [["--sig", "---+++"], ["--sig=---+++"]], ids=["token", "equals"])
+def test_abbreviated_option(runner, sig):
+    assert run(runner, ["gram", *sig, "--n", "5"]).exit_code == 2
+
+
+def test_reader_that_leaves_early():
+    """A pipe closed before the report is written ends the command quietly,
+    with the report's exit code."""
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "a2planar.cli", "graph", "build-a", "--n", "30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_usage_error(runner):
@@ -565,13 +616,14 @@ def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
     assert _imports_after(*argvs) == {" ".join(a): (0, []) for a in argvs}
 
 
-_DIAGRAM_MODULES = ("a2planar.algebra", "a2planar.rewrite", "a2planar.scalar", "a2planar.hecke")
+_DIAGRAM_MODULES = ("a2planar.algebra", "a2planar.rewrite", "a2planar.scalar", "a2planar.hecke",
+                    "a2planar.web")
 
 
 def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
     """``--help`` and the path commands load none of ``algebra``,
-    ``rewrite``, ``scalar`` and ``hecke``; the diagram commands load
-    ``hecke`` only for ``decompose`` (and ``relcheck --suite f13``)."""
+    ``rewrite``, ``scalar``, ``hecke`` and ``web``; the diagram commands
+    load ``hecke`` only for ``decompose`` (and ``relcheck --suite f13``)."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     graph = tmp_path / "A5.json"

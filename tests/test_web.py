@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2planar.oracle import flip
 from a2planar.rewrite import enumerate_basis, random_reducible_web
 from a2planar.web import (
     Web,
     WebError,
     crossing_web,
     cupcap_web,
-    flip,
     hexagon_web,
     identity_web,
     wgen_web,
