@@ -15,8 +15,10 @@ Each command imports the modules it runs when it runs, before its report
 starts, so ``--help`` loads none of them.  The diagram-side commands are
 exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
 ``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
-f13`` load ``hecke``.  The path-side commands import ``graph`` and
-``pathalg``, and with them numpy, and no diagram module.
+f13`` load ``hecke``.  The path-side commands import ``graph``, and those
+that use cells also ``pathalg``, and no diagram module; ``graph`` imports
+numpy only in the functions that compute with it, so ``dims`` and ``graph
+build-a`` run without numpy.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def _checked_graph(obj):
     from . import graph
 
     g = graph.FusionGraph.from_json(obj)
-    g.phi  # cached on g; raises ValueError unless the PF eigenvalue is [3]
+    g.phi  # cached on g; raises ValueError unless the PF eigenvalue is certified to be [3]
     return g
 
 
@@ -345,11 +347,11 @@ def relcheck_cmd(suite, m, n, seed, trials):
           _option("--j", dest="jj", required=True, type=_at_least(0)))
 def dims_cmd(n, graph_file, ii, jj):
     """Dimension of the level-(i, j) path-pair algebra."""
-    from . import pathalg as pa
+    from . import graph
 
     g = _graph_option(n, graph_file)
     rep = Report("dims", n=g.n, graph=g.name or graph_file, i=ii, j=jj)
-    d = pa.dims(g, ii, jj)
+    d = graph.dims(g, ii, jj)
     rep.add("dims", True, residual=0)
     print(d)
     sys.exit(rep.emit(None, payload={"dims": d}))

@@ -3,7 +3,11 @@
 The graphs here are directed, three-colourable multigraphs whose
 adjacency matrix has Perron-Frobenius eigenvalue [3] at the graph's
 Coxeter number.  ``build_A`` constructs the truncated dominant-weight
-triangle; other graphs can be loaded from JSON.
+triangle; other graphs can be loaded from JSON.  Their Perron-Frobenius
+weights come from a closed form (``build_A``) or a certified power
+iteration (JSON), and ``dims`` counts paths, so numpy is imported only by
+the functions that compute with it, and a graph can be built, loaded and
+counted without it.
 
 A cell system attaches a complex weight to every closed three-edge loop.
 The weights must satisfy two frame equations, read off from the local
@@ -22,10 +26,11 @@ On the weight-lattice graphs A(n) the cells have a closed form
 (Evans-Pugh, arXiv:0906.4307), a real positive weight per triangle.  Any
 other graph, such as one loaded from JSON, gets its cells numerically, by
 ``least_squares``, a short Levenberg-Marquardt in numpy, with restarts
-from a fixed seed, so the same graph always gets the same cells.  Its
-objective is compiled once per solve into numpy index arrays (triangle
-of each cell rotation, frame terms, Boltzmann entries, Hecke-matrix
-entries), so an evaluation is a few gathers and scatters.  Either way
+from ``random.Random(0)``, so the same graph always gets the same cells.
+Its objective is compiled once per solve into numpy index arrays
+(triangle of each cell rotation, frame terms, Boltzmann entries,
+Hecke-matrix entries), so an evaluation is a few gathers and scatters,
+and the same arrays give its exact Jacobian.  Either way
 the cells are certified by residuals only (the gauge is arbitrary): they
 are checked through the slow route, ``type_I_residual`` and the braid
 relation of ``hecke_operator`` on ``cells.U``.
@@ -35,10 +40,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections import Counter
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
+    import numpy as np
 
 __all__ = [
     "FusionGraph",
@@ -53,58 +61,59 @@ __all__ = [
     "type_I_residual",
     "hecke_operator",
     "path_space",
+    "level_signs",
+    "enumerate_paths",
+    "dims",
     "qnum",
 ]
 
 
 class Fit(NamedTuple):
     """Result of ``least_squares``: the point reached and the number of
-    objective evaluations, Jacobian columns included."""
+    evaluations, of the objective and of its Jacobian together."""
 
     x: np.ndarray
     nfev: int
 
 
-def least_squares(fun, x0, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit:
-    """Minimize ``sum(fun(x)**2)`` by Levenberg-Marquardt from ``x0``.
+def least_squares(fun, x0, jac, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit:
+    """Minimize ``sum(fun(x)**2)`` by Levenberg-Marquardt from ``x0``, with
+    ``jac(x)`` the exact Jacobian of ``fun``.
 
-    The Jacobian is a forward difference with step 1.5e-8 max(1, |x_i|).
     The damping mu follows the gain ratio rho of each step (Nielsen):
     mu *= max(1/3, 1 - (2 rho - 1)^3) on an accepted step, mu *= nu and
-    nu *= 2 on a rejected one.  It stops once an accepted step lowers the
-    squared residual by at most ``ftol`` of itself, once a step (accepted
-    or not) is at most ``xtol`` of |x|, or after 100 (len(x0) + 1)
-    evaluations.
+    nu *= 2 on a rejected one.  The Jacobian is evaluated at the start and
+    after each accepted step, at most 100 times.  It stops once an accepted
+    step lowers the squared residual by at most ``ftol`` of itself, once a
+    step (accepted or not) is at most ``xtol`` of |x| or is not finite, or
+    when a 101st Jacobian would be needed.
     """
+    import numpy as np
+
     x = np.array(x0, dtype=float)
     f = fun(x)
-    nfev, budget = 1, 100 * (len(x) + 1)
-    jac, mu, nu = None, None, 2.0
-    while nfev < budget:
-        if jac is None:  # at the start and after each accepted step
-            jac = np.empty((len(f), len(x)))
-            for i in range(len(x)):
-                xi = x.copy()
-                xi[i] += 1.5e-8 * max(1.0, abs(x[i]))
-                jac[:, i] = (fun(xi) - f) / (xi[i] - x[i])
-            nfev += len(x)
-            a, g, cost = jac.T @ jac, jac.T @ f, float(f @ f)
-            if mu is None:
-                mu = 1e-3 * float(np.max(np.diag(a)))
-        step = np.linalg.solve(a + mu * np.eye(len(x)), -g)
-        if np.linalg.norm(step) <= xtol * np.linalg.norm(x):
-            break
-        f_new = fun(x + step)
+    nfev, mu, nu = 1, None, 2.0
+    for _ in range(100):
+        j = jac(x)
         nfev += 1
-        cost_new = float(f_new @ f_new)
-        rho = (cost - cost_new) / float(step @ (mu * step - g))
-        if rho > 0:
-            x, f, jac = x + step, f_new, None
-            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-            if cost - cost_new <= ftol * cost:
+        a, g, cost = j.T @ j, j.T @ f, float(f @ f)
+        if mu is None:
+            mu = 1e-3 * float(np.max(np.diag(a)))
+        while True:  # ends: mu grows on each rejection until the step fails the test below
+            step = np.linalg.solve(a + mu * np.eye(len(x)), -g)
+            if not np.linalg.norm(step) > xtol * np.linalg.norm(x):
+                return Fit(x, nfev)
+            f_new = fun(x + step)
+            nfev += 1
+            cost_new = float(f_new @ f_new)
+            rho = (cost - cost_new) / float(step @ (mu * step - g))
+            if rho > 0:
                 break
-        else:
             mu, nu = mu * nu, nu * 2
+        x, f = x + step, f_new
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        if cost - cost_new <= ftol * cost:
+            break
     return Fit(x, nfev)
 
 
@@ -138,6 +147,8 @@ class FusionGraph:
             self.in_edges[v].append(k)
 
     def adjacency(self) -> np.ndarray:
+        import numpy as np
+
         a = np.zeros((len(self.vertices), len(self.vertices)), dtype=int)
         for u, v in self.edges:
             a[self._vindex[u], self._vindex[v]] += 1
@@ -145,6 +156,8 @@ class FusionGraph:
 
     def colour_block(self, c1: int, c2: int) -> np.ndarray:
         """Adjacency restricted to edges from colour ``c1`` to colour ``c2``."""
+        import numpy as np
+
         rows = [v for v in self.vertices if self.colour[v] == c1]
         cols = [v for v in self.vertices if self.colour[v] == c2]
         ri = {v: i for i, v in enumerate(rows)}
@@ -213,24 +226,30 @@ def build_A(n: int) -> FusionGraph:
 
 
 def pf_eigen(g: FusionGraph) -> dict:
-    """Positive eigenvector of the adjacency matrix, normalized at ``star``.
+    """Positive eigenvector of the transposed adjacency matrix, normalized
+    at ``star``.
 
     For the weight-lattice graphs the entries are computed in closed
-    form, phi_(a,b) = [a+1][b+1][a+b+2]/[2]; for any graph they are
-    cross-checked against (or, for JSON graphs, obtained from) a dense
-    eigensolve, and ``EigenvectorMismatch`` is raised when they differ by
-    more than 1e-9.  The eigenvalue must be [3] to 1e-12.
+    form, phi_(a,b) = [a+1][b+1][a+b+2]/[2], and cross-checked against a
+    dense eigensolve: ``EigenvectorMismatch`` is raised when they differ
+    by more than 1e-9.  Any other graph, such as one read from JSON, gets
+    them from ``_perron``, whose Collatz-Wielandt bracket certifies the
+    eigenvalue.  The eigenvalue must be [3] to 1e-9, and A phi = [3] phi
+    must hold to 1e-10.
     """
     n = g.n
-    adj = g.adjacency()
-    w, vecs = np.linalg.eig(adj.T.astype(float))
-    k = int(np.argmax(w.real))
-    lam = w[k].real
-    vec = vecs[:, k].real
-    vec = vec / vec[g._vindex[g.star]]
-    if abs(lam - qnum(3, n)) > 1e-9:
+    if _weight_lattice(g):
+        import numpy as np
+
+        w, vecs = np.linalg.eig(g.adjacency().T.astype(float))
+        k = int(np.argmax(w.real))
+        lo = hi = w[k].real
+        vec = vecs[:, k].real
+    else:
+        lo, hi, vec = _perron(g)
+    if not qnum(3, n) - 1e-9 <= lo <= hi <= qnum(3, n) + 1e-9:
         raise ValueError("Perron-Frobenius eigenvalue is not [3]")
-    phi = {v: float(vec[g._vindex[v]]) for v in g.vertices}
+    phi = {v: float(vec[g._vindex[v]] / vec[g._vindex[g.star]]) for v in g.vertices}
     if _weight_lattice(g):
         closed = {
             (a, b): qnum(a + 1, n) * qnum(b + 1, n) * qnum(a + b + 2, n) / qnum(2, n)
@@ -247,6 +266,33 @@ def pf_eigen(g: FusionGraph) -> dict:
     if res > 1e-10:
         raise ValueError(f"eigen-residual {res:.2e}")
     return phi
+
+
+_PERRON_CAP = 20000  # A(20) stops after 418 iterations, A(40) after 1622
+
+
+def _perron(g: FusionGraph):
+    """Perron vector x of A^T (in vertex order, max entry 1) by power
+    iteration on A^T + I, whose shift keeps a periodic graph such as A(n)
+    from cycling, and its Collatz-Wielandt bracket (lo, hi): the min and max
+    of (A^T x)_v / x_v, between which the Perron eigenvalue of A^T lies when
+    x > 0.  The iteration stops once no entry moves by more than 1e-15; a
+    vector that is not positive, or no stop within ``_PERRON_CAP``
+    iterations, gives the empty bracket (inf, -inf)."""
+    into = [[g._vindex[g.source(e)] for e in g.in_edges[v]] for v in g.vertices]
+    x = [1.0] * len(into)
+    for _ in range(_PERRON_CAP):
+        y = [xv + sum(map(x.__getitem__, us)) for xv, us in zip(x, into)]
+        top = max(y)
+        y = [t / top for t in y]
+        moved = max(map(abs, map(operator.sub, x, y)))
+        x = y
+        if moved <= 1e-15:
+            break
+    if moved > 1e-15 or min(x) <= 0.0:
+        return math.inf, -math.inf, x
+    ratios = [sum(map(x.__getitem__, us)) / xv for xv, us in zip(x, into)]
+    return min(ratios), max(ratios), x
 
 
 class EigenvectorMismatch(ValueError):
@@ -355,6 +401,49 @@ def path_space(g: FusionGraph, start, length: int) -> list[tuple[int, ...]]:
     return paths
 
 
+def level_signs(i: int, j: int) -> str:
+    """Sign string of a shape-(i, j) path: j forward steps, then i
+    vertical steps alternating forward ('-') / reverse ('+')."""
+    return "-" * j + "".join("-" if l % 2 == 1 else "+" for l in range(1, i + 1))
+
+
+def enumerate_paths(g: FusionGraph, signs: str, start=None):
+    """All signed paths from ``start`` following the sign string
+    ('-' forward on an edge, '+' backward)."""
+    v0 = g.star if start is None else start
+    out = [((), v0)]
+    for s in signs:
+        nxt = []
+        for p, v in out:
+            if s == "-":
+                for e in g.out_edges[v]:
+                    nxt.append((p + ((e, 1),), g.range(e)))
+            else:
+                for e in g.in_edges[v]:
+                    nxt.append((p + ((e, -1),), g.source(e)))
+        out = nxt
+    return out
+
+
+def dims(g: FusionGraph, i: int, j: int) -> int:
+    """dim B[i,j] of the path-pair algebra: the sum over end vertices of
+    the squared number of shape-(i, j) paths from ``star`` to them.  The
+    counts come from walking a vector of path counts along the sign
+    string, and are checked against the explicit path enumeration."""
+    if i < 0 or j < 0:
+        raise ValueError("negative level")
+    signs = level_signs(i, j)
+    count = Counter({g.star: 1})
+    for s in signs:
+        nxt = Counter()
+        for u, v in g.edges if s == "-" else [e[::-1] for e in g.edges]:
+            nxt[v] += count[u]
+        count = +nxt
+    if Counter(v for _, v in enumerate_paths(g, signs)) != count:
+        raise AssertionError("path counts and enumeration disagree")
+    return sum(c * c for c in count.values())
+
+
 def boltzmann_U(g: FusionGraph, cells: CellSystem, phi: dict):
     """Pairwise operator: U[(r1,r2),(r3,r4)] over length-2 edge paths.
 
@@ -392,6 +481,8 @@ def hecke_operator(
     The operator replaces steps i, i+1 (0-based) of the path using the
     Boltzmann weights and leaves the rest untouched.
     """
+    import numpy as np
+
     paths = path_space(g, start, length)
     index = {p: k for k, p in enumerate(paths)}
     m = np.zeros((len(paths), len(paths)), dtype=complex)
@@ -409,13 +500,19 @@ def hecke_operator(
 def _compile_objective(g: FusionGraph, tris: list):
     """The least-squares objective of ``solve_cells`` as index arrays.
 
-    Returns ``objective(x)`` for x = (re, im) of one weight per triangle.
-    Each evaluation gathers the weights, sums the type I frame products
-    and the Boltzmann entries with ``np.add.at``, and scatters the entries
-    into U_1, U_2 on the length-3 paths from ``star``; the residuals come
-    out in the order of the dict route: (re, im) per frame, then the braid
-    matrix, real part and imaginary part.
+    Returns ``(objective, jacobian)``, functions of x = (re, im) of one
+    weight per triangle.  Each evaluation gathers the weights, sums the
+    type I frame products and the Boltzmann entries with ``np.add.at``,
+    and scatters the entries into U_1, U_2 on the length-3 paths from
+    ``star``; the residuals come out in the order of the dict route: (re,
+    im) per frame, then the braid matrix, real part and imaginary part.
+    The frame sums and the U entries are bilinear in (w, conj w), so the
+    Jacobian gathers the same index arrays once per partial derivative,
+    and the braid matrix takes its derivative by the product rule, batched
+    over the 2 len(tris) parameters.
     """
+    import numpy as np
+
     phi = g.phi
     d = qnum(2, g.n)
     tri_of = {}
@@ -438,6 +535,8 @@ def _compile_objective(g: FusionGraph, tris: list):
                         f_wbar.append(tri_of[(v, a, b)])
             want.append(d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0)
     want = np.array(want, dtype=complex)
+    frame_terms = (np.array(f_id, dtype=np.intp), np.array(f_w, dtype=np.intp),
+                   np.array(f_wbar, dtype=np.intp), 1.0)
 
     # U entries, in the order boltzmann_U adds them
     keys: dict = {}
@@ -457,7 +556,8 @@ def _compile_objective(g: FusionGraph, tris: list):
                         u_w.append(tri_of[(lam, r3, r4)])
                         u_wbar.append(tri_of[(lam, r1, r2)])
                         u_norm.append(norm)
-    u_norm = np.array(u_norm)
+    u_terms = (np.array(u_key, dtype=np.intp), np.array(u_w, dtype=np.intp),
+               np.array(u_wbar, dtype=np.intp), np.array(u_norm))
 
     # U_i on the length-3 paths: entry (row q, col p) is U[(p_i p_i+1), (q_i q_i+1)]
     paths3 = path_space(g, g.star, 3)
@@ -476,29 +576,59 @@ def _compile_objective(g: FusionGraph, tris: list):
                     ukey.append(key)
         ops.append((np.array(flat, dtype=np.intp), np.array(ukey, dtype=np.intp)))
 
+    def sums(w, terms, size):
+        """s[r] = sum of c w[a] conj(w[b]) over the terms (r, a, b, c)."""
+        r, a, b, c = terms
+        s = np.zeros(size, dtype=complex)
+        np.add.at(s, r, c * w[a] * w[b].conj())
+        return s
+
+    def sums_jac(w, terms, size):
+        """ds/dx of ``sums``, (size, 2 len(w)); a column per re and im."""
+        r, a, b, c = terms
+        dw, dwbar = np.zeros((2, size, len(w)), dtype=complex)
+        np.add.at(dw, (r, a), c * w[b].conj())
+        np.add.at(dwbar, (r, b), c * w[a])
+        return np.stack((dw + dwbar, 1j * (dw - dwbar)), axis=-1).reshape(size, -1)
+
+    def u_pair(uval):
+        """U_1, U_2 from the U entries on the last axis of ``uval``."""
+        u = np.zeros(uval.shape[:-1] + (2, m * m), dtype=complex)
+        for i, (flat, ukey) in enumerate(ops):
+            u[..., i, flat] = uval[..., ukey]
+        return np.moveaxis(u.reshape(uval.shape[:-1] + (2, m, m)), -3, 0)
+
     def objective(x):
         w = x[0::2] + 1j * x[1::2]
-        s = np.zeros(len(want), dtype=complex)
-        np.add.at(s, f_id, w[f_w] * w[f_wbar].conj())
-        frame = s - want
+        frame = sums(w, frame_terms, len(want)) - want
         res = [np.column_stack((frame.real, frame.imag)).ravel()]
         if m:
-            uval = np.zeros(len(keys), dtype=complex)
-            np.add.at(uval, u_key, u_norm * w[u_w] * w[u_wbar].conj())
-            u = np.zeros((2, m * m), dtype=complex)
-            for i, (flat, ukey) in enumerate(ops):
-                u[i, flat] = uval[ukey]
-            u1, u2 = u.reshape(2, m, m)
+            u1, u2 = u_pair(sums(w, u_terms, len(keys)))
             braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
             res += [braid.real.ravel(), braid.imag.ravel()]
         return np.concatenate(res)
 
-    return objective
+    def jacobian(x):
+        w = x[0::2] + 1j * x[1::2]
+        frame = sums_jac(w, frame_terms, len(want))
+        jac = [np.stack((frame.real, frame.imag), axis=1).reshape(-1, len(x))]
+        if m:
+            u1, u2 = u_pair(sums(w, u_terms, len(keys)))
+            d1, d2 = u_pair(sums_jac(w, u_terms, len(keys)).T)
+            u12, u21 = u1 @ u2, u2 @ u1
+            braid = ((d1 @ u21 + u1 @ d2 @ u1 + u12 @ d1 - d1)
+                     - (d2 @ u12 + u2 @ d1 @ u2 + u21 @ d2 - d2)).reshape(len(x), -1).T
+            jac += [braid.real, braid.imag]
+        return np.concatenate(jac)
+
+    return objective, jacobian
 
 
 def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
     """Max entry of U_1 U_2 U_1 - U_1 - (U_2 U_1 U_2 - U_2) on the length-3
     paths from ``star``, with U_i from ``hecke_operator``."""
+    import numpy as np
+
     if not path_space(g, g.star, 3):
         return 0.0
     u1 = hecke_operator(g, cells, g.star, 3, 0)
@@ -532,15 +662,20 @@ def _cells_A(g: FusionGraph, tris: list) -> dict:
 
 
 def _cells_lm(g: FusionGraph, tris: list, tol: float):
-    """Cell weights by Levenberg-Marquardt on the compiled objective, with
-    up to 12 restarts drawn from a fixed generator until one reaches
-    ``tol``; returns the best weights and the objective's max residual."""
-    rng = np.random.default_rng(0)
-    objective = _compile_objective(g, tris)
+    """Cell weights by Levenberg-Marquardt on the compiled objective and its
+    exact Jacobian, with up to 12 restarts drawn from ``random.Random(0)``
+    until one reaches ``tol``; returns the best weights and the objective's
+    max residual."""
+    import random
+
+    import numpy as np
+
+    rng = random.Random(0)
+    objective, jacobian = _compile_objective(g, tris)
     best = None
     for _ in range(12):
-        x0 = rng.normal(scale=1.0, size=2 * len(tris))
-        sol = least_squares(objective, x0)
+        x0 = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * len(tris))])
+        sol = least_squares(objective, x0, jac=jacobian)
         resid = float(np.max(np.abs(objective(sol.x))))
         if best is None or resid < best[0]:
             best = (resid, sol.x)

@@ -7,7 +7,8 @@ endpoint.  A path of shape ``(i, j)`` takes ``j`` horizontal steps
 forward / reverse starting forward.  On top of that skeleton this module
 provides
 
-* ``dims`` by the block-matrix product and by direct enumeration,
+* the path enumeration and ``dims``, which live in ``graph`` (so that
+  ``dims`` runs without numpy) and are imported here,
 * elements as one dense complex block per end vertex (the algebra is the
   sum over v of the matrices on the paths ending at v), over a path index
   kept on the graph for each sign string, with the Markov trace,
@@ -44,7 +45,8 @@ import numpy as np
 
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
-from .graph import CellSystem, FusionGraph, boltzmann_U, pf_eigen, qnum  # noqa: F401
+from .graph import (CellSystem, FusionGraph, boltzmann_U, dims,  # noqa: F401
+                    enumerate_paths, level_signs, pf_eigen, qnum)
 from .oracle import flip
 
 __all__ = [
@@ -105,59 +107,16 @@ def path_range(g: FusionGraph, path, start=None):
     return v
 
 
-def level_signs(i: int, j: int) -> str:
-    """Sign string of a shape-(i, j) path: j forward steps, then i
-    vertical steps alternating forward ('-') / reverse ('+')."""
-    return "-" * j + "".join("-" if l % 2 == 1 else "+" for l in range(1, i + 1))
-
-
 def sigma_word(i: int, j: int) -> str:
     """Boundary word of the closed-path model at level (i, j)."""
     w = level_signs(i, j)
     return w + flip(w)[::-1]
 
 
-def enumerate_paths(g: FusionGraph, signs: str, start=None):
-    """All signed paths from ``start`` following the sign string
-    ('-' forward on an edge, '+' backward)."""
-    v0 = g.star if start is None else start
-    out = [((), v0)]
-    for s in signs:
-        nxt = []
-        for p, v in out:
-            if s == "-":
-                for e in g.out_edges[v]:
-                    nxt.append((p + ((e, 1),), g.range(e)))
-            else:
-                for e in g.in_edges[v]:
-                    nxt.append((p + ((e, -1),), g.source(e)))
-        out = nxt
-    return out
-
-
 def enumerate_pairs(g: FusionGraph, i: int, j: int):
     """Basis pairs of B[i,j]: same shape, same endpoint."""
     paths = path_index(g, level_signs(i, j)).paths
     return [(p1, p2) for v in sorted(paths, key=str) for p1 in paths[v] for p2 in paths[v]]
-
-
-def dims(g: FusionGraph, i: int, j: int) -> int:
-    """dim B[i,j] by the adjacency-matrix product, checked against the
-    direct path count."""
-    if i < 0 or j < 0:
-        raise ValueError("negative level")
-    adj = g.adjacency()
-    lam = np.eye(adj.shape[0], dtype=np.int64)
-    for _ in range(j):
-        lam = lam @ adj
-    for l in range(1, i + 1):
-        lam = lam @ (adj if l % 2 == 1 else adj.T)
-    k = g._vindex[g.star]
-    by_matrix = int((lam @ lam.T)[k, k])
-    by_paths = sum(len(ps) ** 2 for ps in path_index(g, level_signs(i, j)).paths.values())
-    if by_matrix != by_paths:
-        raise AssertionError("matrix and enumeration dimension disagree")
-    return by_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,16 @@ def test_graph_without_pf_eigenvalue_3(runner, tmp_path, cmd):
     assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")
 
 
+@pytest.mark.parametrize("cmd", [["cells", "solve"], ["dims", "--i", "1", "--j", "0"]],
+                         ids=lambda c: c[0])
+def test_graph_with_wrong_coxeter_number(runner, tmp_path, cmd):
+    """A(7) declared at n = 8: the certified bracket puts its Perron-Frobenius
+    eigenvalue at [3] of n = 7, which is not [3] of n = 8."""
+    f = tmp_path / "A7.json"
+    f.write_text(json.dumps(dict(build_A(7).to_json(), n=8)))
+    assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")
+
+
 def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
     def broken(x, max_len):
         raise ArithmeticError("round-trip check failed")
@@ -658,24 +668,26 @@ def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
         " ".join(decompose): (0, ["a2planar.hecke"])}
 
 
-@pytest.mark.parametrize("argv", [
-    ["dims", "--n", "5", "--i", "1", "--j", "1"],
-    ["graph", "build-a", "--n", "5"],
-    ["cells", "solve", "--n", "5"],
-    ["connection", "check", "--n", "5"],
-    ["flat", "check", "--n", "5"],
-    ["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"],
-    ["cells", "solve", "--graph", "{graph}"],
-    ["connection", "check", "--graph", "{graph}"],
+@pytest.mark.parametrize("argv, loaded", [
+    (["dims", "--n", "5", "--i", "1", "--j", "1"], []),
+    (["graph", "build-a", "--n", "5"], []),
+    (["cells", "solve", "--n", "5"], ["numpy"]),
+    (["connection", "check", "--n", "5"], ["numpy"]),
+    (["flat", "check", "--n", "5"], ["numpy"]),
+    (["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"], ["numpy"]),
+    (["cells", "solve", "--graph", "{graph}"], ["numpy"]),
+    (["connection", "check", "--graph", "{graph}"], ["numpy"]),
+    (["dims", "--graph", "{graph}", "--i", "1", "--j", "1"], []),
 ], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap",
-        "cells-solve-json", "connection-check-json"])
-def test_path_commands_without_cells_leave_scipy_out(argv, tmp_path):
-    """Every path command loads numpy but not scipy: those that solve no
-    cells, those whose cells are the closed form of a ``--n`` graph, and
-    those that solve the cells of a ``--graph`` file by least squares."""
+        "cells-solve-json", "connection-check-json", "dims-json"])
+def test_path_commands_without_cells_leave_scipy_out(argv, loaded, tmp_path):
+    """No path command loads scipy.  Those that use cells load numpy: with
+    the closed form of a ``--n`` graph, and with the cells of a ``--graph``
+    file solved by least squares.  ``dims`` and ``graph build-a`` load no
+    numpy, also when a ``--graph`` file needs its Perron-Frobenius weights."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     graph = tmp_path / "A5.json"
     graph.write_text(json.dumps(build_A(5).to_json()))
     argv = [a.format(word=word, graph=graph) for a in argv]
-    assert _imports_after(argv) == {" ".join(argv): (0, ["numpy"])}
+    assert _imports_after(argv) == {" ".join(argv): (0, loaded)}

@@ -82,6 +82,27 @@ def test_pf_eigen_equation(n):
     assert all(v > 0 for v in phi.values())
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_json_pf_eigen_matches_closed_form(n):
+    """A graph read from JSON gets phi by power iteration; on A(n) it equals
+    the closed form of ``build_A(n)`` to a relative 1e-12."""
+    closed = pf_eigen(build_A(n))
+    phi = pf_eigen(_json_A(n))
+    assert max(abs(phi[G._vid(v)] - w) / w for v, w in closed.items()) < 1e-12
+
+
+def test_power_iteration_cap_is_a_rejection(monkeypatch):
+    """Stopping at the iteration cap certifies nothing: the bracket is empty
+    (A(9) needs 82 iterations)."""
+    lo, hi, _ = G._perron(_json_A(9))
+    assert qnum(3, 9) - 1e-9 <= lo <= hi <= qnum(3, 9) + 1e-9
+    monkeypatch.setattr(G, "_PERRON_CAP", 81)
+    lo, hi, _ = G._perron(_json_A(9))
+    assert lo > hi
+    with pytest.raises(ValueError, match=r"not \[3\]"):
+        pf_eigen(_json_A(9))
+
+
 def test_adjacency_normal():
     for n in (4, 5, 6, 7):
         a = build_A(n).adjacency()
@@ -176,18 +197,49 @@ def test_solve_cells_calls_least_squares_by_module_attribute(monkeypatch):
     assert nfev and all(k > 0 for k in nfev)
 
 
+def _counted(fn, calls):
+    def call(x):
+        calls.append(1)
+        return fn(x)
+    return call
+
+
 def test_least_squares_linear_problem():
-    """On a full-rank linear problem the minimum is the lstsq solution.
-    The right-hand side lies in the range: the forward-difference Jacobian
-    is accurate to about 1e-8, which moves a minimum with nonzero residual
-    by as much, but not one with zero residual."""
+    """On a full-rank linear problem the minimum is the lstsq solution;
+    ``nfev`` counts the objective and Jacobian evaluations together."""
     rng = np.random.default_rng(3)
     a = rng.normal(size=(30, 8))
     b = a @ rng.normal(size=8)
-    sol = G.least_squares(lambda x: a @ x - b, np.zeros(8))
+    fcalls, jcalls = [], []
+    sol = G.least_squares(_counted(lambda x: a @ x - b, fcalls), np.zeros(8),
+                          jac=_counted(lambda x: a, jcalls))
     want = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.max(np.abs(sol.x - want)) < 1e-10
-    assert sol.nfev > 8
+    assert sol.nfev == len(fcalls) + len(jcalls) and jcalls
+
+
+def test_least_squares_inconsistent_linear_problem():
+    """With the exact Jacobian, a minimum with nonzero residual is reached
+    to 1e-10 as well (a forward-difference Jacobian, accurate to about
+    1e-8, moved it by 2.6e-9)."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(30, 8))
+    b = a @ rng.normal(size=8) + rng.normal(size=30)
+    sol = G.least_squares(lambda x: a @ x - b, np.zeros(8), jac=lambda x: a)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(a @ want - b) > 1
+    assert np.max(np.abs(sol.x - want)) < 1e-10
+
+
+def test_least_squares_stops_at_100_jacobians():
+    """exp(x) has no minimum: every step is accepted and lowers the residual
+    by much more than ``ftol``, so only the budget of 100 Jacobians stops
+    the solve."""
+    jcalls = []
+    sol = G.least_squares(lambda x: np.exp(x), np.zeros(1),
+                          jac=_counted(lambda x: np.diag(np.exp(x)), jcalls))
+    assert len(jcalls) == 100
+    assert sol.x[0] < -10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -351,13 +403,32 @@ def _dict_route(g, tris, x):
 def test_compiled_objective_matches_dict_route(g):
     rng = np.random.default_rng(11)
     tris = triangles(g)
-    objective = G._compile_objective(g, tris)
+    objective, _ = G._compile_objective(g, tris)
     for _ in range(3):
         x = rng.normal(size=2 * len(tris))
         want = _dict_route(g, tris, x)
         got = objective(x)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_A(5), build_A(6), build_A(7), build_A(8), FusionGraph.from_json(build_A(6).to_json())],
+    ids=["A5", "A6", "A7", "A8", "A6-json"],
+)
+def test_compiled_jacobian_matches_central_differences(g):
+    rng = np.random.default_rng(11)
+    tris = triangles(g)
+    objective, jacobian = G._compile_objective(g, tris)
+    h = 1e-6
+    for _ in range(3):
+        x = rng.normal(size=2 * len(tris))
+        got = jacobian(x)
+        want = np.column_stack([(objective(x + h * e) - objective(x - h * e)) / (2 * h)
+                                for e in np.eye(len(x))])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
 
 @ROUTES
