@@ -7,7 +7,8 @@ Every subcommand prints a report of the form::
      "config": {...}}
 
 and exits 0 if every check passed, 1 if any failed, 2 on usage errors,
-malformed input files included, with one ``Error:`` line.  The parser is
+malformed input files and unwritable ``--out`` paths included, with one
+``Error:`` line.  The parser is
 built once, at import; it abbreviates no option, and a value may start with
 ``-``, as in ``--sigma -+``.
 
@@ -64,8 +65,7 @@ class Report:
             doc["result"] = payload
         text = json.dumps(doc, indent=2, default=str)
         if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
+            _write_out(out, text + "\n")
         else:
             try:
                 print(text, flush=True)
@@ -78,6 +78,16 @@ def _bad_file(option: str, path: str, exc: Exception) -> argparse.ArgumentError:
     """One-line usage error for an input file that cannot be read."""
     reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
     return argparse.ArgumentError(None, f"argument {option}: {path}: {reason}")
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to the ``--out`` file; a path that cannot be written
+    is a one-line usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise argparse.ArgumentError(None, f"argument --out: {path}: {exc.strerror or exc}") from None
 
 
 def _read_input(option: str, path: str, parse):
@@ -315,6 +325,9 @@ def relcheck_cmd(suite, m, n, seed, trials):
 
     from . import algebra
 
+    least = {"su3": 4, "frels": 4}.get(suite, 2)  # below it the suite checks nothing
+    if m < least:
+        raise argparse.ArgumentError(None, f"argument --m: --suite {suite} needs --m >= {least}")
     rep = Report("relcheck:" + suite, m=m, n=n, seed=seed, trials=trials)
     if suite == "hecke":
         results = algebra.check_hecke(m)
@@ -364,8 +377,7 @@ def build_a_cmd(n, out):
     With --out, also write the graph alone to a file that --graph reads."""
     g = _graph_option(n, None)
     if out:
-        with open(out, "w") as fh:
-            json.dump(g.to_json(), fh)
+        _write_out(out, json.dumps(g.to_json()))
     rep = Report("graph:build-a", n=n)
     rep.add("build", True, residual=0)
     sys.exit(rep.emit(None, payload=g.to_json()))

@@ -60,7 +60,6 @@ __all__ = [
     "boltzmann_U",
     "type_I_residual",
     "hecke_operator",
-    "path_space",
     "level_signs",
     "enumerate_paths",
     "dims",
@@ -76,7 +75,10 @@ class Fit(NamedTuple):
     nfev: int
 
 
-def least_squares(fun, x0, jac, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit:
+XTOL = FTOL = 1e-15  # least_squares' relative step and cost-decrease floors
+
+
+def least_squares(fun, x0, jac) -> Fit:
     """Minimize ``sum(fun(x)**2)`` by Levenberg-Marquardt from ``x0``, with
     ``jac(x)`` the exact Jacobian of ``fun``.
 
@@ -84,8 +86,8 @@ def least_squares(fun, x0, jac, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit
     mu *= max(1/3, 1 - (2 rho - 1)^3) on an accepted step, mu *= nu and
     nu *= 2 on a rejected one.  The Jacobian is evaluated at the start and
     after each accepted step, at most 100 times.  It stops once an accepted
-    step lowers the squared residual by at most ``ftol`` of itself, once a
-    step (accepted or not) is at most ``xtol`` of |x| or is not finite, or
+    step lowers the squared residual by at most ``FTOL`` of itself, once a
+    step (accepted or not) is at most ``XTOL`` of |x| or is not finite, or
     when a 101st Jacobian would be needed.
     """
     import numpy as np
@@ -101,7 +103,7 @@ def least_squares(fun, x0, jac, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit
             mu = 1e-3 * float(np.max(np.diag(a)))
         while True:  # ends: mu grows on each rejection until the step fails the test below
             step = np.linalg.solve(a + mu * np.eye(len(x)), -g)
-            if not np.linalg.norm(step) > xtol * np.linalg.norm(x):
+            if not np.linalg.norm(step) > XTOL * np.linalg.norm(x):
                 return Fit(x, nfev)
             f_new = fun(x + step)
             nfev += 1
@@ -112,7 +114,7 @@ def least_squares(fun, x0, jac, xtol: float = 1e-15, ftol: float = 1e-15) -> Fit
             mu, nu = mu * nu, nu * 2
         x, f = x + step, f_new
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-        if cost - cost_new <= ftol * cost:
+        if cost - cost_new <= FTOL * cost:
             break
     return Fit(x, nfev)
 
@@ -384,23 +386,6 @@ def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
     return worst
 
 
-def path_space(g: FusionGraph, start, length: int) -> list[tuple[int, ...]]:
-    """All edge paths of the given length from ``start``."""
-    paths = [()]
-    frontier = {(): start}
-    for _ in range(length):
-        nxt = []
-        nf = {}
-        for p in paths:
-            v = frontier[p]
-            for e in g.out_edges[v]:
-                q = p + (e,)
-                nxt.append(q)
-                nf[q] = g.range(e)
-        paths, frontier = nxt, nf
-    return paths
-
-
 def level_signs(i: int, j: int) -> str:
     """Sign string of a shape-(i, j) path: j forward steps, then i
     vertical steps alternating forward ('-') / reverse ('+')."""
@@ -476,22 +461,21 @@ def boltzmann_U(g: FusionGraph, cells: CellSystem, phi: dict):
 def hecke_operator(
     g: FusionGraph, cells: CellSystem, start, length: int, i: int
 ) -> np.ndarray:
-    """U_i acting on edge paths of ``length`` steps from ``start``.
+    """U_i acting on the forward paths of ``length`` steps from ``start``.
 
     The operator replaces steps i, i+1 (0-based) of the path using the
     Boltzmann weights and leaves the rest untouched.
     """
     import numpy as np
 
-    paths = path_space(g, start, length)
-    index = {p: k for k, p in enumerate(paths)}
-    m = np.zeros((len(paths), len(paths)), dtype=complex)
+    index = {p: k for k, (p, _) in enumerate(enumerate_paths(g, "-" * length, start))}
+    m = np.zeros((len(index), len(index)), dtype=complex)
     for p, k in index.items():
-        r1, r2 = p[i], p[i + 1]
+        r1, r2 = p[i][0], p[i + 1][0]
         for ((a1, a2), (b1, b2)), val in cells.U.items():
             if (a1, a2) != (r1, r2):
                 continue
-            q = p[:i] + (b1, b2) + p[i + 2 :]
+            q = p[:i] + ((b1, 1), (b2, 1)) + p[i + 2 :]
             if q in index:
                 m[index[q], k] += val
     return m
@@ -560,17 +544,16 @@ def _compile_objective(g: FusionGraph, tris: list):
                np.array(u_wbar, dtype=np.intp), np.array(u_norm))
 
     # U_i on the length-3 paths: entry (row q, col p) is U[(p_i p_i+1), (q_i q_i+1)]
-    paths3 = path_space(g, g.star, 3)
-    index = {p: k for k, p in enumerate(paths3)}
-    m = len(paths3)
+    index = {p: k for k, (p, _) in enumerate(enumerate_paths(g, "---"))}
+    m = len(index)
     ops = []
     for i in (0, 1):
         flat, ukey = [], []
         for p, col in index.items():
             for ((a1, a2), (b1, b2)), key in keys.items():
-                if (a1, a2) != (p[i], p[i + 1]):
+                if (a1, a2) != (p[i][0], p[i + 1][0]):
                     continue
-                q = p[:i] + (b1, b2) + p[i + 2:]
+                q = p[:i] + ((b1, 1), (b2, 1)) + p[i + 2:]
                 if q in index:
                     flat.append(index[q] * m + col)
                     ukey.append(key)
@@ -629,7 +612,7 @@ def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
     paths from ``star``, with U_i from ``hecke_operator``."""
     import numpy as np
 
-    if not path_space(g, g.star, 3):
+    if not enumerate_paths(g, "---"):
         return 0.0
     u1 = hecke_operator(g, cells, g.star, 3, 0)
     u2 = hecke_operator(g, cells, g.star, 3, 1)

@@ -20,6 +20,10 @@ slot-0 string passing over for ``xpos``); for a boundary point the pair is
 ``(k, -1)`` with ``k`` the circular index.  Closed circles with no vertices
 on them are not stored as edges but counted in ``loops``.
 
+``compose``, ``tensor`` and the closures are one planar-tangle operation,
+``_join``: it sends each boundary point of its webs to the new boundary or to
+one end of a join, and splices the two strings at each join into one.
+
 The rotation system determines an embedding; validation checks that each
 connected component is planar (Euler characteristic 2, with virtual arcs
 joining consecutive boundary points to close off the disk).
@@ -348,16 +352,6 @@ class Web:
 
     # -- structural operations ----------------------------------------
 
-    def _renumbered(self, offset: int):
-        verts = {v + offset: k for v, k in self.verts.items()}
-
-        def mp(p):
-            node, slot = p
-            return p if slot == -1 else (node + offset, slot)
-
-        edges = [(mp(a), mp(b)) for a, b in self.edges]
-        return verts, edges
-
     def star(self) -> "Web":
         """Adjoint diagram: vertical mirror plus orientation reversal."""
         t1, b1 = len(self.top), len(self.bot)
@@ -382,86 +376,14 @@ class Web:
 
     def tensor(self, other: "Web") -> "Web":
         """Place ``other`` to the right of ``self``."""
-        t1, b1 = len(self.top), len(self.bot)
-        t2, b2 = len(other.top), len(other.bot)
-        top = self.top + other.top
-        bot = self.bot + other.bot
-        T, B = t1 + t2, b1 + b2
-        overts, oedges = other._renumbered(self._vert_offset())
-
-        def mp_self(p):
-            node, slot = p
-            if slot != -1:
-                return p
-            if node < t1:
-                return (node, -1)
-            k = t1 + b1 - 1 - node  # bottom position in self
-            return (T + (B - 1 - k), -1)
-
-        def mp_other(p):
-            node, slot = p
-            if slot != -1:
-                return p
-            if node < t2:
-                return (t1 + node, -1)
-            k = t2 + b2 - 1 - node
-            return (T + (B - 1 - (b1 + k)), -1)
-
-        edges = [(mp_self(a), mp_self(b)) for a, b in self.edges]
-        edges += [(mp_other(a), mp_other(b)) for a, b in oedges]
-        verts = dict(self.verts)
-        verts.update(overts)
-        return Web(top, bot, verts, edges, self.loops + other.loops)
-
-    def _vert_offset(self) -> int:
-        return max(self.verts, default=-1) + 1
+        pieces = [(self, _shift(0, 0)), (other, _shift(len(self.top), len(self.bot)))]
+        return _join(self.top + other.top, self.bot + other.bot, pieces)
 
     def compose(self, other: "Web", check: bool = True) -> "Web":
         """Stack ``self`` on top of ``other``, gluing bottom to top."""
         if flip(self.bot) != other.top:
-            raise WebError(
-                f"cannot compose: bottom {self.bot!r} does not match top {other.top!r}"
-            )
-        t1, b1 = len(self.top), len(self.bot)
-        t2, b2 = len(other.top), len(other.bot)
-        overts, oedges = other._renumbered(self._vert_offset())
-        T = t1
-
-        def mp_self(p):
-            node, slot = p
-            if slot != -1:
-                return p
-            if node < t1:
-                return (node, -1)
-            k = t1 + b1 - 1 - node
-            return ("I", "a", k)  # interface: my bottom position k
-
-        def mp_other(p):
-            node, slot = p
-            if slot != -1:
-                return p
-            if node < t2:
-                return ("I", "b", node)  # interface: other's top position k
-            k = t2 + b2 - 1 - node
-            return (T + (b2 - 1 - k), -1)
-
-        edges = [(mp_self(a), mp_self(b)) for a, b in self.edges]
-        edges += [(mp_other(a), mp_other(b)) for a, b in oedges]
-        partner = {}
-        for k in range(b1):
-            partner[("I", "a", k)] = ("I", "b", k)
-            partner[("I", "b", k)] = ("I", "a", k)
-        new_edges, extra_loops = _glue(edges, partner)
-        verts = dict(self.verts)
-        verts.update(overts)
-        return Web(
-            self.top,
-            other.bot,
-            verts,
-            new_edges,
-            self.loops + other.loops + extra_loops,
-            check=check,
-        )
+            raise WebError(f"cannot compose: bottom {self.bot!r} does not match top {other.top!r}")
+        return _join(self.top, other.bot, [(self, _upper), (other, _lower)], check)
 
     def close_right(self, count: int | None = None) -> "Web":
         """Join the rightmost ``count`` top/bottom pairs by nested right arcs."""
@@ -472,48 +394,22 @@ class Web:
 
     def _close(self, count, right: bool) -> "Web":
         t1, b1 = len(self.top), len(self.bot)
-        if count is None:
-            count = min(t1, b1)
+        count = min(t1, b1) if count is None else count
         if count > min(t1, b1):
             raise WebError("cannot close more strands than are present")
-        if right:
-            tops = range(t1 - count, t1)
-            bots = range(b1 - count, b1)
-            new_top, new_bot = self.top[: t1 - count], self.bot[: b1 - count]
-        else:
-            tops = range(count)
-            bots = range(count)
-            new_top, new_bot = self.top[count:], self.bot[count:]
-        for kt, kb in zip(tops, bots):
-            if self.top[kt] != flip(self.bot)[kb]:
-                raise WebError("closure strands have inconsistent orientations")
+        # top point lt + j is joined to bottom point lb + j, for j < count
+        lt, lb = (t1 - count, b1 - count) if right else (0, 0)
+        if self.top[lt:lt + count] != flip(self.bot[lb:lb + count]):
+            raise WebError("closure strands have inconsistent orientations")
 
-        closing = {}
-        for kt, kb in zip(tops, bots):
-            closing[(kt, -1)] = ("I", "t", kt)
-            closing[(t1 + b1 - 1 - kb, -1)] = ("I", "u", kb)
-        T2, B2 = len(new_top), len(new_bot)
+        def place(side, k):
+            lo = lt if side == "t" else lb
+            if lo <= k < lo + count:
+                return (0 if side == "t" else 1), k - lo
+            return side, k if right else k - count
 
-        def mp(p):
-            node, slot = p
-            if slot != -1:
-                return p
-            if p in closing:
-                return closing[p]
-            if node < t1:
-                k = node if right else node - count
-                return (k, -1)
-            k = t1 + b1 - 1 - node
-            k2 = k if right else k - count
-            return (T2 + (B2 - 1 - k2), -1)
-
-        edges = [(mp(a), mp(b)) for a, b in self.edges]
-        partner = {}
-        for kt, kb in zip(tops, bots):
-            partner[("I", "t", kt)] = ("I", "u", kb)
-            partner[("I", "u", kb)] = ("I", "t", kt)
-        new_edges, extra = _glue(edges, partner)
-        return Web(new_top, new_bot, dict(self.verts), new_edges, self.loops + extra)
+        return _join(self.top[:lt] + self.top[lt + count:],
+                     self.bot[:lb] + self.bot[lb + count:], [(self, place)])
 
     # -- serialization ------------------------------------------------
 
@@ -539,6 +435,50 @@ class Web:
             edges,
             int(obj.get("loops", 0)),
         )
+
+
+def _join(top, bot, pieces, check=True) -> Web:
+    """Glue ``pieces`` into one web with boundary ``top`` over ``bot``.
+
+    A piece is ``(web, place)``: ``place(side, k)`` sends the web's top
+    (``side == "t"``) or bottom (``"b"``) point k to ``("t", k')`` or
+    ``("b", k')`` of the new boundary, or to ``(e, j)``, end e (0 or 1) of
+    join j.  Each piece's vertex ids are shifted past the ids before it,
+    edges keep the piece order, and the two strings of each join are spliced.
+    """
+    last = len(top) + len(bot) - 1  # bottom point k has circular index last - k
+    verts, edges, partner, loops = {}, [], {}, 0
+    for w, place in pieces:
+        off, t, wlast = max(verts, default=-1) + 1, len(w.top), w.m - 1
+
+        def mp(p):
+            node, slot = p
+            if slot != -1:
+                return (node + off, slot) if off else p
+            side, k = place("t", node) if node < t else place("b", wlast - node)
+            if side == "t" or side == "b":
+                return (k if side == "t" else last - k, -1)
+            partner[q := ("J", side, k)] = ("J", 1 - side, k)
+            return q
+
+        verts.update({v + off: kind for v, kind in w.verts.items()} if off else w.verts)
+        edges += [(mp(a), mp(b)) for a, b in w.edges]
+        loops += w.loops
+    edges, extra = _glue(edges, partner)
+    return Web(top, bot, verts, edges, loops + extra, check=check)
+
+
+def _shift(dt, db):
+    """The place that moves top points ``dt`` and bottom points ``db`` right."""
+    return lambda side, k: (side, k + (dt if side == "t" else db))
+
+
+def _upper(side, k):  # the upper of two stacked webs: its bottom k is join k's end 0
+    return (side, k) if side == "t" else (0, k)
+
+
+def _lower(side, k):  # the lower one: its top k is join k's end 1
+    return (1, k) if side == "t" else (side, k)
 
 
 def _glue(edges, partner):

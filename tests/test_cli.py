@@ -321,6 +321,19 @@ def test_relcheck_markov_too_few_strands(runner):
     assert_input_error(run(runner, ["relcheck", "--suite", "markov", "--m", "0"]), "--m")
 
 
+@pytest.mark.parametrize("m", ["2", "3"])
+@pytest.mark.parametrize("suite", ["su3", "frels"])
+def test_relcheck_suite_below_its_least_m(runner, suite, m):
+    """su3 and frels have no relation to check on fewer than four strands."""
+    assert_input_error(run(runner, ["relcheck", "--suite", suite, "--m", m]), "--m", "4")
+
+
+def test_relcheck_f13_at_n4(runner):
+    result = run(runner, ["relcheck", "--suite", "f13", "--n", "4"])
+    assert result.exit_code == 0
+    assert all(c["status"] == "pass" for c in report(result)["checks"])
+
+
 @pytest.mark.parametrize("cmd", [
     ["cells", "solve", "--n", "5"],
     ["connection", "check", "--n", "5"],
@@ -424,6 +437,14 @@ def _write_websum(path, x):
     path.write_text(json.dumps(
         [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]))
     return str(path)
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "."], ids=["no-directory", "a-directory"])
+def test_out_not_writable(runner, tmp_path, out):
+    out = str(tmp_path / out)
+    f = _write_websum(tmp_path / "sum.json", cupcap_sum(3, 1))
+    for cmd in (["normalize", "--in", f], ["graph", "build-a", "--n", "5"]):
+        assert_input_error(run(runner, [*cmd, "--out", out]), "--out", out)
 
 
 @pytest.mark.parametrize("x", [identity(3, "+"), cupcap_sum(3, 1)], ids=["+++", "-+-"])

@@ -14,8 +14,8 @@ from a2planar.graph import (
     FusionGraph,
     boltzmann_U,
     build_A,
+    enumerate_paths,
     hecke_operator,
-    path_space,
     pf_eigen,
     qnum,
     solve_cells,
@@ -144,7 +144,7 @@ def test_path_space_counts():
     g = build_A(4)
     # the 3-cycle has exactly one path of each length from *
     for k in range(5):
-        assert len(path_space(g, g.star, k)) == 1
+        assert len(enumerate_paths(g, "-" * k)) == 1
 
 
 # -- cell systems ----------------------------------------------------------

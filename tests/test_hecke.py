@@ -187,7 +187,7 @@ def test_index_guards():
 # -- relation suite --------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 9])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 9])
 def test_f13_relations(n):
     report = f13_relations(3, n)
     assert all(ok for _, ok in report)

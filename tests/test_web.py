@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -141,6 +143,18 @@ class TestClosure:
     def test_theta(self):
         th = wgen_web("--", 0).close_right()
         assert len(th.verts) == 2 and len(th.edges) == 3 and th.loops == 0
+
+    def test_more_strands_than_present(self):
+        for close in (Web.close_right, Web.close_left):
+            with pytest.raises(WebError, match="more strands than are present"):
+                close(identity_web("-+"), 3)
+
+    def test_inconsistent_orientations(self):
+        # a cap over a cup: each top point meets a bottom point of its own sign
+        w = Web("-+", "-+", {}, [((0, -1), (1, -1)), ((3, -1), (2, -1))])
+        for close in (Web.close_right, Web.close_left):
+            with pytest.raises(WebError, match="inconsistent orientations"):
+                close(w, 1)
 
 
 class TestEmbedding:
@@ -304,3 +318,84 @@ def test_canonical_key_matches_exhaustive_search_on_random_webs():
         w = random_reducible_web(rng)
         for x in (w, w.close_right()):
             assert repr(x.canonical_key()) == repr(exhaustive_key(x))
+
+
+# -- gluing: compose, tensor and the closures ----------------------------
+
+
+def _glue_outputs():
+    """The outputs of the four gluing operations on seeded inputs.
+
+    The inputs are ``random_reducible_web`` webs, the same webs with a
+    crossing stacked below, and their tensor products; every closure count
+    is taken from both sides.  The full closures leave free loops and
+    closed components.  The basis webs of three words cover the growth
+    route of ``enumerate_basis``, which composes its pieces.
+    """
+    rng = random.Random(18)
+    out = {"compose": [], "tensor": [], "close_right": [], "close_left": [], "basis": []}
+    for _ in range(80):
+        a, b = random_reducible_web(rng), random_reducible_web(rng)
+        like = [i for i in range(len(a.top) - 1) if a.top[i] == a.top[i + 1]]
+        if like:
+            x = crossing_web(a.top, rng.choice(like), rng.random() < 0.5)
+            out["compose"].append(a.compose(x))
+            a = out["compose"][-1]
+        out["compose"].append(a.compose(a.star()))
+        out["tensor"].append(a.tensor(b))
+        for c in (a, out["compose"][-1], out["tensor"][-1]):
+            for count in range(min(len(c.top), len(c.bot)) + 1):
+                out["close_right"].append(c.close_right(count))
+                out["close_left"].append(c.close_left(count))
+    for sigma in ("-+-+-+", "---+++", "--+-++-+"):
+        out["basis"] += enumerate_basis(sigma)
+    return out
+
+
+GLUE_DIGESTS = {
+    "compose": "7b455003cee6c5d6d8304fe37de27f3bdab06f9d605d2b9a125ef71057ca9706",
+    "tensor": "a76fea1ac650ed59217d3a687315bc3e278c46d4110ccea99a1b1739ae79931c",
+    "close_right": "284c464aad5b699f1e327e9807324065101a40680c5aa1ac33913781e83331a1",
+    "close_left": "4b80e762aae9e6c0c87adf45c7514a7bf03ffa96d23e62e332a111cb0e728576",
+    "basis": "227d750975643ef4914d89ce5e98a9bff7bb4502491fe94f76d13ea6a1de5155",
+}
+
+
+def test_gluing_matches_recorded():
+    """Vertex ids, edge order and loop counts of every gluing output match
+    digests recorded before the four operations shared one routine."""
+    out = _glue_outputs()
+    closed = out["close_right"] + out["close_left"]
+    assert any(w.loops for w in closed)
+    assert any(w.m == 0 and w.verts for w in closed)
+    digests = {
+        op: hashlib.sha256(json.dumps([w.to_json() for w in ws]).encode()).hexdigest()
+        for op, ws in out.items()
+    }
+    assert digests == GLUE_DIGESTS
+
+
+def _generator(sigma, i, kind):
+    if sigma[i] != sigma[i + 1]:
+        return cupcap_web(sigma, i)
+    return (wgen_web(sigma, i), crossing_web(sigma, i, True), crossing_web(sigma, i, False))[kind]
+
+
+@st.composite
+def endo_webs(draw, sigma):
+    """A product of up to three random generators on ``sigma``."""
+    w = identity_web(sigma)
+    steps = st.tuples(st.integers(0, len(sigma) - 2), st.integers(0, 2))
+    for i, kind in draw(st.lists(steps, max_size=3)) if len(sigma) > 1 else ():
+        w = w.compose(_generator(sigma, i, kind))
+    return w
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_interchange_law(data):
+    """(a tensor b)(c tensor d) = (ac) tensor (bd)."""
+    s, t = (data.draw(st.text("+-", min_size=1, max_size=3)) for _ in range(2))
+    a, c = data.draw(endo_webs(s)), data.draw(endo_webs(s))
+    b, d = data.draw(endo_webs(t)), data.draw(endo_webs(t))
+    assert a.tensor(b).compose(c.tensor(d)) == a.compose(c).tensor(b.compose(d))
