@@ -17,9 +17,12 @@ starts, so ``--help`` loads none of them.  The diagram-side commands are
 exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
 ``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
 f13`` load ``hecke``.  The path-side commands import ``graph``, and those
-that use cells also ``pathalg``, and no diagram module; ``graph`` imports
-numpy only in the functions that compute with it, so ``dims`` and ``graph
-build-a`` run without numpy.
+that use cells also ``pathalg``, and no diagram module; ``graph`` and
+``pathalg`` import numpy only in the functions that compute with it.  So
+``dims``, ``graph build-a``, and ``cells solve`` and ``connection check``
+on a ``--n`` graph, whose closed-form weights and cells are certified in
+pure Python, run without numpy; ``flat check``, ``zmap`` and the cell
+commands on a ``--graph`` file load it.
 """
 
 from __future__ import annotations
@@ -163,33 +166,26 @@ _SIGMA = _arg("a word in '+' and '-'", lambda s: not set(s) - set("+-"),
 _TOL = _arg("a positive finite number", lambda x: 0 < x < math.inf, float)
 
 
-def _fail(rep: Report, check_id: str, residual: float):
+def _fail(rep: Report, check_id: str, residual: float, payload=None):
     """Emit ``rep`` with a failed check ``check_id`` and exit 1."""
     rep.add(check_id, False, residual=residual)
-    sys.exit(rep.emit())
+    sys.exit(rep.emit(None, payload=payload))
 
 
-def _solve_cells(g, rep: Report, tol: float = 1e-10):
+def _certified_cells(g, rep: Report, tol: float = 1e-10, payload=None):
     """``graph.solve_cells(g, tol)``.  If the Perron-Frobenius weights of
-    ``g`` fail their cross-check, fail a ``perron_frobenius`` check with
-    the disagreement."""
+    ``g`` fail their certificate, fail a ``perron_frobenius`` check with
+    its residual; if the cells miss theirs, fail a ``frame_equations``
+    check with the cells' residual, and with ``payload(cells)`` as the
+    report's result when ``payload`` is given."""
     from . import graph
 
     try:
         return graph.solve_cells(g, tol=tol)
-    except graph.EigenvectorMismatch as exc:
+    except graph.UncertifiedPhi as exc:
         _fail(rep, "perron_frobenius", exc.residual)
-
-
-def _certified_cells(g, rep: Report):
-    """The cells of ``g``.  If they miss their slow-route certificate, fail
-    a ``frame_equations`` check with the residual."""
-    from . import graph
-
-    try:
-        return _solve_cells(g, rep)
     except graph.UncertifiedCells as exc:
-        _fail(rep, "frame_equations", exc.cells.residual)
+        _fail(rep, "frame_equations", exc.cells.residual, payload(exc.cells) if payload else None)
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -313,8 +309,13 @@ def decompose_cmd(infile, max_len):
     sys.exit(rep.emit(None, payload=word.to_json()))
 
 
-@_command("relcheck", _option("--suite", required=True, choices=[
-              "hecke", "su3", "frels", "markov", "braid", "spherical", "f13"]),
+# The options each relation suite reads, which its report's config lists.
+_SUITE_OPTIONS = {"hecke": ("m",), "su3": ("m",), "frels": ("m",),
+                  "markov": ("m", "seed", "trials"), "braid": ("m",), "spherical": (),
+                  "f13": ("n",)}
+
+
+@_command("relcheck", _option("--suite", required=True, choices=list(_SUITE_OPTIONS)),
           _option("--m", default=4, type=_at_least(2)),
           _option("--n", default=7, type=_at_least(4)),
           _option("--seed", default=0, type=int),
@@ -328,7 +329,8 @@ def relcheck_cmd(suite, m, n, seed, trials):
     least = {"su3": 4, "frels": 4}.get(suite, 2)  # below it the suite checks nothing
     if m < least:
         raise argparse.ArgumentError(None, f"argument --m: --suite {suite} needs --m >= {least}")
-    rep = Report("relcheck:" + suite, m=m, n=n, seed=seed, trials=trials)
+    options = {"m": m, "n": n, "seed": seed, "trials": trials}
+    rep = Report("relcheck:" + suite, **{k: options[k] for k in _SUITE_OPTIONS[suite]})
     if suite == "hecke":
         results = algebra.check_hecke(m)
     elif suite == "su3":
@@ -388,23 +390,21 @@ def build_a_cmd(n, out):
           _option("--tol", default=1e-10, type=_TOL))
 def cells_solve_cmd(n, graph_file, tol):
     """Solve the frame equations for cell weights on a graph."""
-    from . import graph
-
     g = _graph_option(n, graph_file)
     rep = Report("cells:solve", n=g.n, graph=g.name or graph_file, tol=tol)
-    try:
-        cells = _solve_cells(g, rep, tol)
-    except graph.UncertifiedCells as exc:
-        cells = exc.cells
-    rep.add("frame_equations", cells.residual < tol, residual=cells.residual)
-    payload = {
+    cells = _certified_cells(g, rep, tol, payload=_cells_payload)
+    rep.add("frame_equations", True, residual=cells.residual)
+    sys.exit(rep.emit(None, payload=_cells_payload(cells)))
+
+
+def _cells_payload(cells) -> dict:
+    return {
         "residual": cells.residual,
         "values": [
             {"triangle": list(t), "re": v.real, "im": v.imag}
             for t, v in sorted(cells.values.items())
         ],
     }
-    sys.exit(rep.emit(None, payload=payload))
 
 
 @_command("connection check", _option("--n", type=int),

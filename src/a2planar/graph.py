@@ -4,10 +4,12 @@ The graphs here are directed, three-colourable multigraphs whose
 adjacency matrix has Perron-Frobenius eigenvalue [3] at the graph's
 Coxeter number.  ``build_A`` constructs the truncated dominant-weight
 triangle; other graphs can be loaded from JSON.  Their Perron-Frobenius
-weights come from a closed form (``build_A``) or a certified power
-iteration (JSON), and ``dims`` counts paths, so numpy is imported only by
-the functions that compute with it, and a graph can be built, loaded and
-counted without it.
+weights come from a closed form (``build_A``) or a power iteration
+(JSON), both certified by one pure-Python check, and ``dims`` counts
+paths.  numpy is imported only inside the functions that compute with
+it, the least-squares solver and the adjacency matrices, so a graph can
+be built, loaded and counted, and a ``build_A`` graph can get its
+certified cells, without it.
 
 A cell system attaches a complex weight to every closed three-edge loop.
 The weights must satisfy two frame equations, read off from the local
@@ -33,7 +35,7 @@ Hecke-matrix entries), so an evaluation is a few gathers and scatters,
 and the same arrays give its exact Jacobian.  Either way
 the cells are certified by residuals only (the gauge is arbitrary): they
 are checked through the slow route, ``type_I_residual`` and the braid
-relation of ``hecke_operator`` on ``cells.U``.
+relation of ``hecke_operator`` on ``cells.U``, both in pure Python.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
     "triangles",
     "solve_cells",
     "UncertifiedCells",
-    "EigenvectorMismatch",
+    "UncertifiedPhi",
     "CellSystem",
     "boltzmann_U",
     "type_I_residual",
@@ -232,42 +234,38 @@ def pf_eigen(g: FusionGraph) -> dict:
     at ``star``.
 
     For the weight-lattice graphs the entries are computed in closed
-    form, phi_(a,b) = [a+1][b+1][a+b+2]/[2], and cross-checked against a
-    dense eigensolve: ``EigenvectorMismatch`` is raised when they differ
-    by more than 1e-9.  Any other graph, such as one read from JSON, gets
-    them from ``_perron``, whose Collatz-Wielandt bracket certifies the
-    eigenvalue.  The eigenvalue must be [3] to 1e-9, and A phi = [3] phi
-    must hold to 1e-10.
+    form, phi_(a,b) = [a+1][b+1][a+b+2]/[2]; any other graph, such as one
+    read from JSON, gets them from the power iteration of ``_perron``.
+    Either way phi is certified the same way, without an eigensolve: it
+    must be positive, its Collatz-Wielandt bracket must lie within 1e-9 of
+    [3], and A phi = [3] phi must hold to 1e-10.  ``UncertifiedPhi`` is
+    raised otherwise.
     """
-    n = g.n
     if _weight_lattice(g):
-        import numpy as np
-
-        w, vecs = np.linalg.eig(g.adjacency().T.astype(float))
-        k = int(np.argmax(w.real))
-        lo = hi = w[k].real
-        vec = vecs[:, k].real
+        vec = _phi_A(g)
+        lo, hi = _bracket(g, vec)
     else:
         lo, hi, vec = _perron(g)
-    if not qnum(3, n) - 1e-9 <= lo <= hi <= qnum(3, n) + 1e-9:
-        raise ValueError("Perron-Frobenius eigenvalue is not [3]")
-    phi = {v: float(vec[g._vindex[v]] / vec[g._vindex[g.star]]) for v in g.vertices}
-    if _weight_lattice(g):
-        closed = {
-            (a, b): qnum(a + 1, n) * qnum(b + 1, n) * qnum(a + b + 2, n) / qnum(2, n)
-            for a, b in g.vertices
-        }
-        gap = max(abs(closed[v] - phi[v]) for v in g.vertices)
-        if gap > 1e-9:
-            raise EigenvectorMismatch(gap)
-        phi = closed
+    q3 = qnum(3, g.n)
+    gap = max(q3 - lo, hi - q3) if lo <= hi else math.inf
+    if not gap <= 1e-9:
+        raise UncertifiedPhi("Perron-Frobenius eigenvalue is not [3]", gap)
+    top = vec[g._vindex[g.star]]
+    phi = {v: x / top for v, x in zip(g.vertices, vec)}
     res = max(
-        abs(sum(phi[g.range(e)] for e in g.out_edges[v]) - qnum(3, n) * phi[v])
+        abs(sum(phi[g.range(e)] for e in g.out_edges[v]) - q3 * phi[v])
         for v in g.vertices
     )
     if res > 1e-10:
-        raise ValueError(f"eigen-residual {res:.2e}")
+        raise UncertifiedPhi(f"eigen-residual {res:.2e}", res)
     return phi
+
+
+def _phi_A(g: FusionGraph) -> list:
+    """The closed-form Perron-Frobenius weights of A(n), in vertex order."""
+    n = g.n
+    return [qnum(a + 1, n) * qnum(b + 1, n) * qnum(a + b + 2, n) / qnum(2, n)
+            for a, b in g.vertices]
 
 
 _PERRON_CAP = 20000  # A(20) stops after 418 iterations, A(40) after 1622
@@ -276,12 +274,10 @@ _PERRON_CAP = 20000  # A(20) stops after 418 iterations, A(40) after 1622
 def _perron(g: FusionGraph):
     """Perron vector x of A^T (in vertex order, max entry 1) by power
     iteration on A^T + I, whose shift keeps a periodic graph such as A(n)
-    from cycling, and its Collatz-Wielandt bracket (lo, hi): the min and max
-    of (A^T x)_v / x_v, between which the Perron eigenvalue of A^T lies when
-    x > 0.  The iteration stops once no entry moves by more than 1e-15; a
-    vector that is not positive, or no stop within ``_PERRON_CAP``
-    iterations, gives the empty bracket (inf, -inf)."""
-    into = [[g._vindex[g.source(e)] for e in g.in_edges[v]] for v in g.vertices]
+    from cycling, and its ``_bracket`` (lo, hi).  The iteration stops once
+    no entry moves by more than 1e-15; no stop within ``_PERRON_CAP``
+    iterations gives the empty bracket (inf, -inf)."""
+    into = _into(g)
     x = [1.0] * len(into)
     for _ in range(_PERRON_CAP):
         y = [xv + sum(map(x.__getitem__, us)) for xv, us in zip(x, into)]
@@ -291,19 +287,36 @@ def _perron(g: FusionGraph):
         x = y
         if moved <= 1e-15:
             break
-    if moved > 1e-15 or min(x) <= 0.0:
+    if moved > 1e-15:
         return math.inf, -math.inf, x
-    ratios = [sum(map(x.__getitem__, us)) / xv for xv, us in zip(x, into)]
-    return min(ratios), max(ratios), x
+    return (*_bracket(g, x), x)
 
 
-class EigenvectorMismatch(ValueError):
-    """Raised by ``pf_eigen`` when the closed-form weights of a
-    weight-lattice graph differ from the eigensolve by more than 1e-9;
-    ``residual`` is the largest difference."""
+def _into(g: FusionGraph) -> list:
+    """Per vertex, in vertex order, the indices of the sources of its
+    incoming edges: row v of A^T."""
+    return [[g._vindex[g.source(e)] for e in g.in_edges[v]] for v in g.vertices]
 
-    def __init__(self, residual: float):
-        super().__init__(f"closed-form eigenvector disagrees with eigensolve by {residual:.2e}")
+
+def _bracket(g: FusionGraph, x: list):
+    """Collatz-Wielandt bracket (lo, hi) of x, in vertex order: the min and
+    max of (A^T x)_v / x_v, between which the Perron eigenvalue of A^T lies
+    when x > 0.  A vector that is not positive gives the empty bracket
+    (inf, -inf)."""
+    if min(x) <= 0.0:
+        return math.inf, -math.inf
+    ratios = [sum(map(x.__getitem__, us)) / xv for xv, us in zip(x, _into(g))]
+    return min(ratios), max(ratios)
+
+
+class UncertifiedPhi(ValueError):
+    """Raised by ``pf_eigen`` when phi fails its certificate; ``residual``
+    is what failed: the distance of the Collatz-Wielandt bracket from [3]
+    (inf when phi is not positive or the power iteration did not settle),
+    or the eigen-residual."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
         self.residual = residual
 
 
@@ -458,18 +471,15 @@ def boltzmann_U(g: FusionGraph, cells: CellSystem, phi: dict):
     return U
 
 
-def hecke_operator(
-    g: FusionGraph, cells: CellSystem, start, length: int, i: int
-) -> np.ndarray:
-    """U_i acting on the forward paths of ``length`` steps from ``start``.
+def hecke_operator(g: FusionGraph, cells: CellSystem, start, length: int, i: int) -> list:
+    """U_i acting on the forward paths of ``length`` steps from ``start``,
+    as a dense matrix of nested lists (rows of complex numbers).
 
     The operator replaces steps i, i+1 (0-based) of the path using the
     Boltzmann weights and leaves the rest untouched.
     """
-    import numpy as np
-
     index = {p: k for k, (p, _) in enumerate(enumerate_paths(g, "-" * length, start))}
-    m = np.zeros((len(index), len(index)), dtype=complex)
+    m = [[0j] * len(index) for _ in index]
     for p, k in index.items():
         r1, r2 = p[i][0], p[i + 1][0]
         for ((a1, a2), (b1, b2)), val in cells.U.items():
@@ -477,7 +487,7 @@ def hecke_operator(
                 continue
             q = p[:i] + ((b1, 1), (b2, 1)) + p[i + 2 :]
             if q in index:
-                m[index[q], k] += val
+                m[index[q]][k] += val
     return m
 
 
@@ -610,13 +620,17 @@ def _compile_objective(g: FusionGraph, tris: list):
 def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
     """Max entry of U_1 U_2 U_1 - U_1 - (U_2 U_1 U_2 - U_2) on the length-3
     paths from ``star``, with U_i from ``hecke_operator``."""
-    import numpy as np
-
-    if not enumerate_paths(g, "---"):
-        return 0.0
     u1 = hecke_operator(g, cells, g.star, 3, 0)
     u2 = hecke_operator(g, cells, g.star, 3, 1)
-    return float(np.max(np.abs((u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2))))
+    u121, u212 = _matmul(_matmul(u1, u2), u1), _matmul(_matmul(u2, u1), u2)
+    return max((abs((x - a) - (y - b))
+                for rows in zip(u121, u1, u212, u2) for x, a, y, b in zip(*rows)), default=0.0)
+
+
+def _matmul(a: list, b: list) -> list:
+    """The product of two matrices given as nested lists."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def _cells_A(g: FusionGraph, tris: list) -> dict:

@@ -31,7 +31,9 @@ provides
   sqrt(phi), a triangle by its cell over sqrt(phi phi).
 
 All arithmetic on this side is complex floating point (64-bit); the
-default comparison tolerance in the callers is 1e-10.
+default comparison tolerance in the callers is 1e-10.  numpy is imported
+only by the functions that build blocks, so the connection and its
+residuals run without it.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from types import MappingProxyType
-
-import numpy as np
 
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
@@ -135,6 +136,8 @@ class PathIndex:
         self.where = {p: (v, k) for v, ps in self.paths.items() for k, p in enumerate(ps)}
 
     def zeros(self) -> dict:
+        import numpy as np
+
         return {v: np.zeros((len(ps), len(ps)), dtype=complex) for v, ps in self.paths.items()}
 
 
@@ -194,15 +197,15 @@ class PathAlgElement:
         out = {}
         for v, b in self.blocks.items():
             ps = self.index.paths[v]
-            for a, c in zip(*np.nonzero(np.abs(b) > _CHOP)):
+            for a, c in zip(*(abs(b) > _CHOP).nonzero()):
                 out[(ps[a], ps[c])] = complex(b[a, c])
         return MappingProxyType(out)
 
     def __add__(self, other: "PathAlgElement") -> "PathAlgElement":
-        return self._zip(other, np.add)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "PathAlgElement") -> "PathAlgElement":
-        return self._zip(other, np.subtract)
+        return self._zip(other, operator.sub)
 
     def scale(self, c) -> "PathAlgElement":
         return self._map(lambda b: c * b)
@@ -210,7 +213,7 @@ class PathAlgElement:
     def __mul__(self, other):
         if not isinstance(other, PathAlgElement):
             return self.scale(other)
-        return self._zip(other, np.matmul)
+        return self._zip(other, operator.matmul)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -219,7 +222,7 @@ class PathAlgElement:
         return self._map(lambda b: b.conj().T)
 
     def norm(self) -> float:
-        return max((float(np.abs(b).max()) for b in self.blocks.values()), default=0.0)
+        return max((float(abs(b).max()) for b in self.blocks.values()), default=0.0)
 
     def dist(self, other: "PathAlgElement") -> float:
         return (self - other).norm()
@@ -244,6 +247,8 @@ class PathAlgElement:
 
 
 def identity_element(g: FusionGraph, i: int, j: int) -> PathAlgElement:
+    import numpy as np
+
     index = path_index(g, level_signs(i, j))
     blocks = {v: np.eye(len(ps), dtype=complex) for v, ps in index.paths.items()}
     return PathAlgElement._of(g, (i, j), index, blocks)
@@ -252,7 +257,7 @@ def identity_element(g: FusionGraph, i: int, j: int) -> PathAlgElement:
 def trace(x: PathAlgElement) -> complex:
     """Markov trace: (p, p) weighs [3]^-(i+j) * phi at the endpoint."""
     g = x.graph
-    tot = sum(g.phi[v] * np.trace(b) for v, b in x.blocks.items())
+    tot = sum(g.phi[v] * b.trace() for v, b in x.blocks.items())
     return complex(tot * qnum(3, g.n) ** (-sum(x.level)))
 
 
@@ -361,6 +366,8 @@ class Connection:
         down the left and across the bottom into the (horizontal, vertical)
         pair across the top and down the right; inverse goes the other way
         with the conjugate."""
+        import numpy as np
+
         d = 1 if self.parity == "even" else -1
         old = path_index(self.graph, signs)
         new = path_index(self.graph, signs[:t] + signs[t + 1] + signs[t] + signs[t + 2:])
@@ -520,6 +527,8 @@ def basis_change(
 def _append_step(x: PathAlgElement, sign: str, level) -> PathAlgElement:
     """``x`` on the paths one step longer: each path continues by every
     step of the given sign from its end vertex."""
+    import numpy as np
+
     index = path_index(x.graph, x.index.signs + sign)
     blocks = index.zeros()
     for v, ps in x.index.paths.items():
@@ -552,6 +561,8 @@ def _transport(g: FusionGraph, cells: CellSystem, vmax: int, hmax: int) -> dict:
     rows those of ``level_signs(vmax, hmax)``.  A swap acts on two steps
     only, so appending every forward step first and then moving the k-th
     one left past the vertical steps gives the same transport."""
+    import numpy as np
+
     signs = level_signs(vmax, 0) + "-" * hmax
     T = {w: np.eye(len(ps), dtype=complex) for w, ps in path_index(g, signs).paths.items()}
     for k in range(hmax):
@@ -568,6 +579,8 @@ def _prefix_blocks(g: FusionGraph, index: PathIndex, hmax: int) -> dict:
     whose row and column paths have different horizontal prefixes, and for
     each vertex where two or more prefixes end, the rows of those prefixes
     as a (prefix, tail) array, each row of it in the order of the tails."""
+    import numpy as np
+
     out = {}
     for w, ps in index.paths.items():
         rows: dict = {}  # prefix -> {tail: row}
@@ -619,10 +632,10 @@ def flatness_check(
             for w, m in tp.items():
                 a = m @ tq[w]
                 off, stacks = blocks[w]
-                worst = max(worst, float(np.abs(a[off]).max(initial=0.0)))
+                worst = max(worst, float(abs(a[off]).max(initial=0.0)))
                 for R in stacks:
                     d = a[R[:, :, None], R[:, None, :]]
-                    worst = max(worst, float(np.abs(d[:, None] - d[None]).max()))
+                    worst = max(worst, float(abs(d[:, None] - d[None]).max()))
     return {
         "graph": g.name or "graph",
         "hmax": hmax,

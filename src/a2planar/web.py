@@ -395,6 +395,8 @@ class Web:
     def _close(self, count, right: bool) -> "Web":
         t1, b1 = len(self.top), len(self.bot)
         count = min(t1, b1) if count is None else count
+        if count < 0:
+            raise WebError(f"cannot close {count} strands")
         if count > min(t1, b1):
             raise WebError("cannot close more strands than are present")
         # top point lt + j is joined to bottom point lb + j, for j < count

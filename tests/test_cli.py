@@ -354,17 +354,21 @@ def assert_failed_check(result):
     assert isinstance(check["residual"], float)
 
 
-@pytest.mark.parametrize("argv", [["--n", "5", "--tol", "1e-20"], ["--n", "31"]],
-                         ids=["tol-below-roundoff", "n31"])
+@pytest.mark.parametrize("argv", [["--n", "5", "--tol", "1e-20"], ["--n", "31"], ["--n", "46"]],
+                         ids=["tol-below-roundoff", "n31", "n46"])
 def test_cells_solve_reports_failed_certificate(runner, argv):
-    """``--n 31`` misses the absolute bound 1e-10 by roundoff alone."""
-    assert_failed_check(run(runner, ["cells", "solve", *argv]))
+    """``--n 31`` misses the absolute bound 1e-10 by roundoff alone, and so
+    does ``--n 46``, whose Perron-Frobenius weights pass their certificate."""
+    result = run(runner, ["cells", "solve", *argv])
+    assert_failed_check(result)
+    assert report(result)["checks"][0]["id"] == "frame_equations"
 
 
 @pytest.mark.parametrize("command", ["connection", "flat", "zmap"])
 def test_cell_commands_report_failed_certificate(runner, tmp_path, command):
     """The other commands that solve cells report the missed certificate at
-    ``--n 31`` the way ``cells solve`` does, before any work of their own."""
+    ``--n 31`` and ``--n 46`` the way ``cells solve`` does, before any work
+    of their own."""
     f = tmp_path / "word.json"
     f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     argv = {
@@ -372,19 +376,19 @@ def test_cell_commands_report_failed_certificate(runner, tmp_path, command):
         "flat": ["flat", "check"],
         "zmap": ["zmap", "--strips", str(f), "--i", "1", "--j", "2"],
     }[command]
-    result = run(runner, [*argv, "--n", "31"])
-    assert_failed_check(result)
-    assert report(result)["checks"][0]["id"] == "frame_equations"
+    for n in ("31", "46"):
+        result = run(runner, [*argv, "--n", n])
+        assert_failed_check(result)
+        assert report(result)["checks"][0]["id"] == "frame_equations"
 
 
 @pytest.mark.parametrize("command", ["cells", "connection", "flat", "zmap"])
-def test_cell_commands_report_eigenvector_mismatch(runner, tmp_path, command):
-    """From about ``--n 36`` the eigensolve's roundoff can put the
-    closed-form Perron-Frobenius weights more than the absolute bound 1e-9
-    away; every command that solves cells reports that as a failed check,
-    not a traceback.  The gap depends on the BLAS threads (1.07e-9 or
-    below 1e-9 at n = 36); at n = 46 it is 2.7e-9 with one and 3.1e-9
-    with two."""
+def test_cell_commands_report_eigenvector_mismatch(runner, tmp_path, monkeypatch, command):
+    """Closed-form Perron-Frobenius weights that fail their certificate, in
+    the bracket (the largest entry of A(12), about 19, times 1 + 1e-6) or
+    in the residual alone (plus 1e-9), make every command that solves cells
+    report a failed ``perron_frobenius`` check with the residual that
+    failed, not a traceback."""
     f = tmp_path / "word.json"
     f.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     argv = {
@@ -393,11 +397,20 @@ def test_cell_commands_report_eigenvector_mismatch(runner, tmp_path, command):
         "flat": ["flat", "check"],
         "zmap": ["zmap", "--strips", str(f), "--i", "1", "--j", "2"],
     }[command]
-    result = run(runner, [*argv, "--n", "46"])
-    assert_failed_check(result)
-    (check,) = report(result)["checks"]
-    assert check["id"] == "perron_frobenius"
-    assert check["residual"] > 1e-9
+    closed = G._phi_A
+    for bump, bound in ((lambda x: x * (1 + 1e-6), 1e-9), (lambda x: x + 1e-9, 1e-10)):
+        def phi_A(g, bump=bump):
+            vec = closed(g)
+            k = vec.index(max(vec))
+            vec[k] = bump(vec[k])
+            return vec
+
+        monkeypatch.setattr(G, "_phi_A", phi_A)
+        result = run(runner, [*argv, "--n", "12"])
+        assert_failed_check(result)
+        (check,) = report(result)["checks"]
+        assert check["id"] == "perron_frobenius"
+        assert check["residual"] > bound
 
 
 def test_cells_solve_reports_stalled_solver(runner, tmp_path, monkeypatch):
@@ -426,6 +439,21 @@ def test_relcheck_markov_default_trials(runner):
     doc = report(run(runner, ["relcheck", "--suite", "markov", "--m", "2"]))
     assert doc["config"]["trials"] == 100
     assert doc["checks"][0]["id"].endswith("100 trials")
+
+
+@pytest.mark.parametrize("suite, read", [
+    ("hecke", ["m"]), ("su3", ["m"]), ("frels", ["m"]), ("markov", ["m", "seed", "trials"]),
+    ("braid", ["m"]), ("spherical", []), ("f13", ["n"])])
+def test_relcheck_config_lists_the_options_its_suite_reads(runner, suite, read):
+    """Every option is given; the report's config keeps those the suite
+    reads."""
+    given = {"m": 4 if suite in ("su3", "frels") else 3, "n": 4, "seed": 2, "trials": 5}
+    argv = ["relcheck", "--suite", suite]
+    for k, v in given.items():
+        argv += [f"--{k}", str(v)]
+    result = run(runner, argv)
+    assert result.exit_code == 0
+    assert report(result)["config"] == dict({k: given[k] for k in read}, precision_bits=64)
 
 
 def test_graph_needed(runner):
@@ -692,8 +720,8 @@ def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
 @pytest.mark.parametrize("argv, loaded", [
     (["dims", "--n", "5", "--i", "1", "--j", "1"], []),
     (["graph", "build-a", "--n", "5"], []),
-    (["cells", "solve", "--n", "5"], ["numpy"]),
-    (["connection", "check", "--n", "5"], ["numpy"]),
+    (["cells", "solve", "--n", "5"], []),
+    (["connection", "check", "--n", "5"], []),
     (["flat", "check", "--n", "5"], ["numpy"]),
     (["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"], ["numpy"]),
     (["cells", "solve", "--graph", "{graph}"], ["numpy"]),
@@ -702,10 +730,12 @@ def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
 ], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap",
         "cells-solve-json", "connection-check-json", "dims-json"])
 def test_path_commands_without_cells_leave_scipy_out(argv, loaded, tmp_path):
-    """No path command loads scipy.  Those that use cells load numpy: with
-    the closed form of a ``--n`` graph, and with the cells of a ``--graph``
-    file solved by least squares.  ``dims`` and ``graph build-a`` load no
-    numpy, also when a ``--graph`` file needs its Perron-Frobenius weights."""
+    """No path command loads scipy.  ``flat check`` and ``zmap`` load numpy
+    for their path-pair elements, and the cell commands on a ``--graph``
+    file for least squares.  ``cells solve`` and ``connection check`` on a
+    ``--n`` graph certify the closed forms without numpy, and ``dims`` and
+    ``graph build-a`` load no numpy, also when a ``--graph`` file needs its
+    Perron-Frobenius weights."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     graph = tmp_path / "A5.json"

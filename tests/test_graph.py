@@ -103,6 +103,65 @@ def test_power_iteration_cap_is_a_rejection(monkeypatch):
         pf_eigen(_json_A(9))
 
 
+@pytest.mark.parametrize("n", range(4, 31))
+def test_closed_form_phi_matches_eigensolve(n):
+    """The reference for the closed form: the Perron vector of a dense
+    eigensolve of A^T, normalized at star, agrees to the absolute 1e-9 up
+    to n = 30 (at most 4.2e-10 there, on one or two BLAS threads; at
+    n = 35 on two threads the gap is 1.1e-9)."""
+    g = build_A(n)
+    w, vecs = np.linalg.eig(g.adjacency().T.astype(float))
+    vec = vecs[:, int(np.argmax(w.real))].real
+    vec = vec / vec[g._vindex[g.star]]
+    phi = pf_eigen(g)
+    assert max(abs(vec[g._vindex[v]] - phi[v]) for v in g.vertices) < 1e-9
+
+
+def test_closed_form_phi_certified_without_numpy():
+    """Up to n = 60 the closed form passes its certificate in a process
+    that never imports numpy."""
+    code = ("import sys\n"
+            "from a2planar.graph import build_A, pf_eigen\n"
+            "for n in range(4, 61):\n"
+            "    pf_eigen(build_A(n))\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(G.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def _bump_largest(monkeypatch, bump):
+    """Make the closed form of A(n) give ``bump(x)`` in place of its
+    largest entry x."""
+    closed = G._phi_A
+
+    def phi_A(g):
+        vec = closed(g)
+        k = vec.index(max(vec))
+        vec[k] = bump(vec[k])
+        return vec
+
+    monkeypatch.setattr(G, "_phi_A", phi_A)
+
+
+def test_perturbed_closed_form_phi_fails_certificate(monkeypatch):
+    """Positive controls of the certificate at n = 12, where the largest
+    entry is about 19: a relative 1e-6 moves its Collatz-Wielandt ratio out
+    of the bracket, and an absolute 1e-9 leaves the bracket within 1e-9 of
+    [3] but puts the eigen-residual near [3] 1e-9."""
+    _bump_largest(monkeypatch, lambda x: x * (1 + 1e-6))
+    with pytest.raises(G.UncertifiedPhi, match=r"not \[3\]") as exc:
+        pf_eigen(build_A(12))
+    assert 1e-9 < exc.value.residual < 1e-5
+    monkeypatch.undo()
+    _bump_largest(monkeypatch, lambda x: x + 1e-9)
+    g = build_A(12)
+    lo, hi = G._bracket(g, G._phi_A(g))
+    assert qnum(3, 12) - 1e-9 <= lo <= hi <= qnum(3, 12) + 1e-9
+    with pytest.raises(G.UncertifiedPhi, match="eigen-residual") as exc:
+        pf_eigen(g)
+    assert 1e-10 < exc.value.residual < 1e-8
+
+
 def test_adjacency_normal():
     for n in (4, 5, 6, 7):
         a = build_A(n).adjacency()
@@ -311,7 +370,7 @@ def test_hecke_relations_from_cells(n):
     g = build_A(n)
     cells = solve_cells(g)
     d = qnum(2, n)
-    u = [hecke_operator(g, cells, g.star, 4, i) for i in range(3)]
+    u = [np.array(hecke_operator(g, cells, g.star, 4, i)) for i in range(3)]
     for ui in u:
         assert np.max(np.abs(ui - ui.conj().T)) < 1e-10
         assert np.max(np.abs(ui @ ui - d * ui)) < 1e-10
@@ -324,7 +383,7 @@ def test_hecke_relations_from_cells(n):
 def test_su3_condition_from_cells(n):
     g = build_A(n)
     cells = solve_cells(g)
-    u = [hecke_operator(g, cells, g.star, 4, i) for i in range(3)]
+    u = [np.array(hecke_operator(g, cells, g.star, 4, i)) for i in range(3)]
     lhs = (u[0] - u[2] @ u[1] @ u[0] + u[1]) @ (u[1] @ u[2] @ u[1] - u[1])
     assert np.max(np.abs(lhs)) < 1e-10
 
@@ -353,10 +412,35 @@ def test_gauge_rephasing_invariance():
     gauged = CellSystem(g, vals, 0.0)
     assert type_I_residual(g, gauged) < 1e-10
     d = qnum(2, n)
-    u1 = hecke_operator(g, gauged, g.star, 3, 0)
-    u2 = hecke_operator(g, gauged, g.star, 3, 1)
+    u1 = np.array(hecke_operator(g, gauged, g.star, 3, 0))
+    u2 = np.array(hecke_operator(g, gauged, g.star, 3, 1))
     braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
     assert np.max(np.abs(braid)) < 1e-10
+
+
+def _numpy_braid_residual(g, cells):
+    u1 = np.array(hecke_operator(g, cells, g.star, 3, 0))
+    u2 = np.array(hecke_operator(g, cells, g.star, 3, 1))
+    return float(np.max(np.abs((u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)), initial=0.0))
+
+
+@pytest.mark.parametrize("make, n", [(build_A, n) for n in range(4, 13)]
+                         + [(_json_A, n) for n in range(5, 9)],
+                         ids=[f"A{n}" for n in range(4, 13)] + [f"A{n}-json" for n in range(5, 9)])
+def test_braid_residual_matches_numpy_product(make, n):
+    """The pure-Python braid residual against the numpy product of the
+    ``hecke_operator`` matrices, to a relative 1e-12, on the solved cells
+    and on cells with every weight rephased differently, whose residual is
+    far from 0."""
+    g = make(n)
+    cells = solve_cells(g)
+    bent = CellSystem(g, {t: v * (1 + 0.05j * k) for k, (t, v) in enumerate(cells.values.items())},
+                      0.0)
+    for c in (cells, bent):
+        want = _numpy_braid_residual(g, c)
+        assert abs(G._braid_residual(g, c) - want) <= 1e-12 * want
+    if n > 4:
+        assert _numpy_braid_residual(g, bent) > 1e-3
 
 
 def test_perturbed_cells_fail():
@@ -389,8 +473,8 @@ def _dict_route(g, tris, x):
             )
             want = d * g.phi[g.source(u)] * g.phi[g.range(u)] if u == v else 0.0
             res += [(s - want).real, (s - want).imag]
-    u1 = hecke_operator(g, cells, g.star, 3, 0)
-    u2 = hecke_operator(g, cells, g.star, 3, 1)
+    u1 = np.array(hecke_operator(g, cells, g.star, 3, 0))
+    u2 = np.array(hecke_operator(g, cells, g.star, 3, 1))
     braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
     return np.concatenate([res, braid.real.ravel(), braid.imag.ravel()])
 

@@ -149,6 +149,12 @@ class TestClosure:
             with pytest.raises(WebError, match="more strands than are present"):
                 close(identity_web("-+"), 3)
 
+    @pytest.mark.parametrize("count", [-1, -2])
+    def test_negative_count(self, count):
+        for close in (Web.close_right, Web.close_left):
+            with pytest.raises(WebError, match="cannot close -"):
+                close(identity_web("-+"), count)
+
     def test_inconsistent_orientations(self):
         # a cap over a cup: each top point meets a bottom point of its own sign
         w = Web("-+", "-+", {}, [((0, -1), (1, -1)), ((3, -1), (2, -1))])
