@@ -17,12 +17,13 @@ starts, so ``--help`` loads none of them.  The diagram-side commands are
 exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
 ``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
 f13`` load ``hecke``.  The path-side commands import ``graph``, and those
-that use cells also ``pathalg``, and no diagram module; ``graph`` and
-``pathalg`` import numpy only in the functions that compute with it.  So
-``dims``, ``graph build-a``, and ``cells solve`` and ``connection check``
-on a ``--n`` graph, whose closed-form weights and cells are certified in
-pure Python, run without numpy; ``flat check``, ``zmap`` and the cell
-commands on a ``--graph`` file load it.
+that use cells also ``pathalg``, and no diagram module.  ``graph`` is
+pure Python, and ``pathalg`` imports numpy only in the functions that
+build path-pair blocks.  So every path command but ``flat check`` runs
+without numpy: ``dims``, ``graph build-a``, ``cells solve`` and
+``connection check`` (closed-form cells on a ``--n`` graph, least squares
+on a ``--graph`` file), and ``zmap``, which reads its labels and prints
+its result as path-pair terms.
 """
 
 from __future__ import annotations
@@ -472,14 +473,16 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     labs = []
     if labels:
         labs = _read_input("--labels", labels, lambda rows: [
-            pa.PathAlgElement.from_json(g, tuple(r["level"]), r["terms"]) for r in rows
+            pa.Label(g, tuple(r["level"]),
+                     pa.pair_terms(g, r["level"], pa.terms_from_json(r["terms"])))
+            for r in rows
         ])
     word = _read_input("--strips", strips, lambda toks: _strip_word(toks, labs, ii, jj))
     rep = Report("zmap", n=g.n, graph=g.name or graph_file, i=ii, j=jj, strips=strips)
     cells = _certified_cells(g, rep)
-    z = pa.z_element(word, labs, g, cells, ii, jj)
+    terms = pa.z_terms(word, labs, g, cells, ii, jj)
     rep.add("evaluate", True, residual=0)
-    sys.exit(rep.emit(None, payload=z.to_json()))
+    sys.exit(rep.emit(None, payload=pa.terms_to_json(terms)))
 
 
 @_command("quotient-dim", _option("--sigma", required=True, type=_SIGMA),

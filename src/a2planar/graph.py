@@ -6,10 +6,7 @@ Coxeter number.  ``build_A`` constructs the truncated dominant-weight
 triangle; other graphs can be loaded from JSON.  Their Perron-Frobenius
 weights come from a closed form (``build_A``) or a power iteration
 (JSON), both certified by one pure-Python check, and ``dims`` counts
-paths.  numpy is imported only inside the functions that compute with
-it, the least-squares solver and the adjacency matrices, so a graph can
-be built, loaded and counted, and a ``build_A`` graph can get its
-certified cells, without it.
+paths.  Everything here is pure Python: no function imports numpy.
 
 A cell system attaches a complex weight to every closed three-edge loop.
 The weights must satisfy two frame equations, read off from the local
@@ -27,28 +24,24 @@ vertex weights:
 On the weight-lattice graphs A(n) the cells have a closed form
 (Evans-Pugh, arXiv:0906.4307), a real positive weight per triangle.  Any
 other graph, such as one loaded from JSON, gets its cells numerically, by
-``least_squares``, a short Levenberg-Marquardt in numpy, with restarts
-from ``random.Random(0)``, so the same graph always gets the same cells.
-Its objective is compiled once per solve into numpy index arrays
-(triangle of each cell rotation, frame terms, Boltzmann entries,
-Hecke-matrix entries), so an evaluation is a few gathers and scatters,
-and the same arrays give its exact Jacobian.  Either way
-the cells are certified by residuals only (the gauge is arbitrary): they
-are checked through the slow route, ``type_I_residual`` and the braid
-relation of ``hecke_operator`` on ``cells.U``, both in pure Python.
+``least_squares``, a short Levenberg-Marquardt that solves its damped
+normal equations by a sparse Cholesky factorization, with restarts from
+``random.Random(0)``, so the same graph always gets the same cells.  Its
+objective is compiled once per solve into index lists (triangle of each
+cell rotation, frame terms, Boltzmann entries, Hecke-matrix entries), and
+the same lists give its exact Jacobian, one sparse row per residual.
+Either way the cells are certified by residuals only (the gauge is
+arbitrary): they are checked through the slow route, ``type_I_residual``
+and the braid relation of ``hecke_operator`` on ``cells.U``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
-    import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "FusionGraph",
@@ -73,7 +66,7 @@ class Fit(NamedTuple):
     """Result of ``least_squares``: the point reached and the number of
     evaluations, of the objective and of its Jacobian together."""
 
-    x: np.ndarray
+    x: list
     nfev: int
 
 
@@ -81,44 +74,90 @@ XTOL = FTOL = 1e-15  # least_squares' relative step and cost-decrease floors
 
 
 def least_squares(fun, x0, jac) -> Fit:
-    """Minimize ``sum(fun(x)**2)`` by Levenberg-Marquardt from ``x0``, with
-    ``jac(x)`` the exact Jacobian of ``fun``.
+    """Minimize the sum of squares of ``fun(x)``, a list of floats, by
+    Levenberg-Marquardt from ``x0``, with ``jac(x)`` the exact Jacobian of
+    ``fun`` as one sparse row ``{column: value}`` per residual.
 
     The damping mu follows the gain ratio rho of each step (Nielsen):
     mu *= max(1/3, 1 - (2 rho - 1)^3) on an accepted step, mu *= nu and
-    nu *= 2 on a rejected one.  The Jacobian is evaluated at the start and
-    after each accepted step, at most 100 times.  It stops once an accepted
-    step lowers the squared residual by at most ``FTOL`` of itself, once a
-    step (accepted or not) is at most ``XTOL`` of |x| or is not finite, or
-    when a 101st Jacobian would be needed.
+    nu *= 2 on a rejected one.  Each step solves the damped normal
+    equations (J^T J + mu I) step = -J^T f by ``_cholesky_solve``.  The
+    Jacobian is evaluated at the start and after each accepted step, at
+    most 100 times.  It stops once an accepted step lowers the squared
+    residual by at most ``FTOL`` of itself, once a step (accepted or not) is
+    at most ``XTOL`` of |x| or is not finite, once a pivot of the damped
+    normal matrix is not positive and finite, or when a 101st Jacobian would
+    be needed.
     """
-    import numpy as np
-
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
     f = fun(x)
     nfev, mu, nu = 1, None, 2.0
     for _ in range(100):
-        j = jac(x)
+        a, g = _normal_equations(jac(x), f, len(x))
         nfev += 1
-        a, g, cost = j.T @ j, j.T @ f, float(f @ f)
+        cost = sum(v * v for v in f)
         if mu is None:
-            mu = 1e-3 * float(np.max(np.diag(a)))
+            mu = 1e-3 * max(row.get(k, 0.0) for k, row in enumerate(a))
         while True:  # ends: mu grows on each rejection until the step fails the test below
-            step = np.linalg.solve(a + mu * np.eye(len(x)), -g)
-            if not np.linalg.norm(step) > XTOL * np.linalg.norm(x):
+            step = _cholesky_solve(a, mu, [-v for v in g])
+            if step is None or not math.hypot(*step) > XTOL * math.hypot(*x):
                 return Fit(x, nfev)
-            f_new = fun(x + step)
+            x_new = list(map(operator.add, x, step))
+            f_new = fun(x_new)
             nfev += 1
-            cost_new = float(f_new @ f_new)
-            rho = (cost - cost_new) / float(step @ (mu * step - g))
+            cost_new = sum(v * v for v in f_new)
+            rho = (cost - cost_new) / sum(s * (mu * s - gk) for s, gk in zip(step, g))
             if rho > 0:
                 break
             mu, nu = mu * nu, nu * 2
-        x, f = x + step, f_new
+        x, f = x_new, f_new
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         if cost - cost_new <= FTOL * cost:
             break
     return Fit(x, nfev)
+
+
+def _normal_equations(rows: list, f: list, n: int):
+    """J^T J, as its upper rows ``{j: entry}`` (j >= i), and J^T f, from the
+    sparse rows of J and the residuals f."""
+    a, g = [{} for _ in range(n)], [0.0] * n
+    for row, fr in zip(rows, f):
+        items = sorted(row.items())
+        for t, (i, vi) in enumerate(items):
+            g[i] += vi * fr
+            ai = a[i]
+            for j, vj in items[t:]:
+                ai[j] = ai.get(j, 0.0) + vi * vj
+    return a, g
+
+
+def _cholesky_solve(a: list, mu: float, b: list):
+    """x with (A + mu I) x = b, for the symmetric A given by its upper rows
+    ``{j: entry}``, or None if a pivot is not positive and finite.
+
+    The factor R, with A + mu I = R^T R, is built in natural order, row by
+    row as dicts of its off-diagonal entries: each pivot row updates the
+    rows its entries name, so R holds only A's pattern and its fill-in."""
+    rows, diag = [dict(row) for row in a], []
+    for k, row in enumerate(rows):
+        d = row.pop(k, 0.0) + mu
+        if not 0.0 < d < math.inf:
+            return None
+        diag.append(math.sqrt(d))
+        items = sorted((j, v / diag[k]) for j, v in row.items())
+        row.update(items)
+        for t, (i, vi) in enumerate(items):
+            ri = rows[i]
+            for j, vj in items[t:]:
+                ri[j] = ri.get(j, 0.0) - vi * vj
+    y = list(b)
+    for k, row in enumerate(rows):  # R^T y = b
+        y[k] /= diag[k]
+        for j, v in row.items():
+            y[j] -= v * y[k]
+    for k in reversed(range(len(rows))):  # R x = y
+        y[k] = (y[k] - sum(v * y[j] for j, v in rows[k].items())) / diag[k]
+    return y
 
 
 def qnum(m: int, n: int) -> float:
@@ -149,28 +188,6 @@ class FusionGraph:
         for k, (u, v) in enumerate(self.edges):
             self.out_edges[u].append(k)
             self.in_edges[v].append(k)
-
-    def adjacency(self) -> np.ndarray:
-        import numpy as np
-
-        a = np.zeros((len(self.vertices), len(self.vertices)), dtype=int)
-        for u, v in self.edges:
-            a[self._vindex[u], self._vindex[v]] += 1
-        return a
-
-    def colour_block(self, c1: int, c2: int) -> np.ndarray:
-        """Adjacency restricted to edges from colour ``c1`` to colour ``c2``."""
-        import numpy as np
-
-        rows = [v for v in self.vertices if self.colour[v] == c1]
-        cols = [v for v in self.vertices if self.colour[v] == c2]
-        ri = {v: i for i, v in enumerate(rows)}
-        ci = {v: i for i, v in enumerate(cols)}
-        a = np.zeros((len(rows), len(cols)), dtype=int)
-        for u, v in self.edges:
-            if u in ri and v in ci:
-                a[ri[u], ci[v]] += 1
-        return a
 
     @cached_property
     def phi(self) -> dict:
@@ -492,21 +509,19 @@ def hecke_operator(g: FusionGraph, cells: CellSystem, start, length: int, i: int
 
 
 def _compile_objective(g: FusionGraph, tris: list):
-    """The least-squares objective of ``solve_cells`` as index arrays.
+    """The least-squares objective of ``solve_cells`` as index lists.
 
-    Returns ``(objective, jacobian)``, functions of x = (re, im) of one
-    weight per triangle.  Each evaluation gathers the weights, sums the
-    type I frame products and the Boltzmann entries with ``np.add.at``,
-    and scatters the entries into U_1, U_2 on the length-3 paths from
-    ``star``; the residuals come out in the order of the dict route: (re,
-    im) per frame, then the braid matrix, real part and imaginary part.
-    The frame sums and the U entries are bilinear in (w, conj w), so the
-    Jacobian gathers the same index arrays once per partial derivative,
-    and the braid matrix takes its derivative by the product rule, batched
-    over the 2 len(tris) parameters.
+    Returns ``(objective, jacobian)``, functions of the list x = (re, im) of
+    one weight per triangle.  Each evaluation sums the type I frame
+    products and the entries of U_1, U_2 on the length-3 paths from
+    ``star`` from the terms c w[a] conj(w[b]) listed here; the residuals
+    come out as a list, in the order of the dict route: (re, im) per frame,
+    then the braid matrix row by row, real part and imaginary part.  The
+    sums are bilinear in (w, conj w), so the Jacobian, one sparse row
+    ``{parameter: derivative}`` per residual, takes c conj(w[b]) and c w[a]
+    from each term, and the braid matrix takes its derivative by the
+    product rule, once per parameter that feeds U_1 or U_2.
     """
-    import numpy as np
-
     phi = g.phi
     d = qnum(2, g.n)
     tri_of = {}
@@ -514,9 +529,9 @@ def _compile_objective(g: FusionGraph, tris: list):
         for rot in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
             tri_of[rot] = k
 
-    # type I: frame f sums W(u,a,b) conj(W(v,a,b)) over the loops (u,a,b)
+    # type I: frame r sums W(u,a,b) conj(W(v,a,b)) over the loops (u,a,b)
     parallel = _parallel_edges(g)
-    f_id, f_w, f_wbar, want = [], [], [], []
+    frame_terms, want = [], []
     for u in range(len(g.edges)):
         for v in parallel[g.edges[u]]:
             if v < u:
@@ -524,17 +539,12 @@ def _compile_objective(g: FusionGraph, tris: list):
             for a in g.out_edges[g.range(u)]:
                 for b in g.out_edges[g.range(a)]:
                     if (u, a, b) in tri_of:
-                        f_id.append(len(want))
-                        f_w.append(tri_of[(u, a, b)])
-                        f_wbar.append(tri_of[(v, a, b)])
+                        frame_terms.append((len(want), tri_of[(u, a, b)], tri_of[(v, a, b)], 1.0))
             want.append(d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0)
-    want = np.array(want, dtype=complex)
-    frame_terms = (np.array(f_id, dtype=np.intp), np.array(f_w, dtype=np.intp),
-                   np.array(f_wbar, dtype=np.intp), 1.0)
 
     # U entries, in the order boltzmann_U adds them
     keys: dict = {}
-    u_key, u_w, u_wbar, u_norm = [], [], [], []
+    u_terms = []
     for r1 in range(len(g.edges)):
         for r2 in g.out_edges[g.range(r1)]:
             for lam in g.in_edges[g.source(r1)]:
@@ -546,85 +556,102 @@ def _compile_objective(g: FusionGraph, tris: list):
                         if g.range(r4) != g.range(r2):
                             continue
                         key = keys.setdefault(((r1, r2), (r3, r4)), len(keys))
-                        u_key.append(key)
-                        u_w.append(tri_of[(lam, r3, r4)])
-                        u_wbar.append(tri_of[(lam, r1, r2)])
-                        u_norm.append(norm)
-    u_terms = (np.array(u_key, dtype=np.intp), np.array(u_w, dtype=np.intp),
-               np.array(u_wbar, dtype=np.intp), np.array(u_norm))
+                        u_terms.append((key, tri_of[(lam, r3, r4)], tri_of[(lam, r1, r2)], norm))
 
     # U_i on the length-3 paths: entry (row q, col p) is U[(p_i p_i+1), (q_i q_i+1)]
     index = {p: k for k, (p, _) in enumerate(enumerate_paths(g, "---"))}
     m = len(index)
     ops = []
     for i in (0, 1):
-        flat, ukey = [], []
+        ops.append([])
         for p, col in index.items():
             for ((a1, a2), (b1, b2)), key in keys.items():
                 if (a1, a2) != (p[i][0], p[i + 1][0]):
                     continue
                 q = p[:i] + ((b1, 1), (b2, 1)) + p[i + 2:]
                 if q in index:
-                    flat.append(index[q] * m + col)
-                    ukey.append(key)
-        ops.append((np.array(flat, dtype=np.intp), np.array(ukey, dtype=np.intp)))
+                    ops[i].append((index[q], col, key))
+    used = {key for op in ops for _, _, key in op}
+    u_terms = [t for t in u_terms if t[0] in used]
+    feed = sorted({k for _, a, b, _ in u_terms for k in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)})
 
     def sums(w, terms, size):
         """s[r] = sum of c w[a] conj(w[b]) over the terms (r, a, b, c)."""
-        r, a, b, c = terms
-        s = np.zeros(size, dtype=complex)
-        np.add.at(s, r, c * w[a] * w[b].conj())
+        s = [0j] * size
+        for r, a, b, c in terms:
+            s[r] += c * w[a] * w[b].conjugate()
         return s
 
     def sums_jac(w, terms, size):
-        """ds/dx of ``sums``, (size, 2 len(w)); a column per re and im."""
-        r, a, b, c = terms
-        dw, dwbar = np.zeros((2, size, len(w)), dtype=complex)
-        np.add.at(dw, (r, a), c * w[b].conj())
-        np.add.at(dwbar, (r, b), c * w[a])
-        return np.stack((dw + dwbar, 1j * (dw - dwbar)), axis=-1).reshape(size, -1)
+        """ds[r]/dx as {parameter: complex}, per r; x[2a], x[2a+1] are the
+        real and imaginary part of w[a]."""
+        ds = [{} for _ in range(size)]
+        for r, a, b, c in terms:
+            da, db = c * w[b].conjugate(), c * w[a]
+            dr = ds[r]
+            for k, v in ((2 * a, da), (2 * a + 1, 1j * da), (2 * b, db), (2 * b + 1, -1j * db)):
+                dr[k] = dr.get(k, 0j) + v
+        return ds
 
-    def u_pair(uval):
-        """U_1, U_2 from the U entries on the last axis of ``uval``."""
-        u = np.zeros(uval.shape[:-1] + (2, m * m), dtype=complex)
-        for i, (flat, ukey) in enumerate(ops):
-            u[..., i, flat] = uval[..., ukey]
-        return np.moveaxis(u.reshape(uval.shape[:-1] + (2, m, m)), -3, 0)
+    def u_pair(entry):
+        """U_1, U_2 as nested lists, entry ``key`` read by ``entry(key)``."""
+        out = []
+        for op in ops:
+            u = [[0j] * m for _ in range(m)]
+            for row, col, key in op:
+                u[row][col] = entry(key)
+            out.append(u)
+        return out
 
     def objective(x):
-        w = x[0::2] + 1j * x[1::2]
-        frame = sums(w, frame_terms, len(want)) - want
-        res = [np.column_stack((frame.real, frame.imag)).ravel()]
+        w = [complex(re, im) for re, im in zip(x[0::2], x[1::2])]
+        res = []
+        for s, t in zip(sums(w, frame_terms, len(want)), want):
+            res += ((s - t).real, (s - t).imag)
         if m:
-            u1, u2 = u_pair(sums(w, u_terms, len(keys)))
-            braid = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
-            res += [braid.real.ravel(), braid.imag.ravel()]
-        return np.concatenate(res)
+            braid = _braid(*u_pair(sums(w, u_terms, len(keys)).__getitem__))
+            res += [z.real for row in braid for z in row] + [z.imag for row in braid for z in row]
+        return res
 
     def jacobian(x):
-        w = x[0::2] + 1j * x[1::2]
-        frame = sums_jac(w, frame_terms, len(want))
-        jac = [np.stack((frame.real, frame.imag), axis=1).reshape(-1, len(x))]
+        w = [complex(re, im) for re, im in zip(x[0::2], x[1::2])]
+        jac = []
+        for dr in sums_jac(w, frame_terms, len(want)):
+            jac += ({k: v.real for k, v in dr.items() if v.real},
+                    {k: v.imag for k, v in dr.items() if v.imag})
         if m:
-            u1, u2 = u_pair(sums(w, u_terms, len(keys)))
-            d1, d2 = u_pair(sums_jac(w, u_terms, len(keys)).T)
-            u12, u21 = u1 @ u2, u2 @ u1
-            braid = ((d1 @ u21 + u1 @ d2 @ u1 + u12 @ d1 - d1)
-                     - (d2 @ u12 + u2 @ d1 @ u2 + u21 @ d2 - d2)).reshape(len(x), -1).T
-            jac += [braid.real, braid.imag]
-        return np.concatenate(jac)
+            u1, u2 = u_pair(sums(w, u_terms, len(keys)).__getitem__)
+            u12, u21 = _matmul(u1, u2), _matmul(u2, u1)
+            du = sums_jac(w, u_terms, len(keys))
+            braid = [{} for _ in range(2 * m * m)]
+            for k in feed:
+                d1, d2 = u_pair(lambda key: du[key].get(k, 0j))
+                mats = (_matmul(d1, u21), _matmul(u1, _matmul(d2, u1)), _matmul(u12, d1), d1,
+                        _matmul(d2, u12), _matmul(u2, _matmul(d1, u2)), _matmul(u21, d2), d2)
+                for r, rows in enumerate(zip(*mats)):
+                    for c, (a, b, e, f, p, q, s, t) in enumerate(zip(*rows)):
+                        z = (a + b + e - f) - (p + q + s - t)
+                        if z:
+                            braid[r * m + c][k], braid[m * m + r * m + c][k] = z.real, z.imag
+            jac += braid
+        return jac
 
     return objective, jacobian
 
 
+def _braid(u1: list, u2: list) -> list:
+    """U_1 U_2 U_1 - U_1 - (U_2 U_1 U_2 - U_2) of two matrices given as
+    nested lists."""
+    u121, u212 = _matmul(_matmul(u1, u2), u1), _matmul(_matmul(u2, u1), u2)
+    return [[(x - a) - (y - b) for x, a, y, b in zip(*rows)] for rows in zip(u121, u1, u212, u2)]
+
+
 def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
-    """Max entry of U_1 U_2 U_1 - U_1 - (U_2 U_1 U_2 - U_2) on the length-3
-    paths from ``star``, with U_i from ``hecke_operator``."""
+    """Max entry of ``_braid`` on the length-3 paths from ``star``, with U_i
+    from ``hecke_operator``."""
     u1 = hecke_operator(g, cells, g.star, 3, 0)
     u2 = hecke_operator(g, cells, g.star, 3, 1)
-    u121, u212 = _matmul(_matmul(u1, u2), u1), _matmul(_matmul(u2, u1), u2)
-    return max((abs((x - a) - (y - b))
-                for rows in zip(u121, u1, u212, u2) for x, a, y, b in zip(*rows)), default=0.0)
+    return max((abs(z) for row in _braid(u1, u2) for z in row), default=0.0)
 
 
 def _matmul(a: list, b: list) -> list:
@@ -665,15 +692,13 @@ def _cells_lm(g: FusionGraph, tris: list, tol: float):
     max residual."""
     import random
 
-    import numpy as np
-
     rng = random.Random(0)
     objective, jacobian = _compile_objective(g, tris)
     best = None
     for _ in range(12):
-        x0 = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * len(tris))])
+        x0 = [rng.gauss(0.0, 1.0) for _ in range(2 * len(tris))]
         sol = least_squares(objective, x0, jac=jacobian)
-        resid = float(np.max(np.abs(objective(sol.x))))
+        resid = max(map(abs, objective(sol.x)))
         if best is None or resid < best[0]:
             best = (resid, sol.x)
         if resid < tol:
@@ -699,7 +724,7 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10) -> CellSystem:
     real and imaginary parts of one weight per triangle, on the type I
     (digon) equations and the braid-type relation of the operators built
     from the weights (the square relation), compiled once into index
-    arrays.  Either way the weights are
+    lists.  Either way the weights are
     certified by the slow route, ``type_I_residual`` and the braid
     relation of ``hecke_operator`` on ``cells.U``; ``cells.residual`` is
     the largest residual seen, and the solve raises ``UncertifiedCells``

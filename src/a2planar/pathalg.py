@@ -33,7 +33,8 @@ provides
 All arithmetic on this side is complex floating point (64-bit); the
 default comparison tolerance in the callers is 1e-10.  numpy is imported
 only by the functions that build blocks, so the connection and its
-residuals run without it.
+residuals run without it, and so does ``present_Z``, whose labels and
+result can stay ``pair_terms`` with no blocks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import itertools
 import math
 import operator
 from types import MappingProxyType
+from typing import NamedTuple
 
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
@@ -52,6 +54,8 @@ from .oracle import flip
 
 __all__ = [
     "PathAlgElement",
+    "Label",
+    "pair_terms",
     "Connection",
     "level_signs",
     "sigma_word",
@@ -69,6 +73,7 @@ __all__ = [
     "flatness_check",
     "strip_boundary",
     "present_Z",
+    "z_terms",
     "z_element",
     "word_identity",
     "word_w",
@@ -166,13 +171,8 @@ class PathAlgElement:
         self.level = tuple(level)
         self.index = path_index(graph, level_signs(*self.level))
         self.blocks = self.index.zeros()
-        for (p1, p2), c in (terms or {}).items():
-            try:
-                (v, a), (w, b) = self.index.where[p1], self.index.where[p2]
-            except KeyError:
-                raise ValueError(f"path pair {(p1, p2)} is not at level {self.level}") from None
-            if v != w:
-                raise ValueError(f"path pair {(p1, p2)} has two end vertices")
+        for (p1, p2), c in pair_terms(graph, self.level, terms or {}).items():
+            (v, a), (_, b) = self.index.where[p1], self.index.where[p2]
             self.blocks[v][a, b] = c
 
     @classmethod
@@ -228,22 +228,56 @@ class PathAlgElement:
         return (self - other).norm()
 
     def to_json(self) -> list:
-        return [
-            {"p1": [list(s) for s in p1], "p2": [list(s) for s in p2], "re": c.real, "im": c.imag}
-            for (p1, p2), c in sorted(self.terms.items())
-        ]
+        return terms_to_json(self.terms)
 
     @staticmethod
     def from_json(graph: FusionGraph, level, obj) -> "PathAlgElement":
-        terms = {}
-        for row in obj:
-            p1 = tuple((int(e), int(d)) for e, d in row["p1"])
-            p2 = tuple((int(e), int(d)) for e, d in row["p2"])
-            terms[(p1, p2)] = complex(row["re"], row["im"])
-        return PathAlgElement(graph, level, terms)
+        return PathAlgElement(graph, level, terms_from_json(obj))
 
     def __repr__(self):
         return f"PathAlgElement(level={self.level}, nterms={len(self.terms)})"
+
+
+def pair_terms(g: FusionGraph, level, terms) -> dict:
+    """The coefficients of ``terms`` above 1e-14, keyed by path pair, as
+    complex numbers; ValueError unless every pair is at ``level`` and its
+    two paths end at one vertex."""
+    where = path_index(g, level_signs(*level)).where
+    out = {}
+    for (p1, p2), c in terms.items():
+        try:
+            (v, _), (w, _) = where[p1], where[p2]
+        except KeyError:
+            raise ValueError(f"path pair {(p1, p2)} is not at level {tuple(level)}") from None
+        if v != w:
+            raise ValueError(f"path pair {(p1, p2)} has two end vertices")
+        if abs(c) > _CHOP:
+            out[(p1, p2)] = complex(c)
+    return out
+
+
+def terms_to_json(terms) -> list:
+    """Path-pair terms as JSON rows {p1, p2, re, im}, sorted by pair."""
+    return [
+        {"p1": [list(s) for s in p1], "p2": [list(s) for s in p2], "re": c.real, "im": c.imag}
+        for (p1, p2), c in sorted(terms.items())
+    ]
+
+
+def terms_from_json(obj) -> dict:
+    """Path-pair terms read from the rows of ``terms_to_json``."""
+    return {(tuple((int(e), int(d)) for e, d in row["p1"]),
+             tuple((int(e), int(d)) for e, d in row["p2"])): complex(row["re"], row["im"])
+            for row in obj}
+
+
+class Label(NamedTuple):
+    """A rectangle label of ``present_Z`` with no blocks: a level and its
+    ``pair_terms``.  A ``PathAlgElement`` serves as a label as well."""
+
+    graph: FusionGraph
+    level: tuple
+    terms: dict
 
 
 def identity_element(g: FusionGraph, i: int, j: int) -> PathAlgElement:
@@ -730,10 +764,10 @@ def _apply_rect(g, vec, xvec):
     return out
 
 
-def element_to_pathvec(x: PathAlgElement):
-    """Closed-path vector of an element: p1 followed by p2 reversed,
-    weighted by sqrt(phi) at the common endpoint (the inverse of the
-    closed-diagram normalization applied at the end of ``present_Z``)."""
+def element_to_pathvec(x):
+    """Closed-path vector of an element or ``Label``: p1 followed by p2
+    reversed, weighted by sqrt(phi) at the common endpoint (the inverse of
+    the closed-diagram normalization applied at the end of ``present_Z``)."""
     phi = x.graph.phi
     vec = {}
     for (p1, p2), c in x.terms.items():
@@ -754,7 +788,8 @@ def strip_boundary(strips, labels) -> str:
 
 
 def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
-    """Evaluate a top-to-bottom word of strips on labelled rectangles.
+    """Evaluate a top-to-bottom word of strips on labelled rectangles, the
+    labels ``PathAlgElement``s or ``Label``s.
 
     Returns ``(sigma, vec)``: the outer boundary word and the resulting
     vector over paths from the distinguished vertex, including the
@@ -780,22 +815,22 @@ def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
     return sigma, vec
 
 
-def pathvec_to_element(g: FusionGraph, sigma: str, vec, i: int, j: int) -> PathAlgElement:
+def z_terms(strips, labels, g: FusionGraph, cells: CellSystem, i: int, j: int) -> dict:
+    """The ``pair_terms`` of a strip word at level (i, j): each closed path
+    of ``present_Z`` split into p1 and p2 reversed."""
+    sigma, vec = present_Z(strips, labels, g, cells)
     if sigma != sigma_word(i, j):
         raise ValueError("boundary word does not match the level")
     m = i + j
     terms = {}
     for p, c in vec.items():
-        p1 = p[:m]
-        p2 = tuple(step_reverse(s) for s in reversed(p[m:]))
-        key = (p1, p2)
+        key = (p[:m], tuple(step_reverse(s) for s in reversed(p[m:])))
         terms[key] = terms.get(key, 0.0 + 0.0j) + c
-    return PathAlgElement(g, (i, j), terms)
+    return pair_terms(g, (i, j), terms)
 
 
 def z_element(strips, labels, g, cells, i, j) -> PathAlgElement:
-    sigma, vec = present_Z(strips, labels, g, cells)
-    return pathvec_to_element(g, sigma, vec, i, j)
+    return PathAlgElement(g, (i, j), z_terms(strips, labels, g, cells, i, j))
 
 
 # ---------------------------------------------------------------------------

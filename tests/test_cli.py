@@ -723,19 +723,19 @@ def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
     (["cells", "solve", "--n", "5"], []),
     (["connection", "check", "--n", "5"], []),
     (["flat", "check", "--n", "5"], ["numpy"]),
-    (["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"], ["numpy"]),
-    (["cells", "solve", "--graph", "{graph}"], ["numpy"]),
-    (["connection", "check", "--graph", "{graph}"], ["numpy"]),
+    (["zmap", "--strips", "{word}", "--n", "5", "--i", "1", "--j", "2"], []),
+    (["cells", "solve", "--graph", "{graph}"], []),
+    (["connection", "check", "--graph", "{graph}"], []),
     (["dims", "--graph", "{graph}", "--i", "1", "--j", "1"], []),
 ], ids=["dims", "graph-build-a", "cells-solve", "connection-check", "flat-check", "zmap",
         "cells-solve-json", "connection-check-json", "dims-json"])
 def test_path_commands_without_cells_leave_scipy_out(argv, loaded, tmp_path):
-    """No path command loads scipy.  ``flat check`` and ``zmap`` load numpy
-    for their path-pair elements, and the cell commands on a ``--graph``
-    file for least squares.  ``cells solve`` and ``connection check`` on a
-    ``--n`` graph certify the closed forms without numpy, and ``dims`` and
-    ``graph build-a`` load no numpy, also when a ``--graph`` file needs its
-    Perron-Frobenius weights."""
+    """No path command loads scipy, and only ``flat check`` loads numpy, for
+    its path-pair blocks.  ``cells solve`` and ``connection check`` certify
+    the closed forms of a ``--n`` graph and solve the cells of a ``--graph``
+    file without numpy, ``zmap`` evaluates its strip word and prints its
+    terms without it, and ``dims`` and ``graph build-a`` load no numpy, also
+    when a ``--graph`` file needs its Perron-Frobenius weights."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     graph = tmp_path / "A5.json"

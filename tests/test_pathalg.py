@@ -792,6 +792,30 @@ def test_json_round_trip(setups):
     assert x.dist(y) < 1e-15
 
 
+def test_pair_terms_checks_and_chops(setups):
+    """``pair_terms`` keeps the coefficients above 1e-14, as complex numbers,
+    and refuses a pair off the level or with two end vertices; an element
+    holds exactly those terms, and ``z_terms`` on a ``Label`` gives the
+    terms of ``z_element`` on the element."""
+    g, cells, _ = setups[5]
+    pairs = P.enumerate_pairs(g, 1, 1)
+    terms = {p: 1e-14 if k % 2 else 0.5 + k * 1j for k, p in enumerate(pairs)}
+    got = P.pair_terms(g, (1, 1), terms)
+    assert got == {p: c for p, c in terms.items() if abs(c) > 1e-14}
+    assert all(type(c) is complex for c in got.values())
+    assert dict(PathAlgElement(g, (1, 1), terms).terms) == got
+    ends = list(P.path_index(g, P.level_signs(1, 1)).paths.values())
+    p, q = ends[0][0], ends[1][0]
+    with pytest.raises(ValueError, match="two end vertices"):
+        P.pair_terms(g, (1, 1), {(p, q): 1.0})
+    with pytest.raises(ValueError, match="not at level"):
+        P.pair_terms(g, (2, 1), {pairs[0]: 1.0})
+    x = PathAlgElement(g, (1, 1), terms)
+    label = P.Label(g, (1, 1), got)
+    assert (P.terms_to_json(P.z_terms(P.word_insert(), [label], g, cells, 1, 1))
+            == P.z_element(P.word_insert(), [x], g, cells, 1, 1).to_json())
+
+
 # ---------------------------------------------------------------------------
 # derived quantities cached on their objects
 
