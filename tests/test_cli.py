@@ -1,12 +1,15 @@
 """Command-line interface: reports, exit codes, round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +21,9 @@ from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
 from a2planar.oracle import walk_dim_truncated
-from a2planar.web import wgen_web
+from a2planar.rewrite import find_redexes, first_crossing
+from a2planar.scalar import Laurent
+from a2planar.web import crossing_web, cupcap_web, identity_web, wgen_web
 
 
 class Runner:
@@ -504,6 +509,62 @@ def test_decompose_same_under_hash_seeds(tmp_path):
     assert untimed[0] == untimed[1]
     result = json.loads(outs[0])["result"]
     assert evaluate(GeneratorWord.from_json(result)) == x
+
+
+def _seeded_sums(seed, boundaries):
+    """One web sum per boundary word: four products of 3-6 random
+    generators, the second and fourth with crossings, each with a small
+    rational monomial coefficient.  Composed, not reduced."""
+    rng = random.Random(seed)
+    out = []
+    for sigma in boundaries:
+        terms = []
+        for k in range(4):
+            w = identity_web(sigma)
+            for _ in range(rng.randrange(3, 7)):
+                i, kind = rng.randrange(len(sigma) - 1), rng.randrange(3) if k % 2 else 0
+                if sigma[i] != sigma[i + 1]:
+                    w = w.compose(cupcap_web(sigma, i))
+                elif kind == 0:
+                    w = w.compose(wgen_web(sigma, i))
+                else:
+                    w = w.compose(crossing_web(sigma, i, kind == 1))
+            coeff = Fraction(rng.randrange(-3, 4) or 1, rng.choice([1, 2]))
+            terms.append((w, Laurent({rng.randrange(-3, 4): coeff})))
+        out.append(WebSum(sigma, terms[0][0].bot, terms))
+    return out
+
+
+# sha256 of each command's printed reports, in order, with the runtime_ms
+# lines dropped and the input path written as IN; recorded at 45910c5
+PAYLOAD_DIGESTS = {
+    "normalize": "ea2b871d0bdcc321382187689979720dbe1683fd5469ca4915cd201ca24237e2",
+    "trace": "b667632d55cf1354912cc4d83d94b15d9563c1cd3e2a0c28e9248d296db13622",
+    "decompose": "99a6fa61b6c9ebe1b17387091ee660feddc2462da32b50e8b6c3d8fcf33eccf4",
+}
+
+
+def test_diagram_payloads_match_recorded(runner, tmp_path):
+    """``normalize``, ``trace`` and ``decompose`` print, byte for byte, what
+    they printed when the digests were recorded.  The inputs hold
+    crossings, digons and squares, so the digests pin the term order of
+    every sum and the edge order of every reduced web."""
+    sums = _seeded_sums(22, ["---", "-+-+", "----", "--+-"])
+    webs = [w for x in sums for w in x.terms]
+    assert {r[0] for w in webs for r in find_redexes(w)} == {"digon", "square"}
+    assert any(first_crossing(w) is not None for w in webs)
+    words = [x.normalized() for x in _seeded_sums(23, ["---", "---", "----"])]
+    runs = [("normalize", x) for x in sums] + [("trace", x) for x in sums]
+    runs += [("decompose", x) for x in words]
+    digests = {}
+    for k, (cmd, x) in enumerate(runs):
+        f = _write_websum(tmp_path / f"{k}.json", x)
+        result = run(runner, [cmd, "--in", f])
+        assert result.exit_code == 0
+        text = "".join(l for l in result.output.replace(f, "IN").splitlines(True)
+                       if '"runtime_ms"' not in l)
+        digests.setdefault(cmd, hashlib.sha256()).update(text.encode())
+    assert {cmd: h.hexdigest() for cmd, h in digests.items()} == PAYLOAD_DIGESTS
 
 
 def test_zmap_unknown_strip_token(runner, tmp_path):
