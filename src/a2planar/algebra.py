@@ -1,8 +1,9 @@
 """Linear algebra over reduced webs.
 
 ``WebSum`` is a formal linear combination of webs with a common boundary,
-with Laurent coefficients.  Multiplication composes diagrams and reduces
-the result, the star is the diagram adjoint with bar-conjugated
+with Laurent coefficients; its JSON form is a list of ``{"coeff", "web"}``
+rows.  Multiplication composes diagrams and reduces the result, crossings
+included, the star is the diagram adjoint with bar-conjugated
 coefficients, and the right/left traces close a diagram off to a scalar.
 
 Two trace normalizations appear in the literature; here ``trace_right``
@@ -23,8 +24,8 @@ independent reference.
 from __future__ import annotations
 
 from .oracle import flip
-from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, delta
-from .rewrite import enumerate_basis, expand_crossing, first_crossing, normalize
+from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, collect, delta
+from .rewrite import enumerate_basis, normalize
 from .web import Web, WebError, crossing_web, identity_web, wgen_web
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "fsum",
     "mult",
     "include",
-    "expand_crossings",
     "trace_right",
     "trace_left",
     "inner_product",
@@ -60,30 +60,14 @@ class WebSum:
     def __init__(self, top: str, bot: str, terms=None):
         self.top = top
         self.bot = bot
-        tidy: dict[Web, Laurent] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
-                c = _as_laurent(c)
-                if (w.top, w.bot) != (top, bot):
-                    raise WebError("term boundary does not match the sum")
-                prev = tidy.get(w)
-                tot = c if prev is None else prev + c
-                if tot.is_zero():
-                    tidy.pop(w, None)
-                else:
-                    tidy[w] = tot
-        self.terms = tidy
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms: dict[Web, Laurent] = collect(_on_boundary(top, bot, items))
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_web(w: Web, coeff=1) -> "WebSum":
         return WebSum(w.top, w.bot, [(w, coeff)])
-
-    @staticmethod
-    def zero(top: str, bot: str) -> "WebSum":
-        return WebSum(top, bot)
 
     # -- ring structure ---------------------------------------------------
 
@@ -93,14 +77,7 @@ class WebSum:
 
     def __add__(self, other: "WebSum") -> "WebSum":
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            tot = out.get(w, Laurent.zero()) + c
-            if tot.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = tot
-        return WebSum(self.top, self.bot, out)
+        return WebSum(self.top, self.bot, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "WebSum":
         return WebSum(self.top, self.bot, {w: -c for w, c in self.terms.items()})
@@ -153,25 +130,30 @@ class WebSum:
         return WebSum(self.top + other.top, self.bot + other.bot, out)
 
     def normalized(self, strategy: str = "first", rng=None) -> "WebSum":
-        red = normalize(self.terms, strategy=strategy, rng=rng)
-        return WebSum(self.top, self.bot, red)
+        return WebSum(self.top, self.bot, normalize(self.terms, strategy=strategy, rng=rng))
 
-    def to_json(self) -> dict:
-        return {
-            "boundary": {"top": self.top, "bot": self.bot},
-            "terms": [
-                {"coeff": c.to_json(), "web": w.to_json()}
-                for w, c in self.terms.items()
-            ],
-        }
+    def to_json(self) -> list:
+        """One row ``{"coeff", "web"}`` per term, in the order of ``terms``."""
+        return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in self.terms.items()]
 
     @staticmethod
-    def from_json(obj: dict) -> "WebSum":
-        terms = [
-            (Web.from_json(t["web"]), Laurent.from_json(t["coeff"]))
-            for t in obj["terms"]
-        ]
-        return WebSum(obj["boundary"]["top"], obj["boundary"]["bot"], terms)
+    def from_json(rows: list) -> "WebSum":
+        """The sum of the rows that ``to_json`` writes.  The boundary is that
+        of the first web, so an empty list, which has none, is refused."""
+        terms = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
+        if not terms:
+            raise ValueError("empty web sum")
+        return WebSum(terms[0][0].top, terms[0][0].bot, terms)
+
+
+def _on_boundary(top: str, bot: str, items):
+    """The (web, coefficient) pairs with Laurent coefficients; each web must
+    have the boundary ``top`` over ``bot``."""
+    for w, c in items:
+        c = _as_laurent(c)
+        if (w.top, w.bot) != (top, bot):
+            raise WebError("term boundary does not match the sum")
+        yield w, c
 
 
 # -- standard elements ----------------------------------------------------
@@ -226,20 +208,6 @@ def include(x: WebSum, m: int, sign: str = "-") -> WebSum:
     if m == n:
         return x
     return x.tensor(identity(m - n, sign))
-
-
-def expand_crossings(x: WebSum) -> WebSum:
-    """Resolve every crossing, leaving digons/squares untouched."""
-    stack = [(w, c) for w, c in x.terms.items()]
-    out: list[tuple[Web, Laurent]] = []
-    while stack:
-        w, c = stack.pop()
-        cr = first_crossing(w)
-        if cr is None:
-            out.append((w, c))
-        else:
-            stack.extend((w2, c * k) for k, w2 in expand_crossing(w, cr))
-    return WebSum(x.top, x.bot, out)
 
 
 # -- traces ----------------------------------------------------------------

@@ -53,6 +53,8 @@ class Report:
 
     def add(self, check_id: str, ok: bool, residual=None):
         now = time.perf_counter()
+        if isinstance(residual, float) and not math.isfinite(residual):
+            ok, residual = False, None  # written as null, and the check fails
         self.checks.append(
             {
                 "id": check_id,
@@ -67,7 +69,7 @@ class Report:
         doc = {"suite": self.suite, "checks": self.checks, "config": self.config}
         if payload is not None:
             doc["result"] = payload
-        text = json.dumps(doc, indent=2, default=str)
+        text = json.dumps(doc, indent=2, allow_nan=False)
         if out:
             _write_out(out, text + "\n")
         else:
@@ -104,23 +106,10 @@ def _read_input(option: str, path: str, parse):
         raise _bad_file(option, path, exc) from None
 
 
-def _websum(rows):
-    from .algebra import WebSum
-    from .scalar import Laurent
-    from .web import Web
-
-    webs = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
-    if not webs:
-        raise ValueError("empty web sum")
-    return WebSum(webs[0][0].top, webs[0][0].bot, webs)
-
-
 def _load_websum(path: str):
-    return _read_input("--in", path, _websum)
+    from .algebra import WebSum
 
-
-def _dump_websum(x):
-    return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]
+    return _read_input("--in", path, WebSum.from_json)
 
 
 def _checked_graph(obj):
@@ -247,15 +236,10 @@ def _command(name: str, *options):
 @_command("normalize", _option("--in", dest="infile", required=True), _option("--out"))
 def normalize_cmd(infile, out):
     """Reduce a web sum to its normal form."""
-    from .algebra import WebSum
-    from .rewrite import normalize
-
     rep = Report("normalize", infile=infile)
-    x = _load_websum(infile)
-    nf = normalize(list(x.terms.items()))
+    y = _load_websum(infile).normalized()
     rep.add("normalize", True, residual=0)
-    y = WebSum(x.top, x.bot, nf)
-    sys.exit(rep.emit(out, payload=_dump_websum(y)))
+    sys.exit(rep.emit(out, payload=y.to_json()))
 
 
 @_command("trace", _option("--in", dest="infile", required=True))
@@ -294,13 +278,15 @@ def gram_cmd(sigma, n, want_rank):
           _option("--max-len", default=8, type=_at_least(0)))
 def decompose_cmd(infile, max_len):
     """Write a web sum as a word in the standard generators."""
-    from .hecke import decompose
+    from .hecke import SpanError, decompose
     from .web import WebError
 
     x = _load_websum(infile)
     rep = Report("decompose", infile=infile)
     try:
         word = decompose(x, max_len=max_len)  # certifies evaluate(word) == x
+    except SpanError as exc:
+        raise argparse.ArgumentError(None, f"argument --max-len: {exc}") from None
     except WebError as exc:
         raise _bad_file("--in", infile, exc) from None
     except ArithmeticError:
@@ -400,12 +386,17 @@ def cells_solve_cmd(n, graph_file, tol):
 
 def _cells_payload(cells) -> dict:
     return {
-        "residual": cells.residual,
+        "residual": _number(cells.residual),
         "values": [
-            {"triangle": list(t), "re": v.real, "im": v.imag}
+            {"triangle": list(t), "re": _number(v.real), "im": _number(v.imag)}
             for t, v in sorted(cells.values.items())
         ],
     }
+
+
+def _number(x: float):
+    """``x``, or None (JSON null) if it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 @_command("connection check", _option("--n", type=int),

@@ -59,6 +59,7 @@ __all__ = [
     "enumerate_paths",
     "dims",
     "qnum",
+    "worst",
 ]
 
 
@@ -71,6 +72,13 @@ class Fit(NamedTuple):
 
 
 XTOL = FTOL = 1e-15  # least_squares' relative step and cost-decrease floors
+
+
+def worst(values) -> float:
+    """The largest of ``values`` (0.0 if none), or inf if any is not finite;
+    Python's ``max`` drops a NaN that does not come first."""
+    values = list(values)
+    return max(values, default=0.0) if all(map(math.isfinite, values)) else math.inf
 
 
 def least_squares(fun, x0, jac) -> Fit:
@@ -269,11 +277,11 @@ def pf_eigen(g: FusionGraph) -> dict:
         raise UncertifiedPhi("Perron-Frobenius eigenvalue is not [3]", gap)
     top = vec[g._vindex[g.star]]
     phi = {v: x / top for v, x in zip(g.vertices, vec)}
-    res = max(
+    res = worst(
         abs(sum(phi[g.range(e)] for e in g.out_edges[v]) - q3 * phi[v])
         for v in g.vertices
     )
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise UncertifiedPhi(f"eigen-residual {res:.2e}", res)
     return phi
 
@@ -318,9 +326,9 @@ def _into(g: FusionGraph) -> list:
 def _bracket(g: FusionGraph, x: list):
     """Collatz-Wielandt bracket (lo, hi) of x, in vertex order: the min and
     max of (A^T x)_v / x_v, between which the Perron eigenvalue of A^T lies
-    when x > 0.  A vector that is not positive gives the empty bracket
-    (inf, -inf)."""
-    if min(x) <= 0.0:
+    when x > 0.  A vector that is not positive (a NaN entry included) gives
+    the empty bracket (inf, -inf)."""
+    if not all(v > 0.0 for v in x):
         return math.inf, -math.inf
     ratios = [sum(map(x.__getitem__, us)) / xv for xv, us in zip(x, _into(g))]
     return min(ratios), max(ratios)
@@ -402,7 +410,7 @@ def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
     phi = g.phi
     d = qnum(2, g.n)
     parallel = _parallel_edges(g)
-    worst = 0.0
+    errors = []
     for u in range(len(g.edges)):
         for v in parallel[g.edges[u]]:
             s = 0.0 + 0.0j
@@ -412,8 +420,8 @@ def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
                         continue
                     s += cells.W(u, a, b) * cells.W(v, a, b).conjugate()
             want = d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0
-            worst = max(worst, abs(s - want))
-    return worst
+            errors.append(abs(s - want))
+    return worst(errors)
 
 
 def level_signs(i: int, j: int) -> str:
@@ -651,7 +659,7 @@ def _braid_residual(g: FusionGraph, cells: CellSystem) -> float:
     from ``hecke_operator``."""
     u1 = hecke_operator(g, cells, g.star, 3, 0)
     u2 = hecke_operator(g, cells, g.star, 3, 1)
-    return max((abs(z) for row in _braid(u1, u2) for z in row), default=0.0)
+    return worst(abs(z) for row in _braid(u1, u2) for z in row)
 
 
 def _matmul(a: list, b: list) -> list:
@@ -698,7 +706,7 @@ def _cells_lm(g: FusionGraph, tris: list, tol: float):
     for _ in range(12):
         x0 = [rng.gauss(0.0, 1.0) for _ in range(2 * len(tris))]
         sol = least_squares(objective, x0, jac=jacobian)
-        resid = max(map(abs, objective(sol.x)))
+        resid = worst(map(abs, objective(sol.x)))
         if best is None or resid < best[0]:
             best = (resid, sol.x)
         if resid < tol:
@@ -738,7 +746,7 @@ def solve_cells(g: FusionGraph, tol: float = 1e-10) -> CellSystem:
     else:
         vals, resid = _cells_lm(g, tris, tol)
     cells = CellSystem(g, vals, 0.0)
-    cells.residual = max(resid, type_I_residual(g, cells), _braid_residual(g, cells))
+    cells.residual = worst((resid, type_I_residual(g, cells), _braid_residual(g, cells)))
     if not cells.residual < tol:
         raise UncertifiedCells(cells)
     return cells

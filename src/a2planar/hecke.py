@@ -42,11 +42,13 @@ from .rewrite import enumerate_basis  # noqa: F401
 from .scalar import (
     Laurent,
     RealCycloRing,
+    _as_laurent,
     _poly_divmod,
     _poly_exquo,
     _poly_mul,
     _poly_sub,
     alpha,
+    collect,
     delta,
 )
 from .web import WebError, cupcap_web, hexagon_web, identity_web
@@ -55,6 +57,7 @@ __all__ = [
     "GeneratorWord",
     "evaluate",
     "decompose",
+    "SpanError",
     "alt_word",
     "cupcap_sum",
     "f13_sum",
@@ -75,18 +78,8 @@ class GeneratorWord:
 
     def __init__(self, m: int, terms=None):
         self.m = m
-        tidy = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, c in items:
-                word = tuple(tuple(l) for l in word)
-                c = c if isinstance(c, Laurent) else Laurent.from_int(c)
-                tot = tidy.get(word, Laurent.zero()) + c
-                if tot.is_zero():
-                    tidy.pop(word, None)
-                else:
-                    tidy[word] = tot
-        self.terms = tidy
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = collect((tuple(map(tuple, word)), _as_laurent(c)) for word, c in items)
 
     @staticmethod
     def letter(m: int, kind: str, i: int) -> "GeneratorWord":
@@ -97,14 +90,7 @@ class GeneratorWord:
         return GeneratorWord(m, {(): Laurent.one()})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            tot = out.get(w, Laurent.zero()) + c
-            if tot.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = tot
-        return GeneratorWord(self.m, out)
+        return GeneratorWord(self.m, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return GeneratorWord(self.m, {w: -c for w, c in self.terms.items()})
@@ -116,16 +102,9 @@ class GeneratorWord:
         return GeneratorWord(self.m, {w: c * k for w, c in self.terms.items()})
 
     def concat(self, other) -> "GeneratorWord":
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                tot = out.get(w, Laurent.zero()) + ca * cb
-                if tot.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = tot
-        return GeneratorWord(self.m, out)
+        return GeneratorWord(self.m, [
+            (wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()
+        ])
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorWord):
@@ -210,7 +189,7 @@ def evaluate(word: GeneratorWord) -> WebSum:
     unit = (
         WebSum.from_web(identity_web(alt_word(m))) if alternating else identity(m)
     )
-    total = WebSum.zero(unit.top, unit.bot)
+    total = WebSum(unit.top, unit.bot)
     for w, c in word.terms.items():
         x = unit
         for letter in w:
@@ -253,6 +232,10 @@ def _raises_rank(echelon: list, x: WebSum) -> bool:
     return False
 
 
+class SpanError(WebError):
+    """The generator words up to the length bound do not span the algebra."""
+
+
 def _spanning_words(m: int, dim: int, max_len: int) -> list:
     """Words of length at most ``max_len`` that raise the rank mod p, with
     their values, in length-lexicographic order, until there are ``dim``."""
@@ -273,7 +256,7 @@ def _spanning_words(m: int, dim: int, max_len: int) -> list:
             for word, val in parents
             for i, g in enumerate(gens)
         )
-    raise WebError(f"generator words of length <= {max_len} did not span the algebra")
+    raise SpanError(f"generator words of length <= {max_len} did not span the algebra")
 
 
 def _cleared(coeffs: list) -> list:

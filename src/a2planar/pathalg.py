@@ -49,7 +49,7 @@ from typing import NamedTuple
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
 from .graph import (CellSystem, FusionGraph, boltzmann_U, dims,  # noqa: F401
-                    enumerate_paths, level_signs, pf_eigen, qnum)
+                    enumerate_paths, level_signs, pf_eigen, qnum, worst)
 from .oracle import flip
 
 __all__ = [
@@ -436,7 +436,7 @@ class Connection:
         return blocks
 
     def unitarity_residual(self) -> float:
-        worst = 0.0
+        errors = []
         for _, rows in self._blocks().items():
             tops = sorted(rows)
             bots = sorted({b for r in rows.values() for b in r})
@@ -446,8 +446,8 @@ class Connection:
                     for b in bots:
                         s += rows[t1].get(b, 0.0) * rows[t2].get(b, 0.0).conjugate()
                     want = 1.0 if t1 == t2 else 0.0
-                    worst = max(worst, abs(s - want))
-        return worst
+                    errors.append(abs(s - want))
+        return worst(errors)
 
     def commuting_square_residual(self) -> float:
         """Residual of the weighted biunitarity identity that makes each
@@ -474,7 +474,7 @@ class Connection:
                 v = g.range(r1)
                 x = pr(r3)[1]
                 pairs.setdefault((u, v, x), set()).add((r1, r3))
-        worst = 0.0
+        errors = []
         for (u, v, x), ps in pairs.items():
             ps = sorted(ps)
             for (s1, s3) in ps:
@@ -493,8 +493,8 @@ class Connection:
                         )
                         acc += wgt * a * b.conjugate()
                     want = 1.0 if (s1, s3) == (s1p, s3p) else 0.0
-                    worst = max(worst, abs(acc - want))
-        return worst
+                    errors.append(abs(acc - want))
+        return worst(errors)
 
 
 def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
@@ -510,7 +510,8 @@ def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connect
     (r1, r2, r3, r4) is q^(2/3) delta - q^(-1/3) U[(r1, r2), (r3, r4)], so
     it is nonzero only on the diagonal and on U's keys; the odd square is
     the even one at (r4, r2, r3, r1), conjugated and scaled by the phi
-    ratio.  Values are chopped after both are derived."""
+    ratio.  Values are chopped after both are derived; a value that is not
+    finite is kept, so that the residuals see it."""
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     phi = g.phi
@@ -530,7 +531,7 @@ def _build_connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connect
             )
             r1, r4, val = r4, r1, ratio * val.conjugate()
         X[(r1, r2, r3, r4)] = val
-    return Connection(g, parity, {k: v for k, v in sorted(X.items()) if abs(v) > _CHOP})
+    return Connection(g, parity, {k: v for k, v in sorted(X.items()) if not abs(v) <= _CHOP})
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +653,7 @@ def flatness_check(
     cols = path_index(g, vsigns + hsigns)
     blocks = _prefix_blocks(g, path_index(g, level_signs(vmax, hmax)), hmax)
     paths_v = path_index(g, vsigns).paths
-    worst = 0.0
+    norms = []
     for u, ps in paths_v.items():
         tails: dict = {}
         for tail, w in enumerate_paths(g, hsigns, start=u):
@@ -666,16 +667,16 @@ def flatness_check(
             for w, m in tp.items():
                 a = m @ tq[w]
                 off, stacks = blocks[w]
-                worst = max(worst, float(abs(a[off]).max(initial=0.0)))
+                norms.append(float(abs(a[off]).max(initial=0.0)))
                 for R in stacks:
                     d = a[R[:, :, None], R[:, None, :]]
-                    worst = max(worst, float(abs(d[:, None] - d[None]).max()))
+                    norms.append(float(abs(d[:, None] - d[None]).max()))
     return {
         "graph": g.name or "graph",
         "hmax": hmax,
         "vmax": vmax,
         "pairs_checked": dims(g, vmax, 0) * dims(g, 0, hmax),
-        "max_commutator": worst,
+        "max_commutator": worst(norms),
     }
 
 

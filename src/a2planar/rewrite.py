@@ -29,17 +29,14 @@ each finished web is validated, and the result is certified against
 from __future__ import annotations
 
 from .oracle import flip, walk_dim
-from .scalar import Laurent, alpha, delta
+from .scalar import Laurent, alpha, collect, delta
 from .web import (
     CROSSINGS,
     TRIVALENT,
     Web,
     WebError,
     _glue,
-    cupcap_web,
-    identity_web,
     through_strands,
-    wgen_web,
 )
 
 __all__ = [
@@ -50,7 +47,6 @@ __all__ = [
     "is_reduced",
     "normalize",
     "enumerate_basis",
-    "random_reducible_web",
     "STRATEGIES",
 ]
 
@@ -134,25 +130,12 @@ def is_reduced(w: Web) -> bool:
 def _surgery(w: Web, drop_verts, partner) -> Web:
     """Remove the given vertices, splicing their remaining edge ends
     according to ``partner`` (pairs of ports that now connect)."""
-    keep = []
-    for a, b in w.edges:
-        if a in partner or b in partner:
-            keep.append((a, b))
-        elif a[1] != -1 and a[0] in drop_verts:
-            continue
-        elif b[1] != -1 and b[0] in drop_verts:
-            continue
-        else:
-            keep.append((a, b))
-    # edges fully inside the redex are those joining two dropped ports not
-    # in partner; the filter above kept anything touching a partner port
-    edges = []
-    for a, b in keep:
-        a_in = a[1] != -1 and a[0] in drop_verts and a not in partner
-        b_in = b[1] != -1 and b[0] in drop_verts and b not in partner
-        if a_in or b_in:
-            continue
-        edges.append((a, b))
+    # keep the edges with no end on a port of a dropped vertex that is not spliced
+    edges = [
+        (a, b) for a, b in w.edges
+        if not (a[1] != -1 and a[0] in drop_verts and a not in partner)
+        and not (b[1] != -1 and b[0] in drop_verts and b not in partner)
+    ]
     new_edges, extra = _glue(edges, partner)
     verts = {v: k for v, k in w.verts.items() if v not in drop_verts}
     return Web(w.top, w.bot, verts, new_edges, w.loops + extra, check=False)
@@ -232,12 +215,15 @@ def normalize(items, strategy: str = "first", rng=None) -> dict[Web, Laurent]:
     iterable of (web, coefficient) pairs.
     """
     if isinstance(items, Web):
-        stack = [(items, Laurent.one())]
-    elif isinstance(items, dict):
-        stack = [(w, c) for w, c in items.items()]
-    else:
-        stack = list(items)
-    result: dict[Web, Laurent] = {}
+        items = [(items, Laurent.one())]
+    stack = list(items.items() if isinstance(items, dict) else items)
+    return collect(_reduced(stack, strategy, rng))
+
+
+def _reduced(stack, strategy, rng):
+    """Rewrite the (web, coefficient) pairs popped off ``stack``, pushing
+    what each rewrite gives back on it; yield each reduced web with its
+    coefficient as it is reached."""
     while stack:
         w, c = stack.pop()
         if c.is_zero():
@@ -251,16 +237,10 @@ def normalize(items, strategy: str = "first", rng=None) -> dict[Web, Laurent]:
             continue
         redexes = find_redexes(w)
         if not redexes:
-            prev = result.get(w)
-            tot = c if prev is None else prev + c
-            if tot.is_zero():
-                result.pop(w, None)
-            else:
-                result[w] = tot
+            yield w, c
             continue
         red = _pick(redexes, strategy, rng)
         stack.extend((w2, c * k) for k, w2 in apply_redex(w, red))
-    return result
 
 
 # -- basis enumeration ----------------------------------------------------
@@ -370,23 +350,3 @@ def enumerate_basis(sigma: str) -> list[Web]:
     if not distinct or len(basis) != walk_dim(sigma) or not all(map(is_reduced, basis)):
         raise ArithmeticError(f"grown webs on {sigma!r} are not a basis")
     return basis
-
-
-# -- random reducible webs (for confluence experiments) -------------------
-
-
-def random_reducible_web(rng, max_signs: int = 4, layers: int = 4) -> Web:
-    """A random crossing-free web, typically containing redexes."""
-    n = rng.randrange(2, max_signs + 1)
-    sigma = "".join(rng.choice("+-") for _ in range(n))
-    w = identity_web(sigma)
-    for _ in range(rng.randrange(1, layers + 1)):
-        i = rng.randrange(n - 1)
-        if sigma[i] == sigma[i + 1]:
-            gen = wgen_web(sigma, i)
-        else:
-            gen = cupcap_web(sigma, i)
-        w = w.compose(gen)
-    if rng.random() < 0.7:
-        w = w.compose(w.star())
-    return w

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 __all__ = [
     "Laurent", "CycloField", "Cyclo", "RealCycloRing", "RealCyclo",
-    "qint", "delta", "alpha", "cyclotomic",
+    "qint", "delta", "alpha", "cyclotomic", "collect",
 ]
 
 
@@ -217,6 +217,21 @@ def _as_laurent(x) -> Laurent:
     if isinstance(x, (int, Fraction)):
         return Laurent({0: x})
     raise TypeError(f"cannot coerce {x!r} to Laurent")
+
+
+def collect(pairs) -> dict:
+    """The (key, coefficient) pairs summed per key, in the order keys first
+    appear; a key whose sum cancels is dropped, and goes last if it comes
+    back.  The one term accumulator of web sums, words and ``normalize``."""
+    out = {}
+    for key, c in pairs:
+        prev = out.get(key)
+        tot = c if prev is None else prev + c
+        if tot.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = tot
+    return out
 
 
 def qint(m: int) -> Laurent:

@@ -31,10 +31,10 @@ from a2planar.rewrite import (
     enumerate_basis,
     find_redexes,
     normalize,
-    random_reducible_web,
 )
 from a2planar.scalar import Laurent, alpha, delta
 from a2planar.web import Web, wgen_web
+from random_webs import random_reducible_web
 
 
 @pytest.fixture(scope="module")

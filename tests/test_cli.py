@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -153,10 +154,8 @@ def test_flat_check(runner):
 def test_normalize_round_trip(runner, tmp_path):
     x = WebSum.from_web(wgen_web("---", 0))
     xx = mult(x, x)  # reduces to [2] times the generator
-    rows = [{"coeff": c.to_json(), "web": w.to_json()} for w, c in xx.terms.items()]
-    f = tmp_path / "sum.json"
-    f.write_text(json.dumps(rows))
-    result = run(runner, ["normalize", "--in", str(f)])
+    f = _write_websum(tmp_path / "sum.json", xx)
+    result = run(runner, ["normalize", "--in", f])
     assert result.exit_code == 0
     doc = report(result)
     assert len(doc["result"]) == 1
@@ -164,13 +163,8 @@ def test_normalize_round_trip(runner, tmp_path):
 
 
 def test_trace_identity(runner, tmp_path):
-    from a2planar.web import identity_web
-
-    w = identity_web("-")
-    f = tmp_path / "one.json"
-    f.write_text(json.dumps(
-        [{"coeff": {"laurent": {"0": "1/1"}}, "web": w.to_json()}]))
-    result = run(runner, ["trace", "--in", str(f)])
+    f = _write_websum(tmp_path / "one.json", identity(1))
+    result = run(runner, ["trace", "--in", f])
     assert result.exit_code == 0
     doc = report(result)
     # trace of a single strand closes to a loop: the quantum 3
@@ -179,10 +173,8 @@ def test_trace_identity(runner, tmp_path):
 
 def test_decompose(runner, tmp_path):
     x = WebSum.from_web(wgen_web("---", 1))
-    rows = [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]
-    f = tmp_path / "w.json"
-    f.write_text(json.dumps(rows))
-    result = run(runner, ["decompose", "--in", str(f)])
+    f = _write_websum(tmp_path / "w.json", x)
+    result = run(runner, ["decompose", "--in", f])
     assert result.exit_code == 0
     doc = report(result)
     assert doc["checks"][0]["status"] == "pass"
@@ -282,9 +274,10 @@ def test_normalize_not_json(runner, tmp_path):
 
 
 def test_normalize_row_without_boundary(runner, tmp_path):
+    rows = identity(1).to_json()
+    rows[0]["web"] = {"vertices": []}
     f = tmp_path / "nob.json"
-    f.write_text(json.dumps(
-        [{"coeff": {"laurent": {"0": "1/1"}}, "web": {"vertices": []}}]))
+    f.write_text(json.dumps(rows))
     assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", "boundary")
 
 
@@ -467,8 +460,7 @@ def test_graph_needed(runner):
 
 
 def _write_websum(path, x):
-    path.write_text(json.dumps(
-        [{"coeff": c.to_json(), "web": w.to_json()} for w, c in x.terms.items()]))
+    path.write_text(json.dumps(x.to_json()))
     return str(path)
 
 
@@ -489,6 +481,58 @@ def test_decompose_other_boundary(runner, tmp_path, x):
 def test_decompose_negative_max_len(runner, tmp_path):
     f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
     assert_input_error(run(runner, ["decompose", "--in", f, "--max-len", "-1"]), "--max-len")
+
+
+def test_decompose_max_len_too_short(runner, tmp_path):
+    """Words too short to span the algebra are the fault of --max-len, not
+    of the input, which decomposes with the default."""
+    f = _write_websum(tmp_path / "x.json", mult(wsum(3, 0), wsum(3, 1)))
+    result = run(runner, ["decompose", "--in", f, "--max-len", "1"])
+    assert_input_error(result, "argument --max-len", "length <= 1 did not span")
+    assert f not in result.output
+    assert run(runner, ["decompose", "--in", f]).exit_code == 0
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cells_solve_non_finite_weight(runner, monkeypatch, bad):
+    """Positive control: closed-form cells with one NaN or inf weight fail
+    ``frame_equations`` with a null residual, exit 1, and the report, cells
+    included, is JSON with null where a number is not finite."""
+    closed = G._cells_A
+
+    def broken(g, tris):
+        values = closed(g, tris)
+        values[tris[0]] = complex(bad, 0.0)
+        return values
+
+    monkeypatch.setattr(G, "_cells_A", broken)
+    result = run(runner, ["cells", "solve", "--n", "6"])
+    assert result.exit_code == 1
+    doc = _strict_json(result.output)
+    (check,) = doc["checks"]
+    assert (check["id"], check["status"], check["residual"]) == ("frame_equations", "fail", None)
+    assert doc["result"]["residual"] is None
+    assert [v["re"] for v in doc["result"]["values"]].count(None) == 1
+
+
+def test_report_writes_non_finite_residuals_as_null(capsys):
+    from a2planar.cli import Report
+
+    rep = Report("control")
+    rep.add("finite", True, residual=1e-12)
+    rep.add("nan", True, residual=math.nan)
+    rep.add("inf", True, residual=math.inf)
+    assert rep.emit() == 1
+    checks = _strict_json(capsys.readouterr().out)["checks"]
+    assert [(c["status"], c["residual"]) for c in checks] == [
+        ("pass", 1e-12), ("fail", None), ("fail", None)]
 
 
 def test_decompose_same_under_hash_seeds(tmp_path):

@@ -542,6 +542,77 @@ def test_perturbed_cells_fail():
     assert type_I_residual(g, CellSystem(g, bad, 0.0)) > 1e-3
 
 
+NON_FINITE = pytest.mark.parametrize("kind", ["one-nan", "one-inf", "all-nan"])
+
+
+def _non_finite(g, values, kind):
+    """``values`` with the weight of the first triangle at the star set to
+    NaN (``one-nan``) or inf (``one-inf``), or with every weight NaN."""
+    if kind == "all-nan":
+        return {t: complex(math.nan, math.nan) for t in values}
+    t0 = next(t for t in sorted(values) if any(g.source(e) == g.star for e in t))
+    return {**values, t0: complex(math.nan if kind == "one-nan" else math.inf, 0.0)}
+
+
+@NON_FINITE
+def test_non_finite_cells_fail_every_residual(monkeypatch, kind):
+    """Positive control: every residual of cells with a NaN or inf weight is
+    inf, so no check can pass them, and ``solve_cells`` refuses them from
+    either route."""
+    from a2planar import pathalg as P
+
+    g = build_A(6)
+    values = _non_finite(g, solve_cells(g).values, kind)
+    cells = CellSystem(g, values, 0.0)
+    residuals = [type_I_residual(g, cells), G._braid_residual(g, cells)]
+    for parity in ("even", "odd"):
+        conn = P.connection(g, cells, parity)
+        residuals += [conn.unitarity_residual(), conn.commuting_square_residual()]
+    residuals.append(P.flatness_check(g, cells, 2, 2)["max_commutator"])
+    assert residuals == [math.inf] * 7
+    monkeypatch.setattr(G, "_cells_A", lambda g, tris: values)
+    with pytest.raises(G.UncertifiedCells) as exc:
+        solve_cells(g)
+    assert exc.value.cells.residual == math.inf
+    # the least-squares route: a fit that lands on such weights
+    g = _json_A(6)
+    tris = triangles(g)
+    x = [v for t in tris for v in (values[t].real, values[t].imag)]  # same triangle order
+    monkeypatch.setattr(G, "least_squares", lambda fun, x0, jac: G.Fit(x, 1))
+    assert G._cells_lm(g, tris, 1e-10)[1] == math.inf
+    with pytest.raises(G.UncertifiedCells) as exc:
+        solve_cells(g)
+    assert exc.value.cells.residual == math.inf
+
+
+@pytest.mark.parametrize("at", [0, 7])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_phi_fails_its_certificate(monkeypatch, at, bad):
+    """Positive control: a closed-form phi with a NaN or inf entry fails
+    the bracket, and, with the bracket passed over, the eigen-residual."""
+    g = build_A(6)
+    closed = G._phi_A
+    monkeypatch.setattr(G, "_phi_A", lambda g: [bad if k == at else v
+                                                for k, v in enumerate(closed(g))])
+    with pytest.raises(G.UncertifiedPhi, match="eigenvalue is not") as exc:
+        pf_eigen(g)
+    assert exc.value.residual == math.inf
+    q3 = qnum(3, g.n)
+    monkeypatch.setattr(G, "_bracket", lambda g, x: (q3, q3))
+    with pytest.raises(G.UncertifiedPhi, match="eigen-residual") as exc:
+        pf_eigen(g)
+    assert exc.value.residual == math.inf
+
+
+def test_worst():
+    assert G.worst([]) == 0.0
+    assert G.worst([1e-12, 3e-11, 2e-11]) == 3e-11
+    for bad in (math.nan, math.inf):
+        assert G.worst([0.0, 1.0, bad, 2.0]) == math.inf
+        assert G.worst([bad, 1.0]) == math.inf
+        assert G.worst(x for x in (1.0, bad)) == math.inf
+
+
 # -- the compiled objective and its certification -----------------------------
 
 

@@ -12,7 +12,6 @@ from a2planar.rewrite import (
     find_redexes,
     is_reduced,
     normalize,
-    random_reducible_web,
 )
 from a2planar.scalar import Laurent, alpha, delta
 from a2planar.web import (
@@ -24,6 +23,7 @@ from a2planar.web import (
     identity_web,
     wgen_web,
 )
+from random_webs import random_reducible_web
 
 EMPTY = Web("", "", {}, [], 0)
 one = Laurent.one()

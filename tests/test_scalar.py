@@ -17,6 +17,7 @@ from a2planar.scalar import (
     _poly_divmod,
     _poly_mul,
     alpha,
+    collect,
     cyclotomic,
     delta,
     qint,
@@ -55,6 +56,17 @@ class TestLaurent:
     def test_json_round_trip(self):
         x = Laurent.t(-4, Fraction(3, 7)) + 2
         assert Laurent.from_json(x.to_json()) == x
+
+    def test_collect(self):
+        """Sums per key, in first-seen order; a cancelled key is dropped, and
+        one that comes back goes last."""
+        one, two = Laurent.one(), Laurent.from_int(2)
+        pairs = [("a", one), ("b", -one), ("c", two), ("a", -one), ("b", one),
+                 ("d", Laurent.zero()), ("c", one), ("a", two)]
+        got = collect(pairs)
+        assert got == {"c": Laurent.from_int(3), "a": two}
+        assert list(got) == ["c", "a"]
+        assert collect([]) == {}
 
     def test_negative_power_coefficient_is_exact(self):
         (c,) = (Laurent.t(3, 2) ** -2).c.values()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2planar.oracle import flip
-from a2planar.rewrite import enumerate_basis, random_reducible_web
+from a2planar.rewrite import enumerate_basis
 from a2planar.web import (
     Web,
     WebError,
@@ -17,6 +17,7 @@ from a2planar.web import (
     identity_web,
     wgen_web,
 )
+from random_webs import random_reducible_web
 
 signs = st.lists(st.sampled_from("+-"), min_size=1, max_size=5).map("".join)
 
