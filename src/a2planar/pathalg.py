@@ -222,7 +222,7 @@ class PathAlgElement:
         return self._map(lambda b: b.conj().T)
 
     def norm(self) -> float:
-        return max((float(abs(b).max()) for b in self.blocks.values()), default=0.0)
+        return worst(float(abs(b).max()) for b in self.blocks.values())
 
     def dist(self, other: "PathAlgElement") -> float:
         return (self - other).norm()

@@ -74,6 +74,18 @@ def test_dims_negative():
         P.dims(g, -1, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_dist_sees_a_non_finite_entry(setups, bad):
+    """Positive control: a NaN or inf entry in any block, the last one
+    included, makes ``dist`` inf, so no ``dist(...) < tol`` can pass it."""
+    g = setups[5][0]
+    one = P.identity_element(g, 1, 1)
+    for w in one.blocks:
+        y = P.identity_element(g, 1, 1)
+        y.blocks[w][0, 0] = bad
+        assert one.dist(y) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # trace
 
