@@ -699,3 +699,31 @@ def test_solve_cells_certified_by_slow_route(monkeypatch, make):
         solve_cells(make(5))
     monkeypatch.setattr(G, "type_I_residual", lambda g, cells: 1e-11)
     assert solve_cells(make(5)).residual == 1e-11
+
+
+def _recorded_residuals(kind):
+    """The residuals of ``tests/residuals_recorded.json``, written by the
+    per-certificate loops that ``gram_residual`` replaced: for each route,
+    a float.hex per n (and per parity for the connection)."""
+    path = os.path.join(os.path.dirname(__file__), "residuals_recorded.json")
+    with open(path) as fh:
+        return json.load(fh)[kind]
+
+
+def _cells_or_uncertified(g):
+    """The cells of ``g``, also when they miss the bound (A(31))."""
+    try:
+        return solve_cells(g)
+    except G.UncertifiedCells as exc:
+        return exc.cells
+
+
+@pytest.mark.parametrize("route", ["build_A", "json"])
+def test_type_I_residual_matches_recorded(route):
+    """Bit for bit on A(4..31) and on JSON A(4..12)."""
+    make = {"build_A": build_A, "json": _json_A}[route]
+    recorded = _recorded_residuals("type_I")[route]
+    assert sorted(map(int, recorded)) == list(range(4, 32 if route == "build_A" else 13))
+    for n, want in recorded.items():
+        g = make(int(n))
+        assert type_I_residual(g, _cells_or_uncertified(g)).hex() == want, n

@@ -851,3 +851,28 @@ def test_phi_survives_graph_turnover():
             assert max(abs(g.phi[v] - fresh[v]) for v in g.vertices) < 1e-12
             del g
             gc.collect()
+
+
+@pytest.mark.parametrize("route", ["build_A", "json"])
+def test_connection_residuals_match_recorded(route):
+    """On A(4..12) and JSON A(4..9), both parities: unitarity bit for bit,
+    the commuting square within 1e-15, as its sum may run in another order.
+    Recorded by the per-certificate loops that ``gram_residual`` replaced."""
+    from a2planar.graph import FusionGraph
+
+    path = os.path.join(os.path.dirname(__file__), "residuals_recorded.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    unitarity = recorded["unitarity"][route]
+    commuting = recorded["commuting_square"][route]
+    assert sorted(map(int, unitarity)) == list(range(4, 13 if route == "build_A" else 10))
+    for n in unitarity:
+        g = build_A(int(n))
+        if route == "json":
+            g = FusionGraph.from_json(g.to_json())
+        cells = solve_cells(g)
+        for parity in ("even", "odd"):
+            conn = P.connection(g, cells, parity)
+            assert conn.unitarity_residual().hex() == unitarity[n][parity], (n, parity)
+            want = float.fromhex(commuting[n][parity])
+            assert abs(conn.commuting_square_residual() - want) <= 1e-15, (n, parity)
