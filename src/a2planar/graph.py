@@ -32,7 +32,8 @@ cell rotation, frame terms, Boltzmann entries, Hecke-matrix entries), and
 the same lists give its exact Jacobian, one sparse row per residual.
 Either way the cells are certified by residuals only (the gauge is
 arbitrary): they are checked through the slow route, ``type_I_residual``
-and the braid relation of ``hecke_operator`` on ``cells.U``.
+and the braid relation of ``hecke_operator`` on ``cells.U``.  Type I and
+the residuals of ``pathalg``'s connections are frames of ``gram_residual``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "dims",
     "qnum",
     "worst",
+    "gram_residual",
 ]
 
 
@@ -79,6 +81,22 @@ def worst(values) -> float:
     Python's ``max`` drops a NaN that does not come first."""
     values = list(values)
     return max(values, default=0.0) if all(map(math.isfinite, values)) else math.inf
+
+
+def gram_residual(frames) -> float:
+    """The ``worst`` of |sum_c x_c conj(y_c) - delta_xy t| over every pair of
+    rows x, y of each frame ``(t, rows)``, ``rows`` a collection of dicts
+    ``{column: value}``: 0 when each frame's rows are orthogonal with squared
+    norm t.  The sum runs over x's columns in order, so a NaN or inf gives inf."""
+    errors = []
+    for t, rows in frames:
+        for i, x in enumerate(rows):
+            for j, y in enumerate(rows):
+                s = 0.0 + 0.0j
+                for c, xc in x.items():
+                    s += xc * y.get(c, 0.0).conjugate()
+                errors.append(abs(s - (t if i == j else 0.0)))
+    return worst(errors)
 
 
 def least_squares(fun, x0, jac) -> Fit:
@@ -219,6 +237,9 @@ class FusionGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "FusionGraph":
+        """The graph of ``to_json``; ValueError unless n is an int >= 4."""
+        if type(obj["n"]) is not int or obj["n"] < 4:
+            raise ValueError(f"need an integer n >= 4, not {obj['n']!r}")
         verts = [v["id"] for v in obj["vertices"]]
         colour = {v["id"]: v["colour"] for v in obj["vertices"]}
         edges = [(u, v) for u, v in obj["edges"]]
@@ -401,27 +422,19 @@ class CellSystem:
 
 
 def type_I_residual(g: FusionGraph, cells: CellSystem) -> float:
-    """Max deviation of the digon frame equation.
+    """Max deviation of the digon frame equation, one ``gram_residual``
+    frame per (source, range) with a row per edge.
 
     For any edges u, v sharing source and range:
     sum_{a,b closing the loop} W(u,a,b) conj(W(v,a,b))
     = delta_{u,v} [2] phi_source phi_range.
     """
-    phi = g.phi
-    d = qnum(2, g.n)
-    parallel = _parallel_edges(g)
-    errors = []
-    for u in range(len(g.edges)):
-        for v in parallel[g.edges[u]]:
-            s = 0.0 + 0.0j
-            for a in g.out_edges[g.range(u)]:
-                for b in g.out_edges[g.range(a)]:
-                    if g.range(b) != g.source(u):
-                        continue
-                    s += cells.W(u, a, b) * cells.W(v, a, b).conjugate()
-            want = d * phi[g.source(u)] * phi[g.range(u)] if u == v else 0.0
-            errors.append(abs(s - want))
-    return worst(errors)
+    phi, d = g.phi, qnum(2, g.n)
+    frames = []
+    for (s, r), group in _parallel_edges(g).items():
+        loops = [(a, b) for a in g.out_edges[r] for b in g.out_edges[g.range(a)] if g.range(b) == s]
+        frames.append((d * phi[s] * phi[r], [{ab: cells.W(u, *ab) for ab in loops} for u in group]))
+    return gram_residual(frames)
 
 
 def level_signs(i: int, j: int) -> str:

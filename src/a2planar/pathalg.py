@@ -15,9 +15,9 @@ provides
 * Hecke operators ``make_U`` built from the Boltzmann weights and Jones
   projections ``make_e`` on the vertical steps, from their path formulas,
 * the connection between the two path presentations of a square of the
-  ladder, with unitarity and commuting-square residuals; it builds one
-  swap matrix per end vertex, so a single-square basis change is one
-  conjugation per block,
+  ladder, with unitarity and commuting-square residuals, both frames of
+  ``graph.gram_residual``; it builds one swap matrix per end vertex, so a
+  single-square basis change is one conjugation per block,
 * the horizontal/vertical inclusions, and a flatness report that moves
   B[v,0] up to level (v, h) by one product T of swap matrices per end
   vertex and reads the commutators with the embedded B[0,h] off each
@@ -49,7 +49,8 @@ from typing import NamedTuple
 # boltzmann_U and pf_eigen are unused here but stay importable from this
 # module: perfbench/selftest.py checks that the tracer wraps them here too.
 from .graph import (CellSystem, FusionGraph, boltzmann_U, dims,  # noqa: F401
-                    enumerate_paths, level_signs, pf_eigen, qnum, worst)
+                    enumerate_paths, gram_residual, level_signs, pf_eigen,
+                    qnum, worst)
 from .oracle import flip
 
 __all__ = [
@@ -193,11 +194,11 @@ class PathAlgElement:
 
     @property
     def terms(self):
-        """Read-only view of the coefficients above 1e-14, keyed by path pair."""
+        """Read-only view of the coefficients not at most 1e-14, keyed by path pair."""
         out = {}
         for v, b in self.blocks.items():
             ps = self.index.paths[v]
-            for a, c in zip(*(abs(b) > _CHOP).nonzero()):
+            for a, c in zip(*(~(abs(b) <= _CHOP)).nonzero()):
                 out[(ps[a], ps[c])] = complex(b[a, c])
         return MappingProxyType(out)
 
@@ -239,9 +240,9 @@ class PathAlgElement:
 
 
 def pair_terms(g: FusionGraph, level, terms) -> dict:
-    """The coefficients of ``terms`` above 1e-14, keyed by path pair, as
-    complex numbers; ValueError unless every pair is at ``level`` and its
-    two paths end at one vertex."""
+    """The coefficients of ``terms`` not at most 1e-14 (a NaN is kept), keyed
+    by path pair, as complex numbers; ValueError unless every pair is at
+    ``level`` and its two paths end at one vertex."""
     where = path_index(g, level_signs(*level)).where
     out = {}
     for (p1, p2), c in terms.items():
@@ -251,7 +252,7 @@ def pair_terms(g: FusionGraph, level, terms) -> dict:
             raise ValueError(f"path pair {(p1, p2)} is not at level {tuple(level)}") from None
         if v != w:
             raise ValueError(f"path pair {(p1, p2)} has two end vertices")
-        if abs(c) > _CHOP:
+        if not abs(c) <= _CHOP:
             out[(p1, p2)] = complex(c)
     return out
 
@@ -265,7 +266,10 @@ def terms_to_json(terms) -> list:
 
 
 def terms_from_json(obj) -> dict:
-    """Path-pair terms read from the rows of ``terms_to_json``."""
+    """Path-pair terms read from the rows of ``terms_to_json``; ValueError
+    if a coefficient is not finite."""
+    if not all(math.isfinite(row[k]) for row in obj for k in ("re", "im")):
+        raise ValueError("a coefficient is not finite")
     return {(tuple((int(e), int(d)) for e, d in row["p1"]),
              tuple((int(e), int(d)) for e, d in row["p2"])): complex(row["re"], row["im"])
             for row in obj}
@@ -423,78 +427,30 @@ class Connection:
                 S[v][hit[1], a] = val
         return S
 
-    def _blocks(self):
-        """Group keys by the (top-left, bottom-right) corner vertices."""
-        g = self.graph
-        blocks: dict = {}
-        for (r1, r2, r3, r4), val in self.X.items():
-            if self.parity == "even":
-                u, w = g.source(r1), g.range(r2)
-            else:
-                u, w = g.source(r1), g.source(r2)
-            blocks.setdefault((u, w), {}).setdefault((r1, r2), {})[(r3, r4)] = val
-        return blocks
-
     def unitarity_residual(self) -> float:
-        errors = []
-        for _, rows in self._blocks().items():
-            tops = sorted(rows)
-            bots = sorted({b for r in rows.values() for b in r})
-            for t1 in tops:
-                for t2 in tops:
-                    s = 0.0 + 0.0j
-                    for b in bots:
-                        s += rows[t1].get(b, 0.0) * rows[t2].get(b, 0.0).conjugate()
-                    want = 1.0 if t1 == t2 else 0.0
-                    errors.append(abs(s - want))
-        return worst(errors)
+        """``gram_residual`` of one frame per (top-left, bottom-right) corner
+        pair, a row (r1, r2) over the columns (r3, r4), with t = 1."""
+        g = self.graph
+        end = g.range if self.parity == "even" else g.source
+        frames: dict = {}
+        for (r1, r2, r3, r4), val in self.X.items():
+            frames.setdefault((g.source(r1), end(r2)), {}).setdefault((r1, r2), {})[(r3, r4)] = val
+        return gram_residual((1.0, rows.values()) for rows in frames.values())
 
     def commuting_square_residual(self) -> float:
         """Residual of the weighted biunitarity identity that makes each
-        square of the ladder a commuting square."""
-        g = self.graph
-        phi = g.phi
-
-        def pr(edge):
-            # path-sense (from, to) of a vertical edge for this parity
-            u, v = g.edges[edge]
-            if self.parity == "even":
-                return (u, v)
-            return (v, u)
-
-        # organize: for fixed sigma2, sigma4 we need all (sigma1, sigma3)
-        items: dict = {}
+        square of the ladder a commuting square: ``gram_residual`` of one
+        frame per (source of r1, range of r1, end of r3), t = 1, whose row
+        (r1, r3) is {(r2, r4): sqrt(phi_w phi_x / (phi_v phi_y)) X}, where
+        r2 runs v -> w in the parity's sense, r3 starts at x, r4 at y."""
+        g, phi = self.graph, self.graph.phi
+        d = 1 if self.parity == "even" else -1
+        frames: dict = {}
         for (r1, r2, r3, r4), val in self.X.items():
-            items.setdefault((r2, r4), {})[(r1, r3)] = val
-        # collect candidate (sigma1, sigma3) pairs keyed by their corners
-        pairs: dict = {}
-        for (r2, r4), row in items.items():
-            for (r1, r3) in row:
-                u = g.source(r1)
-                v = g.range(r1)
-                x = pr(r3)[1]
-                pairs.setdefault((u, v, x), set()).add((r1, r3))
-        errors = []
-        for (u, v, x), ps in pairs.items():
-            ps = sorted(ps)
-            for (s1, s3) in ps:
-                for (s1p, s3p) in ps:
-                    acc = 0.0 + 0.0j
-                    for (r2, r4), row in items.items():
-                        a = row.get((s1, s3))
-                        b = row.get((s1p, s3p))
-                        if a is None or b is None:
-                            continue
-                        s2s, s2r = pr(r2)
-                        wgt = (
-                            phi[s2r]
-                            * math.sqrt(phi[pr(s3)[0]] * phi[pr(s3p)[0]])
-                            / (phi[s2s] * phi[g.source(r4)])
-                        )
-                        acc += wgt * a * b.conjugate()
-                    want = 1.0 if (s1, s3) == (s1p, s3p) else 0.0
-                    errors.append(abs(acc - want))
-        return worst(errors)
+            (v, w), (x, end) = step_ends(g, (r2, d)), step_ends(g, (r3, d))
+            row = frames.setdefault((g.source(r1), g.range(r1), end), {}).setdefault((r1, r3), {})
+            row[(r2, r4)] = math.sqrt(phi[w] * phi[x] / (phi[v] * phi[g.source(r4)])) * val
+        return gram_residual((1.0, rows.values()) for rows in frames.values())
 
 
 def connection(g: FusionGraph, cells: CellSystem, parity: str) -> Connection:
@@ -806,7 +762,7 @@ def present_Z(strips, labels, g: FusionGraph, cells: CellSystem):
             vec = _apply_rect(g, vec, element_to_pathvec(labels[token[1]]))
         else:
             vec = _apply_strip(g, cells, vec, *signs)
-        vec = {p: c for p, c in vec.items() if abs(c) > _CHOP}
+        vec = {p: c for p, c in vec.items() if not abs(c) <= _CHOP}
     if len(sigma) % 2 == 0 and sigma:
         half = len(sigma) // 2
         vec = {

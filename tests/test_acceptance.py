@@ -169,9 +169,22 @@ def test_07_connection(setups):
             conn = P.connection(g, cells, parity)
             worst = max(worst, conn.unitarity_residual(),
                         conn.commuting_square_residual())
-    ok = worst < 1e-10
+    # positive controls on a fresh A(6): a 1e-6 change to one X entry
+    # breaks both identities; phi scaled by 1.01 at the star once the
+    # connections are built breaks only the phi-weighted commuting square
+    g = build_A(6)
+    cells = solve_cells(g)
+    conns = [P.connection(g, cells, parity) for parity in ("even", "odd")]
+    bumped = [P.Connection(g, c.parity, {**c.X, k: c.X[k] + 1e-6})
+              for c in conns for k in [next(iter(c.X))]]
+    bump = min(min(c.unitarity_residual(), c.commuting_square_residual()) for c in bumped)
+    g.__dict__["phi"] = {**g.phi, g.star: 1.01 * g.phi[g.star]}
+    scaled = [(c.unitarity_residual(), c.commuting_square_residual()) for c in conns]
+    ok = (worst < 1e-10 and bump > 1e-8
+          and all(u < 1e-10 and cs > 1e-3 for u, cs in scaled))
     verdict(7, ok, "connection unitarity and commuting-square residuals "
-            f"< 1e-10 for n = 4..7 (worst {worst:.2e})")
+            f"< 1e-10 for n = 4..7 (worst {worst:.2e}); changed-X and "
+            "scaled-phi positive controls fire")
 
 
 def test_08_flatness(setups):

@@ -679,6 +679,33 @@ def test_graph_with_wrong_coxeter_number(runner, tmp_path, cmd):
     assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")
 
 
+@pytest.mark.parametrize("cmd", [["cells", "solve"], ["dims", "--i", "1", "--j", "1"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("n", [0, -5, 3, math.inf, 5.0, True],
+                         ids=["0", "-5", "3", "inf", "5.0", "true"])
+def test_graph_with_bad_n(runner, tmp_path, cmd, n):
+    """A ``--graph`` n must be an int >= 4, as ``--n`` must: 0 and inf
+    divided by zero, and -5 ran as A(5)."""
+    f = tmp_path / "A5.json"
+    f.write_text(json.dumps(dict(build_A(5).to_json(), n=n)))
+    assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "n >= 4")
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_zmap_label_not_finite(runner, tmp_path, part, bad):
+    """A label coefficient that is not finite is refused; the chops would
+    otherwise drop it from the result and exit 0."""
+    g = build_A(5)
+    row = dict(P.terms_to_json({P.enumerate_pairs(g, 1, 1)[0]: 1.0 + 0.5j})[0], **{part: bad})
+    (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
+    (tmp_path / "labels.json").write_text(json.dumps([{"level": [1, 1], "terms": [row]}]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "1", "--j", "1"])
+    assert_input_error(result, "--labels", "not finite")
+
+
 def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
     def broken(x, max_len):
         raise ArithmeticError("round-trip check failed")

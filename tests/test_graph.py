@@ -613,6 +613,21 @@ def test_worst():
         assert G.worst(x for x in (1.0, bad)) == math.inf
 
 
+
+def test_gram_residual():
+    """Rows orthogonal with squared norm t read 0; an overlap between two
+    unit rows is read off the pair, not the diagonal; a column missing from
+    y counts as 0; a NaN or inf in any row reads inf."""
+    s = 1 / math.sqrt(2)
+    assert G.gram_residual([]) == 0.0
+    assert G.gram_residual([(2.0, [{0: 1.0, 1: 1j}, {0: 1j, 1: 1.0}])]) == 0.0
+    assert G.gram_residual([(1.0, [{0: 1.0}, {1: 1.0}]), (1.0, [{0: 1j}])]) == 0.0
+    assert G.gram_residual([(1.0, [{0: 1.0, 1: 0.0}, {0: s, 1: s}])]) == pytest.approx(s)
+    assert G.gram_residual([(1.0, [{0: 0.6, 1: 0.8}, {0: 0.8, 1: -0.6}])]) == 0.0
+    for bad in (math.nan, math.inf):
+        assert G.gram_residual([(1.0, [{0: 1.0}, {1: complex(bad, 0.0)}])]) == math.inf
+        assert G.gram_residual([(1.0, [{0: 1.0}]), (1.0, [{0: bad}])]) == math.inf
+
 # -- the compiled objective and its certification -----------------------------
 
 

@@ -1,6 +1,7 @@
 """Path-pair algebras: dimensions, operators, connections, and the
 strip-word evaluation map."""
 
+import cmath
 import gc
 import itertools
 import json
@@ -265,6 +266,20 @@ def test_odd_connection_formula(setups):
         )
         ref = even.X.get((r4, r2, r3, r1), 0.0 + 0.0j)
         assert abs(val - ratio * ref.conjugate()) < 1e-12
+
+
+def test_pair_terms_keep_a_nan(setups):
+    """A NaN coefficient is kept by ``pair_terms``, by ``terms`` and by
+    ``present_Z``'s chop, so ``dist`` reads inf instead of dropping it."""
+    g, cells, _ = setups[5]
+    pair = P.enumerate_pairs(g, 1, 1)[0]
+    assert cmath.isnan(P.pair_terms(g, (1, 1), {pair: math.nan})[pair])
+    x = PathAlgElement(g, (1, 1), {pair: math.nan})
+    assert cmath.isnan(x.terms[pair])
+    assert x.dist(PathAlgElement(g, (1, 1), {pair: 1.0})) == math.inf
+    label = P.Label(g, (1, 1), {pair: complex(math.nan, 0.0)})
+    z = P.z_element(P.word_insert(), [label], g, cells, 1, 1)
+    assert z.dist(PathAlgElement(g, (1, 1))) == math.inf
 
 
 def test_connection_parity_guard(setups):
