@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -197,6 +200,19 @@ class TestBasis:
         monkeypatch.setattr(rewrite, "_attach_cup", reversed_cup)
         with pytest.raises(WebError):
             enumerate_basis("-+")
+
+    def test_basis_matches_recorded(self):
+        """The canonical key of every basis web and the digest of the
+        words' ``to_json`` lists, recorded from the growth by attached
+        pieces: every word of the diagram workload, the rotation orbit
+        of '--+-++-+' and '-+-+-+-+-+'."""
+        with open(os.path.join(os.path.dirname(__file__), "basis_recorded.json")) as fh:
+            recorded = json.load(fh)
+        for case in recorded:
+            basis = enumerate_basis(case["sigma"])
+            assert [repr(w.canonical_key()) for w in basis] == case["keys"]
+            digest = hashlib.sha256(json.dumps([w.to_json() for w in basis]).encode())
+            assert digest.hexdigest() == case["to_json_sha256"]
 
 
 class TestLinearity:
