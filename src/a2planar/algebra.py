@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from .oracle import flip
 from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, collect, delta
-from .rewrite import enumerate_basis, normalize
-from .web import Web, WebError, crossing_web, identity_web, wgen_web
+from .rewrite import basis_words, enumerate_basis, normalize
+from .web import Web, WebError, crossing_web, identity_web, strip_word_web, wgen_web
 
 __all__ = [
     "WebSum",
@@ -133,13 +133,22 @@ class WebSum:
         return WebSum(self.top, self.bot, normalize(self.terms, strategy=strategy, rng=rng))
 
     def to_json(self) -> list:
-        """One row ``{"coeff", "web"}`` per term, in the order of ``terms``."""
+        """One row ``{"coeff", "web"}`` per term, in the order of ``terms``.
+        A zero sum is one row with coefficient 0 on the first basis web of
+        its boundary, so that ``from_json`` reads the boundary back."""
+        if not self.terms:
+            words = basis_words(self.top + self.bot[::-1])
+            if not words:
+                raise WebError(f"no web has the boundary {self.top!r} over {self.bot!r}")
+            w = bend(strip_word_web(words[0]), len(self.top))
+            return [{"coeff": Laurent.zero().to_json(), "web": w.to_json()}]
         return [{"coeff": c.to_json(), "web": w.to_json()} for w, c in self.terms.items()]
 
     @staticmethod
     def from_json(rows: list) -> "WebSum":
         """The sum of the rows that ``to_json`` writes.  The boundary is that
-        of the first web, so an empty list, which has none, is refused."""
+        of the first web, so an empty list, which has none, is refused; a
+        row with coefficient 0 gives the boundary and no term."""
         terms = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
         if not terms:
             raise ValueError("empty web sum")

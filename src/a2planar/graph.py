@@ -237,13 +237,30 @@ class FusionGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "FusionGraph":
-        """The graph of ``to_json``; ValueError unless n is an int >= 4."""
+        """The graph of ``to_json``; ValueError unless n is an int >= 4, the
+        vertex ids are distinct, every edge end and the star is a vertex, and
+        every colour is 0, 1 or 2 and rises by 1 mod 3 along every edge, as
+        ``build_A`` colours."""
         if type(obj["n"]) is not int or obj["n"] < 4:
             raise ValueError(f"need an integer n >= 4, not {obj['n']!r}")
-        verts = [v["id"] for v in obj["vertices"]]
-        colour = {v["id"]: v["colour"] for v in obj["vertices"]}
+        colour = {}
+        for row in obj["vertices"]:
+            v, c = row["id"], row["colour"]
+            if v in colour:
+                raise ValueError(f"vertex {v!r} is listed twice")
+            if type(c) is not int or c not in (0, 1, 2):
+                raise ValueError(f"vertex {v!r} has colour {c!r}, not 0, 1 or 2")
+            colour[v] = c
         edges = [(u, v) for u, v in obj["edges"]]
-        return FusionGraph(verts, colour, edges, obj["star"], obj["n"])
+        for u, v in edges:
+            for end in (u, v):
+                if end not in colour:
+                    raise ValueError(f"edge {[u, v]!r} names {end!r}, which is not a vertex")
+            if colour[v] != (colour[u] + 1) % 3:
+                raise ValueError(f"colour does not rise by 1 mod 3 along edge {[u, v]!r}")
+        if obj["star"] not in colour:
+            raise ValueError(f"star {obj['star']!r} is not a vertex")
+        return FusionGraph(list(colour), colour, edges, obj["star"], obj["n"])
 
 
 def _vid(v) -> str:

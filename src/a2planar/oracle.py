@@ -9,11 +9,15 @@ enumeration, which is implemented by entirely different means.
 
 At a root of unity q = e^(i pi / n) the chamber is truncated to
 a + b <= n - 3, which counts walks on the fusion graph A^(n).
+
+The module also holds the sign rule of the strip tokens (``read_strip``),
+the one planar-piece vocabulary of both halves: ``web.strip_web`` builds
+a strip's web and ``pathalg.present_Z`` evaluates it on paths.
 """
 
 from __future__ import annotations
 
-__all__ = ["flip", "walk_dim", "walk_dim_truncated", "walk_endpoints"]
+__all__ = ["flip", "read_strip", "walk_dim", "walk_dim_truncated", "walk_endpoints"]
 
 _FLIP = str.maketrans("+-", "-+")
 _MINUS_STEPS = ((1, 0), (-1, 1), (0, -1))
@@ -23,6 +27,42 @@ _PLUS_STEPS = ((-1, 0), (1, -1), (0, 1))
 def flip(signs: str) -> str:
     """Negate every boundary sign."""
     return signs.translate(_FLIP)
+
+
+# The signs a fork strip replaces (below) and the signs it puts in their
+# place (above).  A cup replaces two opposite signs by nothing; a cap of
+# sign s puts s and its opposite in place of nothing.
+_FORKS = {
+    "FORK_IN": ("++", "-"),
+    "FORK_OUT": ("--", "+"),
+    "FORK_IN_INV": ("+", "--"),
+    "FORK_OUT_INV": ("-", "++"),
+}
+
+
+def read_strip(token, bot: str):
+    """The word on top of a cup, cap or fork strip on the word ``bot``, and
+    ``(position, below, above)``: at the 1-based position the signs ``below``
+    give way to ``above``.  ValueError unless the position is an int and
+    the strip fits."""
+    kind, i = token[0], token[1]
+    if type(i) is not int:
+        raise ValueError(f"strip position in {list(token)!r} is not an int")
+    if kind == "CUP":
+        below, above = bot[i - 1:i + 1], ""
+        if below not in ("-+", "+-"):
+            raise ValueError(f"cup at {i} needs opposite signs below in {bot!r}")
+    elif kind == "CAP":
+        if token[2] not in ("-", "+"):
+            raise ValueError(f"cap sign {token[2]!r} is not '-' or '+'")
+        below, above = "", token[2] + flip(token[2])
+    elif kind in _FORKS:
+        below, above = _FORKS[kind]
+    else:
+        raise ValueError(f"unknown strip token {kind!r}")
+    if not 1 <= i <= len(bot) - len(below) + 1 or bot[i - 1:i - 1 + len(below)] != below:
+        raise ValueError(f"{kind} at {i} needs {below!r} below in {bot!r}")
+    return bot[:i - 1] + above + bot[i - 1 + len(below):], (i, below, above)
 
 
 def _propagate(state: dict, sign: str, limit: int | None) -> dict:

@@ -26,9 +26,12 @@ provides
   strips (cups, caps, trivalent forks, labelled rectangles) as a vector
   of paths, together with builders for the named strip words.  A cup,
   cap or fork is the signs it replaces and the signs it puts in their
-  place; one rule replaces the steps of each path and weighs the closed
-  loop the old and new steps make: a step and its reverse by a ratio of
-  sqrt(phi), a triangle by its cell over sqrt(phi phi).
+  place, by the sign rule of ``oracle.read_strip``, which
+  ``web.strip_web`` shares, so that the basis webs that
+  ``rewrite.basis_words`` grows are strip words too.  One rule replaces
+  the steps of each path and weighs the closed loop the old and new
+  steps make: a step and its reverse by a ratio of sqrt(phi), a triangle
+  by its cell over sqrt(phi phi).
 
 All arithmetic on this side is complex floating point (64-bit); the
 default comparison tolerance in the callers is 1e-10.  numpy is imported
@@ -51,7 +54,7 @@ from typing import NamedTuple
 from .graph import (CellSystem, FusionGraph, boltzmann_U, dims,  # noqa: F401
                     enumerate_paths, gram_residual, level_signs, pf_eigen,
                     qnum, worst)
-from .oracle import flip
+from .oracle import flip, read_strip
 
 __all__ = [
     "PathAlgElement",
@@ -639,46 +642,20 @@ def flatness_check(
 # ---------------------------------------------------------------------------
 # strip words and the presenting map Z
 
-# The signs a fork strip replaces (below) and the signs it puts in their
-# place (above).  A cup replaces two opposite signs by nothing; a cap of
-# sign s puts s and its opposite in place of nothing.
-_FORKS = {
-    "FORK_IN": ("++", "-"),
-    "FORK_OUT": ("--", "+"),
-    "FORK_IN_INV": ("+", "--"),
-    "FORK_OUT_INV": ("-", "++"),
-}
-
-
 def _strip(token, bot: str, labels):
     """The word on top of a strip that sits on the word ``bot``, and the
-    strip's ``(position, below, above)``, or None for a rectangle;
-    ValueError unless the strip fits."""
-    kind, i = token[0], token[1]
-    if kind == "RECT":
-        left, right = token[2], token[3]
-        if left != 0:
-            raise NotImplementedError("rectangles with strings on the left")
-        if len(bot) != right:
-            raise ValueError("rectangle interface mismatch")
-        if not 0 <= i < len(labels):
-            raise ValueError(f"rectangle label {i} out of range")
-        return sigma_word(*labels[i].level) + bot, None
-    if kind == "CUP":
-        below, above = bot[i - 1:i + 1], ""
-        if below not in ("-+", "+-"):
-            raise ValueError(f"cup at {i} needs opposite signs below in {bot!r}")
-    elif kind == "CAP":
-        if token[2] not in ("-", "+"):
-            raise ValueError(f"cap sign {token[2]!r} is not '-' or '+'")
-        below, above = "", token[2] + flip(token[2])
-    elif kind in _FORKS:
-        below, above = _FORKS[kind]
-    else:
-        raise ValueError(f"unknown strip token {kind!r}")
-    if not 1 <= i <= len(bot) - len(below) + 1 or bot[i - 1:i - 1 + len(below)] != below:
-        raise ValueError(f"{kind} at {i} needs {below!r} below in {bot!r}")
-    return bot[:i - 1] + above + bot[i - 1 + len(below):], (i, below, above)
+    strip's ``(position, below, above)`` from ``oracle.read_strip``, or None
+    for a rectangle; ValueError unless the strip fits."""
+    if token[0] != "RECT":
+        return read_strip(token, bot)
+    i = token[1]
+    if token[2] != 0:
+        raise NotImplementedError("rectangles with strings on the left")
+    if len(bot) != token[3]:
+        raise ValueError("rectangle interface mismatch")
+    if type(i) is not int or not 0 <= i < len(labels):
+        raise ValueError(f"rectangle label {i!r} out of range")
+    return sigma_word(*labels[i].level) + bot, None
 
 
 def _apply_strip(g, cells, vec, i, below, above):

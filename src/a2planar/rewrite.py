@@ -19,11 +19,14 @@ result is a dict mapping reduced webs to Laurent coefficients.
 
 ``enumerate_basis`` builds the reduced (non-elliptic) webs on a boundary
 word by the Khovanov-Kuperberg growth rules, one web per closed dominant
-walk and with no search: at the leftmost descent of the walk's states it
-attaches a trivalent vertex (equal signs), a cup (opposite signs, states
-1, -1) or an H (other opposite signs).  The pieces are built unchecked;
-each finished web is validated, and the result is certified against
-``oracle.walk_dim`` before it is returned.
+walk and with no search.  Each web is grown as a strip word, top strip
+first (``basis_words``): at the leftmost descent of the walk's states the
+next strip is a merging fork (equal signs), a cap (opposite signs, states
+1, -1) or an H, a splitting fork above a merging one (other opposite
+signs).  These are the strip tokens that ``pathalg.present_Z`` evaluates,
+with the sign rule of ``oracle.read_strip``; ``web.strip_word_web`` builds
+the web, unchecked.  Each finished web is validated, and the result is
+certified against ``oracle.walk_dim`` before it is returned.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from .web import (
     CROSSINGS,
     TRIVALENT,
     Web,
-    WebError,
     _glue,
-    through_strands,
+    strip_word_web,
 )
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "is_reduced",
     "normalize",
     "enumerate_basis",
+    "basis_words",
     "STRATEGIES",
 ]
 
@@ -246,54 +249,6 @@ def _reduced(stack, strategy, rng):
 # -- basis enumeration ----------------------------------------------------
 
 
-def _attach_cup(s: str, i: int) -> Web:
-    s2 = s[:i] + s[i + 2 :]
-    w = Web(s, flip(s2), check=False)
-    edges = through_strands(w, i, shift=2)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    edges.append((ti, tj) if s[i] == "-" else (tj, ti))
-    return Web(s, flip(s2), {}, edges, check=False)
-
-
-def _attach_tri(s: str, i: int) -> Web:
-    merged = "+" if s[i] == "-" else "-"
-    s2 = s[:i] + merged + s[i + 2 :]
-    w = Web(s, flip(s2), check=False)
-    edges = through_strands(w, i, shift=1)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    bi = w.bot_port(i)
-    if s[i] == "-":
-        verts = {0: "sink"}
-        edges += [(ti, (0, 1)), (tj, (0, 0)), (bi, (0, 2))]
-    else:
-        verts = {0: "source"}
-        edges += [((0, 1), ti), ((0, 0), tj), ((0, 2), bi)]
-    return Web(s, flip(s2), verts, edges, check=False)
-
-
-def _attach_h(s: str, i: int) -> Web:
-    """A horizontal bar between the opposite-signed strands i, i+1.
-
-    Two trivalent vertices joined by a bar; below it the two signs are
-    swapped.  This is the H rule of the basis growth.
-    """
-    if s[i] == s[i + 1]:
-        raise WebError("bar move needs opposite adjacent signs")
-    s2 = s[: i] + s[i + 1] + s[i] + s[i + 2 :]
-    w = Web(s, flip(s2), check=False)
-    edges = through_strands(w, i)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    bi, bj = w.bot_port(i), w.bot_port(i + 1)
-    if s[i] == "-":
-        # left sink fed from above and below, right source feeding both
-        verts = {0: "sink", 1: "source"}
-        edges += [(ti, (0, 1)), (bi, (0, 2)), ((1, 1), (0, 0)), ((1, 0), tj), ((1, 2), bj)]
-    else:
-        verts = {0: "source", 1: "sink"}
-        edges += [((0, 1), ti), ((0, 2), bi), ((0, 0), (1, 1)), (tj, (1, 0)), (bj, (1, 2))]
-    return Web(s, flip(s2), verts, edges, check=False)
-
-
 # Khovanov-Kuperberg states -1, 0, 1 and their weight steps on a '-' strand
 # (the vector representation) and on a '+' strand (its dual)
 _STATE_STEPS = {
@@ -316,34 +271,42 @@ def _dominant_states(sigma: str) -> list[tuple]:
     return [st for st, _ in walks]
 
 
-def _grow(s: str, st: tuple) -> Web:
-    """The web of a sign string and a closed dominant state string: attach
-    a piece at the leftmost descent of the states, above the web grown from
-    what remains."""
+def _grow(s: str, st: tuple) -> list:
+    """The strip word, top strip first, of the web of a sign string and a
+    closed dominant state string: a piece at the leftmost descent of the
+    states, above the word grown from what remains."""
     if not s:
-        return Web("", "", {}, [], 0)
+        return []
     i = next(i for i in range(len(s) - 1) if st[i] > st[i + 1])
+    fork = {"-": "FORK_IN", "+": "FORK_OUT"}
     if s[i] == s[i + 1]:  # (1, 0), (1, -1), (0, -1) merge to 1, 0, -1
-        att, mid = _attach_tri(s, i), (st[i] + st[i + 1],)
+        piece, mid, new = [(fork[s[i]] + "_INV", i + 1)], (st[i] + st[i + 1],), flip(s[i])
     elif st[i] - st[i + 1] == 2:
-        att, mid = _attach_cup(s, i), ()
-    else:
-        att, mid = _attach_h(s, i), (st[i + 1], st[i])
-    return att.compose(_grow(flip(att.bot), st[:i] + mid + st[i + 2 :]), check=False)
+        piece, mid, new = [("CAP", i + 1, s[i])], (), ""
+    else:  # an H: a splitting fork above a merging one
+        piece = [(fork[s[i]], i + 1), (fork[s[i + 1]] + "_INV", i + 2)]
+        mid, new = (st[i + 1], st[i]), s[i + 1] + s[i]
+    return piece + _grow(s[:i] + new + s[i + 2:], st[:i] + mid + st[i + 2:])
+
+
+def basis_words(sigma: str) -> list[list]:
+    """The strip word, top strip first, of each basis web of ``sigma``, in
+    the order of ``enumerate_basis``."""
+    return [_grow(sigma, st) for st in _dominant_states(sigma)]
 
 
 def enumerate_basis(sigma: str) -> list[Web]:
     """All reduced webs with the given boundary word on top (and no bottom).
 
     One web per closed dominant walk of ``sigma``, in the order of the state
-    strings.  The list is certified before it is returned: every web is
-    valid (``WebError`` otherwise), every web is reduced, the canonical keys
-    are pairwise distinct and the count equals ``walk_dim``, which by
-    Kuperberg's theorem makes it the whole basis; otherwise
-    ``ArithmeticError`` is raised.
+    strings, each built from its strip word (``basis_words``).  The list is
+    certified before it is returned: every web is valid (``WebError``
+    otherwise), every web is reduced, the canonical keys are pairwise
+    distinct and the count equals ``walk_dim``, which by Kuperberg's theorem
+    makes it the whole basis; otherwise ``ArithmeticError`` is raised.
     """
     sigma = str(sigma)
-    basis = [_grow(sigma, st) for st in _dominant_states(sigma)]
+    basis = [strip_word_web(word) for word in basis_words(sigma)]
     for w in basis:
         w.validate()
     distinct = len({w.canonical_key() for w in basis}) == len(basis)

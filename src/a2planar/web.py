@@ -31,7 +31,7 @@ joining consecutive boundary points to close off the disk).
 
 from __future__ import annotations
 
-from .oracle import flip
+from .oracle import flip, read_strip
 
 __all__ = [
     "Web",
@@ -41,6 +41,8 @@ __all__ = [
     "wgen_web",
     "crossing_web",
     "hexagon_web",
+    "strip_web",
+    "strip_word_web",
 ]
 
 TRIVALENT = ("sink", "source")
@@ -523,18 +525,50 @@ def _glue(edges, partner):
 # ---------------------------------------------------------------------------
 
 
-def through_strands(w: Web, i: int | None = None, shift: int = 0) -> list:
-    """Edges joining top point k to bottom point k' for every k outside the
-    pair (i, i+1), oriented by the top sign: k' = k left of the pair and
-    k - ``shift`` right of it.  ``i=None`` joins every top point."""
+def through_strands(w: Web, i: int = 0, new: int = 0, old: int = 0) -> list:
+    """Edges joining top point k to a bottom point, oriented by the top sign,
+    for every k outside the ``new`` top points from i that a piece takes:
+    bottom point k left of the piece and k - new + old right of it, where
+    the piece takes ``old`` bottom points."""
     edges = []
     for k, sign in enumerate(w.top):
-        if i is not None and k in (i, i + 1):
-            continue
-        kb = k - shift if i is not None and k > i else k
-        t, b = w.top_port(k), w.bot_port(kb)
-        edges.append((t, b) if sign == "-" else (b, t))
+        if not i <= k < i + new:
+            t, b = w.top_port(k), w.bot_port(k if k < i else k - new + old)
+            edges.append((t, b) if sign == "-" else (b, t))
     return edges
+
+
+def strip_web(token, below: str) -> Web:
+    """The web, built unchecked, of a cup, cap or fork strip on the word
+    ``below`` (``oracle.read_strip``): through strands left to right, then
+    the piece.  A fork is a sink (``FORK_IN*``) or a source.  A merging fork
+    takes its upper strings at slots 1, 0 and the lower at 2; a splitting
+    one the upper at 1 and the lower at 2, 0, and lists the through strand
+    on its right last."""
+    top, (i, old, new) = read_strip(token, below)
+    w = Web(top, flip(below), check=False)
+    i -= 1
+    edges = through_strands(w, i, len(new), len(old))
+    ti, tj, bi, bj = w.top_port(i), w.top_port(i + 1), w.bot_port(i), w.bot_port(i + 1)
+    if not (old and new):  # a cup or a cap: one string, from its '-' end
+        a, b = (ti, tj) if new else (bj, bi)
+        edges.append((a, b) if (new or old)[0] == "-" else (b, a))
+        return Web(w.top, w.bot, {}, edges, check=False)
+    sink = token[0].startswith("FORK_IN")
+    ends = ((ti, 1), (tj, 0), (bi, 2)) if len(new) == 2 else ((ti, 1), (bi, 2), (bj, 0))
+    edges += [(p, (0, slot)) if sink else ((0, slot), p) for p, slot in ends]
+    if len(old) == 2 and i + 1 < len(top):
+        edges.append(edges.pop(i))
+    return Web(w.top, w.bot, {0: "sink" if sink else "source"}, edges, check=False)
+
+
+def strip_word_web(word) -> Web:
+    """The web, built unchecked, of a top-to-bottom word of cup, cap and
+    fork strips whose bottom strip sits on the empty word."""
+    w = Web("", "", check=False)
+    for token in reversed(word):  # stacked from the bottom up
+        w = strip_web(token, w.top).compose(w, check=False)
+    return w
 
 
 def identity_web(sigma: str) -> Web:
@@ -548,7 +582,7 @@ def cupcap_web(sigma: str, i: int) -> Web:
     if sigma[i] == sigma[i + 1]:
         raise WebError("cup/cap needs opposite adjacent signs")
     w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i)
+    edges = through_strands(w, i, 2, 2)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     edges.append((ti, tj) if sigma[i] == "-" else (tj, ti))
@@ -562,7 +596,7 @@ def wgen_web(sigma: str, i: int) -> Web:
     if sigma[i] != sigma[i + 1]:
         raise WebError("trivalent generator needs equal adjacent signs")
     w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i)
+    edges = through_strands(w, i, 2, 2)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     if sigma[i] == "-":
@@ -592,7 +626,7 @@ def crossing_web(sigma: str, i: int, positive: bool = True) -> Web:
     if sigma[i] != sigma[i + 1]:
         raise WebError("crossing needs equal adjacent signs")
     w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i)
+    edges = through_strands(w, i, 2, 2)
     ti, tj = w.top_port(i), w.top_port(i + 1)
     bi, bj = w.bot_port(i), w.bot_port(i + 1)
     verts = {0: "xpos" if positive else "xneg"}
@@ -610,25 +644,10 @@ def hexagon_web() -> Web:
 
     Six trivalent vertices alternate around an internal hexagonal face; this
     is the one diagram on this boundary that is not a composition of cups,
-    caps and the trivalent pair generators.
+    caps and the trivalent pair generators.  It is the strip word of
+    ``pathalg.word_hexagon`` with its last three points moved to the bottom.
     """
-    top, bot = "-+-", "+-+"
-    w = Web(top, bot, check=False)
-    t = [w.top_port(k) for k in range(3)]
-    b = [w.bot_port(k) for k in range(3)]
-    verts = {1: "sink", 2: "source", 3: "sink", 4: "source", 5: "sink", 6: "source"}
-    edges = [
-        (t[0], (1, 1)),
-        ((2, 1), t[1]),
-        (t[2], (3, 0)),
-        ((6, 2), b[2]),
-        (b[1], (5, 2)),
-        ((4, 2), b[0]),
-        ((2, 2), (1, 0)),
-        ((2, 0), (3, 1)),
-        ((6, 0), (3, 2)),
-        ((6, 1), (5, 0)),
-        ((4, 0), (5, 1)),
-        ((4, 1), (1, 2)),
-    ]
-    return Web(top, bot, verts, edges)
+    w = strip_word_web([("FORK_IN", 1), ("FORK_OUT_INV", 2), ("FORK_IN_INV", 2),
+                        ("FORK_OUT_INV", 2), ("FORK_IN_INV", 2), ("FORK_OUT_INV", 1),
+                        ("CAP", 1, "-")])
+    return Web("-+-", "+-+", w.verts, w.edges)

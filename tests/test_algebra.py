@@ -68,6 +68,14 @@ def test_linear_structure():
     assert a.scale(Laurent.zero()).is_zero()
 
 
+def test_zero_sum_json_keeps_its_boundary():
+    x = wsum(3, 1) - wsum(3, 1)
+    back = WebSum.from_json(x.to_json())
+    assert back.is_zero() and (back.top, back.bot) == ("---", "+++")
+    with pytest.raises(WebError):
+        WebSum("-", "").to_json()  # no web has this boundary
+
+
 def test_star_antimultiplicative():
     rng = random.Random(3)
     for _ in range(10):
@@ -292,8 +300,12 @@ def test_rank_matches_walk_oracle_on_the_23_web_word():
         assert quotient_dim("--+-++-+", n) == walk_dim_truncated("--+-++-+", n) == 23
 
 
-def test_rank_matches_walk_oracle_at_length_10():
-    assert quotient_dim("-+-+-+-+-+", 7) == walk_dim_truncated("-+-+-+-+-+", 7) == 102
+def test_rank_matches_walk_oracle_at_length_10(gram_10):
+    # quotient_dim's two steps, on closed values shared with the path trace
+    ring = RealCycloRing.get(7)
+    exact = {c: ring.from_laurent(c) for c in {c for row in gram_10 for c in row}}
+    rank = real_cyclo_rank([[exact[c] for c in row] for row in gram_10])
+    assert rank == walk_dim_truncated("-+-+-+-+-+", 7) == 102
 
 
 def test_cyclo_rank_degenerate():

@@ -23,7 +23,7 @@ from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
 from a2planar.oracle import walk_dim_truncated
 from a2planar.rewrite import find_redexes, first_crossing
-from a2planar.scalar import Laurent
+from a2planar.scalar import Laurent, delta
 from a2planar.web import crossing_web, cupcap_web, identity_web, wgen_web
 
 
@@ -160,6 +160,25 @@ def test_normalize_round_trip(runner, tmp_path):
     doc = report(result)
     assert len(doc["result"]) == 1
     assert doc["result"][0]["coeff"]["laurent"] == {"-3": "1/1", "3": "1/1"}
+
+
+def test_normalize_zero_sum_reads_back(runner, tmp_path):
+    """A sum that cancels prints one row with coefficient 0 on a web of its
+    boundary, and reads back to the same zero sum."""
+    w0 = WebSum.from_web(wgen_web("---", 0))
+    ww = WebSum.from_web(wgen_web("---", 0).compose(wgen_web("---", 0)))
+    f = _write_websum(tmp_path / "zero.json", ww - w0.scale(delta()))
+    first = run(runner, ["normalize", "--in", f])
+    assert first.exit_code == 0
+    rows = report(first)["result"]
+    assert len(rows) == 1 and rows[0]["coeff"] == {"laurent": {}}
+    assert rows[0]["web"]["boundary"] == {"top": "---", "bot": "+++"}
+    (tmp_path / "again.json").write_text(json.dumps(rows))
+    again = run(runner, ["normalize", "--in", str(tmp_path / "again.json")])
+    assert again.exit_code == 0
+    assert report(again)["result"] == rows
+    x = WebSum.from_json(rows)
+    assert x.is_zero() and (x.top, x.bot) == ("---", "+++")
 
 
 def test_trace_identity(runner, tmp_path):
@@ -625,6 +644,15 @@ def test_zmap_strip_missing_position(runner, tmp_path):
     assert_input_error(result, "--strips")
 
 
+@pytest.mark.parametrize("position", [True, 1.0], ids=["true", "float"])
+def test_zmap_strip_position_not_an_int(runner, tmp_path, position):
+    """True read as position 1 and exited 0; 1.0 failed in a slice."""
+    f = tmp_path / "cap.json"
+    f.write_text(json.dumps([["CAP", position, "-"]]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "1", "--j", "0"])
+    assert_input_error(result, "--strips", f"position in ['CAP', {position!r}, '-'] is not an int")
+
+
 def test_zmap_empty_cap(runner, tmp_path):
     f = tmp_path / "cap.json"
     f.write_text(json.dumps([["CAP", 1, ""]]))
@@ -664,9 +692,31 @@ def test_zmap_label_path_off_level(runner, tmp_path):
 def test_graph_without_pf_eigenvalue_3(runner, tmp_path, cmd):
     f = tmp_path / "cycle.json"
     f.write_text(json.dumps({
-        "vertices": [{"id": "a", "colour": 0}, {"id": "b", "colour": 1}],
-        "edges": [["a", "b"], ["b", "a"]], "star": "a", "n": 5}))
+        "vertices": [{"id": "a", "colour": 0}, {"id": "b", "colour": 1}, {"id": "c", "colour": 2}],
+        "edges": [["a", "b"], ["b", "c"], ["c", "a"]], "star": "a", "n": 5}))
     assert_input_error(run(runner, cmd + ["--graph", str(f)]), "--graph", "[3]")
+
+
+def _a5_with(change):
+    obj = build_A(5).to_json()
+    change(obj)
+    return obj
+
+
+@pytest.mark.parametrize("obj, named", [
+    (_a5_with(lambda o: o["vertices"].append(dict(o["vertices"][0]))), "'0,0' is listed twice"),
+    (_a5_with(lambda o: o["edges"].append(["0,0", "9,9"])), "names '9,9'"),
+    (_a5_with(lambda o: o.update(star="9,9")), "star '9,9'"),
+    (_a5_with(lambda o: o["vertices"][1].update(colour=7)), "vertex '0,1' has colour 7"),
+    (_a5_with(lambda o: [v.update(colour=0) for v in o["vertices"]]), "along edge ['0,0', '1,0']"),
+], ids=["repeated-vertex", "unknown-edge-end", "unknown-star", "colour-7", "colours-all-0"])
+def test_graph_checked_when_read(runner, tmp_path, obj, named):
+    """A repeated vertex and a colour off {0, 1, 2} or not rising by 1 mod 3
+    along an edge exited 0; an unknown edge end or star read as a missing
+    key."""
+    f = tmp_path / "A5.json"
+    f.write_text(json.dumps(obj))
+    assert_input_error(run(runner, ["cells", "solve", "--graph", str(f)]), "--graph", named)
 
 
 @pytest.mark.parametrize("cmd", [["cells", "solve"], ["dims", "--i", "1", "--j", "0"]],

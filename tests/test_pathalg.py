@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from a2planar import pathalg as P
-from a2planar.algebra import WebSum, inner_product, quotient_dim
+from a2planar.algebra import WebSum, bend, inner_product, quotient_dim
 from a2planar.graph import CellSystem, build_A, pf_eigen, qnum, solve_cells
 from a2planar.oracle import flip
 from a2planar.pathalg import PathAlgElement
-from a2planar.web import cupcap_web, hexagon_web, identity_web, wgen_web
+from a2planar.web import cupcap_web, hexagon_web, identity_web, strip_word_web, wgen_web
 
 
 @pytest.fixture(scope="module")
@@ -759,6 +759,11 @@ def test_diagram_path_isomorphism(setups, n, level):
 
 # ---------------------------------------------------------------------------
 # the six-vertex element
+
+def test_hexagon_web_is_the_hexagon_word():
+    """``web.hexagon_web`` is grown from its own copy of this strip word."""
+    assert hexagon_web() == bend(strip_word_web(P.word_hexagon()), 3)
+
 
 def test_hexagon_matrix_n7(setups):
     g, cells, _ = setups[7]

@@ -186,18 +186,20 @@ class TestBasis:
             enumerate_basis("---+++")
 
     def test_invalid_piece_is_caught_by_certificate(self, monkeypatch):
-        # the growth pieces are built unchecked; a cup with its edge turned
+        # the strips are built unchecked; a cap with its edge turned
         # against the boundary signs must still be refused
-        from a2planar import rewrite
+        from a2planar import web
 
-        cup = rewrite._attach_cup
+        strip_web = web.strip_web
 
-        def reversed_cup(s, i):
-            w = cup(s, i)
+        def reversed_cap(token, below):
+            w = strip_web(token, below)
+            if token[0] != "CAP":
+                return w
             (a, b) = w.edges[-1]
             return Web(w.top, w.bot, w.verts, w.edges[:-1] + ((b, a),), check=False)
 
-        monkeypatch.setattr(rewrite, "_attach_cup", reversed_cup)
+        monkeypatch.setattr(web, "strip_web", reversed_cap)
         with pytest.raises(WebError):
             enumerate_basis("-+")
 

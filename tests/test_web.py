@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from a2planar.web import (
     cupcap_web,
     hexagon_web,
     identity_web,
+    strip_web,
     wgen_web,
 )
 from random_webs import random_reducible_web
@@ -325,6 +327,49 @@ def test_canonical_key_matches_exhaustive_search_on_random_webs():
         w = random_reducible_web(rng)
         for x in (w, w.close_right()):
             assert repr(x.canonical_key()) == repr(exhaustive_key(x))
+
+
+# -- strip webs -----------------------------------------------------------
+
+
+STRIP_TOKENS = [("CUP",), ("CAP", "-"), ("CAP", "+"), ("FORK_IN",), ("FORK_OUT",),
+                ("FORK_IN_INV",), ("FORK_OUT_INV",)]
+
+
+def test_strip_web_of_every_fitting_token_is_valid():
+    """Every token at every position where it fits a word of length <= 4."""
+    built = 0
+    for below in ("".join(s) for k in range(5) for s in itertools.product("-+", repeat=k)):
+        for kind, *rest in STRIP_TOKENS:
+            for i in range(1, len(below) + 2):
+                try:
+                    w = strip_web((kind, i, *rest), below)
+                except ValueError:
+                    continue
+                w.validate()
+                assert flip(w.bot) == below
+                built += 1
+    assert built == 424
+
+
+def _stacked(word, below):
+    w = identity_web(below)
+    for token in reversed(word):
+        w = strip_web(token, w.top).compose(w)
+    return w
+
+
+@pytest.mark.parametrize("sigma", ["-+", "+-", "--", "++", "-+--", "+-++"])
+def test_strip_pairs_are_the_generators(sigma):
+    """A cap over a cup is ``cupcap_web``, and a merging fork over a
+    splitting one is ``wgen_web``, up to isotopy."""
+    for i in range(len(sigma) - 1):
+        if sigma[i] != sigma[i + 1]:
+            word, want = [("CAP", i + 1, sigma[i]), ("CUP", i + 1)], cupcap_web(sigma, i)
+        else:
+            upper, lower = ("FORK_IN_INV", "FORK_OUT") if sigma[i] == "-" else ("FORK_OUT_INV", "FORK_IN")
+            word, want = [(upper, i + 1), (lower, i + 1)], wgen_web(sigma, i)
+        assert _stacked(word, sigma) == want
 
 
 # -- gluing: compose, tensor and the closures ----------------------------
