@@ -21,7 +21,7 @@ import pytest
 
 from a2planar import pathalg as P
 from a2planar.algebra import _gram_values
-from a2planar.graph import CellSystem, build_A, solve_cells
+from a2planar.graph import CellSystem, FusionGraph, build_A, solve_cells
 from a2planar.oracle import walk_dim
 from a2planar.rewrite import basis_words, enumerate_basis
 from a2planar.web import strip_word_web
@@ -83,6 +83,18 @@ def test_length_10_word(graphs, gram_10):
     sigma = "-+-+-+-+-+"
     g, cells = graphs[7]
     assert relative_error(basis_words(sigma), g, cells, sigma, gram_10) < BOUND
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_complex_cells_of_a_json_graph(n):
+    """The closed-form cells of A(n) are real; the least-squares cells of
+    its JSON copy are complex, in another gauge, so only they show whether
+    a source's cell is conjugated."""
+    g = FusionGraph.from_json(build_A(n).to_json())
+    cells = solve_cells(g)
+    assert max(abs(w.imag) for w in cells.values.values()) > 1.0
+    for sigma in [*SHORT_WORDS, "--+-++-+"]:
+        assert relative_error(basis_words(sigma), g, cells, sigma, exact_values(sigma)) < BOUND
 
 
 CONTROL_WORDS = ("---+++", "--+-++-+", "-+-+-+-+")
