@@ -12,12 +12,15 @@ a + b <= n - 3, which counts walks on the fusion graph A^(n).
 
 The module also holds the sign rule of the strip tokens (``read_strip``),
 the one planar-piece vocabulary of both halves: ``web.strip_web`` builds
-a strip's web and ``pathalg.present_Z`` evaluates it on paths.
+a strip's web and ``pathalg.present_Z`` evaluates it on paths.  The
+six-vertex element's strip word, ``HEXAGON_WORD``, is kept here for both.
 """
 
 from __future__ import annotations
 
-__all__ = ["flip", "read_strip", "walk_dim", "walk_dim_truncated", "walk_endpoints"]
+__all__ = [
+    "HEXAGON_WORD", "flip", "read_strip", "walk_dim", "walk_dim_truncated", "walk_endpoints",
+]
 
 _FLIP = str.maketrans("+-", "-+")
 _MINUS_STEPS = ((1, 0), (-1, 1), (0, -1))
@@ -38,6 +41,19 @@ _FORKS = {
     "FORK_IN_INV": ("+", "--"),
     "FORK_OUT_INV": ("-", "++"),
 }
+
+
+# The six-vertex diagram at level (3, 0), top strip first: the strip
+# word of ``pathalg.word_hexagon`` and of ``web.hexagon_web``.
+HEXAGON_WORD = (
+    ("FORK_IN", 1),
+    ("FORK_OUT_INV", 2),
+    ("FORK_IN_INV", 2),
+    ("FORK_OUT_INV", 2),
+    ("FORK_IN_INV", 2),
+    ("FORK_OUT_INV", 1),
+    ("CAP", 1, "-"),
+)
 
 
 def read_strip(token, bot: str):

@@ -54,7 +54,7 @@ from typing import NamedTuple
 from .graph import (CellSystem, FusionGraph, boltzmann_U, dims,  # noqa: F401
                     enumerate_paths, gram_residual, level_signs, pf_eigen,
                     qnum, worst)
-from .oracle import flip, read_strip
+from .oracle import HEXAGON_WORD, flip, read_strip
 
 __all__ = [
     "PathAlgElement",
@@ -835,16 +835,8 @@ def word_w(i: int, j: int, k: int):
 
 
 def word_hexagon():
-    """The six-vertex diagram at level (3, 0)."""
-    return [
-        ("FORK_IN", 1),
-        ("FORK_OUT_INV", 2),
-        ("FORK_IN_INV", 2),
-        ("FORK_OUT_INV", 2),
-        ("FORK_IN_INV", 2),
-        ("FORK_OUT_INV", 1),
-        ("CAP", 1, "-"),
-    ]
+    """The six-vertex diagram at level (3, 0): ``oracle.HEXAGON_WORD``."""
+    return list(HEXAGON_WORD)
 
 
 def word_closure(i: int, j: int):

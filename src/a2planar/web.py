@@ -31,7 +31,7 @@ joining consecutive boundary points to close off the disk).
 
 from __future__ import annotations
 
-from .oracle import flip, read_strip
+from .oracle import HEXAGON_WORD, flip, read_strip
 
 __all__ = [
     "Web",
@@ -645,9 +645,7 @@ def hexagon_web() -> Web:
     Six trivalent vertices alternate around an internal hexagonal face; this
     is the one diagram on this boundary that is not a composition of cups,
     caps and the trivalent pair generators.  It is the strip word of
-    ``pathalg.word_hexagon`` with its last three points moved to the bottom.
+    ``oracle.HEXAGON_WORD`` with its last three points moved to the bottom.
     """
-    w = strip_word_web([("FORK_IN", 1), ("FORK_OUT_INV", 2), ("FORK_IN_INV", 2),
-                        ("FORK_OUT_INV", 2), ("FORK_IN_INV", 2), ("FORK_OUT_INV", 1),
-                        ("CAP", 1, "-")])
+    w = strip_word_web(HEXAGON_WORD)
     return Web("-+-", "+-+", w.verts, w.edges)

@@ -761,7 +761,7 @@ def test_diagram_path_isomorphism(setups, n, level):
 # the six-vertex element
 
 def test_hexagon_web_is_the_hexagon_word():
-    """``web.hexagon_web`` is grown from its own copy of this strip word."""
+    """``web.hexagon_web`` and ``word_hexagon`` are one strip word."""
     assert hexagon_web() == bend(strip_word_web(P.word_hexagon()), 3)
 
 
