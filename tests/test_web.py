@@ -427,6 +427,41 @@ def test_gluing_matches_recorded():
     assert digests == GLUE_DIGESTS
 
 
+def _generator_outputs():
+    """The ``to_json`` of the identity on every sigma of length 2..6, and of
+    the cup-cap, the trivalent pair and both crossings at every i; the
+    ``WebError`` text where a builder refuses."""
+    builders = (cupcap_web, wgen_web, crossing_web,
+                lambda sigma, i: crossing_web(sigma, i, positive=False))
+    out = []
+    for k in range(2, 7):
+        for sigma in map("".join, itertools.product("-+", repeat=k)):
+            out.append(identity_web(sigma).to_json())
+            for i, build in itertools.product(range(k - 1), builders):
+                try:
+                    out.append(build(sigma, i).to_json())
+                except WebError as exc:
+                    out.append(str(exc))
+    return out
+
+
+# sha256 of ``_generator_outputs()``; recorded at 7ca08d9
+GENERATOR_DIGEST = "f20b38ab50c982a886ad4948ce8f9fdb1929858aeecb59c9bc828c98913f38b9"
+
+
+def test_generators_match_recorded():
+    """Vertex ids, edge order and refusals of the four generator builders
+    match a digest recorded before they shared one two-strand builder."""
+    out = _generator_outputs()
+    assert len(out) == 2188
+    assert {x for x in out if isinstance(x, str)} == {
+        "cup/cap needs opposite adjacent signs",
+        "trivalent generator needs equal adjacent signs",
+        "crossing needs equal adjacent signs",
+    }
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == GENERATOR_DIGEST
+
+
 def _generator(sigma, i, kind):
     if sigma[i] != sigma[i + 1]:
         return cupcap_web(sigma, i)
