@@ -577,66 +577,45 @@ def identity_web(sigma: str) -> Web:
     return Web(sigma, flip(sigma), {}, edges)
 
 
+def _pair_web(sigma: str, i: int, like: bool, error: str, minus, plus=None) -> Web:
+    """The endomorphism of ``sigma`` that is vertical strands except at
+    i, i+1, whose signs must be equal if ``like`` (else ``WebError(error)``).
+    ``minus(ti, tj, bi, bj)`` gives the piece's vertices and edges on the
+    four ports for a '-' pair, ``plus`` for a '+' pair; without ``plus``
+    that is the '-' piece with every edge reversed, sink and source swapped."""
+    if (sigma[i] == sigma[i + 1]) != like:
+        raise WebError(error)
+    w = Web(sigma, flip(sigma), check=False)
+    verts, edges = (plus if sigma[i] == "+" and plus else minus)(
+        w.top_port(i), w.top_port(i + 1), w.bot_port(i), w.bot_port(i + 1))
+    if sigma[i] == "+" and not plus:  # the '-' piece, reversed
+        verts, edges = {v: _STAR_KIND[k] for v, k in verts.items()}, [(b, a) for a, b in edges]
+    return Web(sigma, w.bot, verts, through_strands(w, i, 2, 2) + edges)
+
+
 def cupcap_web(sigma: str, i: int) -> Web:
     """Cap the opposite-signed pair at positions i, i+1 and cup it back."""
-    if sigma[i] == sigma[i + 1]:
-        raise WebError("cup/cap needs opposite adjacent signs")
-    w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i, 2, 2)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    bi, bj = w.bot_port(i), w.bot_port(i + 1)
-    edges.append((ti, tj) if sigma[i] == "-" else (tj, ti))
-    # bottom signs are flipped, so the cup runs opposite to the cap
-    edges.append((bj, bi) if sigma[i] == "-" else (bi, bj))
-    return Web(sigma, flip(sigma), {}, edges)
+    return _pair_web(sigma, i, False, "cup/cap needs opposite adjacent signs",
+                     lambda ti, tj, bi, bj: ({}, [(ti, tj), (bj, bi)]))
 
 
 def wgen_web(sigma: str, i: int) -> Web:
-    """The trivalent pair joining the like-signed strands i, i+1."""
-    if sigma[i] != sigma[i + 1]:
-        raise WebError("trivalent generator needs equal adjacent signs")
-    w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i, 2, 2)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    bi, bj = w.bot_port(i), w.bot_port(i + 1)
-    if sigma[i] == "-":
-        # sink below the top pair, source above the bottom pair
-        verts = {0: "sink", 1: "source"}
-        edges += [
-            (ti, (0, 1)),
-            (tj, (0, 0)),
-            ((1, 0), (0, 2)),
-            ((1, 1), bi),
-            ((1, 2), bj),
-        ]
-    else:
-        verts = {0: "source", 1: "sink"}
-        edges += [
-            ((0, 1), ti),
-            ((0, 0), tj),
-            ((0, 2), (1, 0)),
-            (bi, (1, 1)),
-            (bj, (1, 2)),
-        ]
-    return Web(sigma, flip(sigma), verts, edges)
+    """The trivalent pair joining the like-signed strands i, i+1: for '-', a
+    sink below the top pair and a source above the bottom pair."""
+    return _pair_web(sigma, i, True, "trivalent generator needs equal adjacent signs",
+                     lambda ti, tj, bi, bj: ({0: "sink", 1: "source"}, [
+                         (ti, (0, 1)), (tj, (0, 0)), ((1, 0), (0, 2)), ((1, 1), bi), ((1, 2), bj)]))
 
 
 def crossing_web(sigma: str, i: int, positive: bool = True) -> Web:
-    """Braid the like-signed strands i, i+1 (positive: slot-0 strand over)."""
-    if sigma[i] != sigma[i + 1]:
-        raise WebError("crossing needs equal adjacent signs")
-    w = Web(sigma, flip(sigma), check=False)
-    edges = through_strands(w, i, 2, 2)
-    ti, tj = w.top_port(i), w.top_port(i + 1)
-    bi, bj = w.bot_port(i), w.bot_port(i + 1)
+    """Braid the like-signed strands i, i+1 (positive: slot-0 strand over).
+    Downward strands take slots NW=0, SW=1, SE=2, NE=3; upward ones SE=0,
+    NE=1, NW=2, SW=3."""
     verts = {0: "xpos" if positive else "xneg"}
-    if sigma[i] == "-":
-        # both strands downward: slots NW=0, SW=1, SE=2, NE=3
-        edges += [(ti, (0, 0)), (tj, (0, 3)), ((0, 1), bi), ((0, 2), bj)]
-    else:
-        # both strands upward: slots SE=0, NE=1, NW=2, SW=3
-        edges += [(bj, (0, 0)), (bi, (0, 3)), ((0, 1), tj), ((0, 2), ti)]
-    return Web(sigma, flip(sigma), verts, edges)
+    return _pair_web(
+        sigma, i, True, "crossing needs equal adjacent signs",
+        lambda ti, tj, bi, bj: (verts, [(ti, (0, 0)), (tj, (0, 3)), ((0, 1), bi), ((0, 2), bj)]),
+        lambda ti, tj, bi, bj: (verts, [(bj, (0, 0)), (bi, (0, 3)), ((0, 1), tj), ((0, 2), ti)]))
 
 
 def hexagon_web() -> Web:
