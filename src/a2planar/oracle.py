@@ -56,12 +56,23 @@ HEXAGON_WORD = (
 )
 
 
+# The fields after the kind of each cup, cap and fork token
+_FIELDS = {"CUP": ("i",), "CAP": ("i", "s"), **dict.fromkeys(_FORKS, ("i",))}
+
+
 def read_strip(token, bot: str):
     """The word on top of a cup, cap or fork strip on the word ``bot``, and
     ``(position, below, above)``: at the 1-based position the signs ``below``
-    give way to ``above``.  ValueError unless the position is an int and
-    the strip fits."""
-    kind, i = token[0], token[1]
+    give way to ``above``.  ValueError unless the token has its kind's
+    fields, no more and no fewer, the position is an int and the strip
+    fits."""
+    kind = token[0]
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown strip token {kind!r}")
+    if len(token) != 1 + len(_FIELDS[kind]):
+        raise ValueError(f"strip token {list(token)!r} is not of the form "
+                         f"[{kind!r}, {', '.join(_FIELDS[kind])}]")
+    i = token[1]
     if type(i) is not int:
         raise ValueError(f"strip position in {list(token)!r} is not an int")
     if kind == "CUP":
@@ -72,10 +83,8 @@ def read_strip(token, bot: str):
         if token[2] not in ("-", "+"):
             raise ValueError(f"cap sign {token[2]!r} is not '-' or '+'")
         below, above = "", token[2] + flip(token[2])
-    elif kind in _FORKS:
-        below, above = _FORKS[kind]
     else:
-        raise ValueError(f"unknown strip token {kind!r}")
+        below, above = _FORKS[kind]
     if not 1 <= i <= len(bot) - len(below) + 1 or bot[i - 1:i - 1 + len(below)] != below:
         raise ValueError(f"{kind} at {i} needs {below!r} below in {bot!r}")
     return bot[:i - 1] + above + bot[i - 1 + len(below):], (i, below, above)

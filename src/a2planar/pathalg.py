@@ -270,12 +270,18 @@ def terms_to_json(terms) -> list:
 
 def terms_from_json(obj) -> dict:
     """Path-pair terms read from the rows of ``terms_to_json``; ValueError
-    if a coefficient is not finite."""
+    if a coefficient is not finite or a step's edge or direction is not an
+    int (a bool included)."""
     if not all(math.isfinite(row[k]) for row in obj for k in ("re", "im")):
         raise ValueError("a coefficient is not finite")
-    return {(tuple((int(e), int(d)) for e, d in row["p1"]),
-             tuple((int(e), int(d)) for e, d in row["p2"])): complex(row["re"], row["im"])
-            for row in obj}
+
+    def path(row, key):
+        for step in row[key]:
+            if not all(type(x) is int for x in step):
+                raise ValueError(f"step {step!r} of {key} {row[key]!r} is not an int pair")
+        return tuple((e, d) for e, d in row[key])
+
+    return {(path(row, "p1"), path(row, "p2")): complex(row["re"], row["im"]) for row in obj}
 
 
 class Label(NamedTuple):
@@ -648,6 +654,8 @@ def _strip(token, bot: str, labels):
     for a rectangle; ValueError unless the strip fits."""
     if token[0] != "RECT":
         return read_strip(token, bot)
+    if len(token) != 4:
+        raise ValueError(f"strip token {list(token)!r} is not of the form ['RECT', label, 0, right]")
     i = token[1]
     if token[2] != 0:
         raise NotImplementedError("rectangles with strings on the left")

@@ -427,18 +427,18 @@ class Web:
 
     @staticmethod
     def from_json(obj: dict) -> "Web":
-        verts = {int(d["id"]): d["kind"] for d in obj.get("vertices", [])}
-        edges = [
-            ((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-            for a, b in obj.get("edges", [])
-        ]
-        return Web(
-            obj["boundary"]["top"],
-            obj["boundary"]["bot"],
-            verts,
-            edges,
-            int(obj.get("loops", 0)),
-        )
+        """The web that ``to_json`` writes; WebError unless every vertex id,
+        port field and the loop count is an int (not a bool)."""
+        def read(value, field):
+            if type(value) is not int:
+                raise WebError(f"{field} {value!r} is not an int")
+            return value
+
+        verts = {read(d["id"], "vertex id"): d["kind"] for d in obj.get("vertices", [])}
+        edges = [tuple((read(p[0], f"port {p!r}: node"), read(p[1], f"port {p!r}: slot"))
+                       for p in e) for e in obj.get("edges", [])]
+        return Web(obj["boundary"]["top"], obj["boundary"]["bot"], verts, edges,
+                   read(obj.get("loops", 0), "loops"))
 
 
 def _join(top, bot, pieces, check=True) -> Web:

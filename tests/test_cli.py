@@ -653,6 +653,28 @@ def test_zmap_strip_position_not_an_int(runner, tmp_path, position):
     assert_input_error(result, "--strips", f"position in ['CAP', {position!r}, '-'] is not an int")
 
 
+@pytest.mark.parametrize("token, form", [
+    (["CUP", 1, "-"], "['CUP', i]"),
+    (["CAP", 1], "['CAP', i, s]"),
+    (["CAP", 1, "-", 0], "['CAP', i, s]"),
+    (["FORK_IN"], "['FORK_IN', i]"),
+    (["FORK_OUT", 1, 1], "['FORK_OUT', i]"),
+    (["FORK_IN_INV", 1, "+"], "['FORK_IN_INV', i]"),
+    (["FORK_OUT_INV"], "['FORK_OUT_INV', i]"),
+    (["RECT", 0], "['RECT', label, 0, right]"),
+    (["RECT", 0, 0, 0, 0], "['RECT', label, 0, right]"),
+], ids=["cup", "cap-short", "cap-long", "fork-in", "fork-out", "fork-in-inv", "fork-out-inv",
+        "rect-short", "rect-long"])
+def test_zmap_strip_token_arity(runner, tmp_path, token, form):
+    """A token must hold its kind's fields, no fewer and no more: a short
+    one failed with "tuple index out of range", naming neither the token
+    nor the field, and extra fields were ignored."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([token]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "1", "--j", "0"])
+    assert_input_error(result, "--strips", f"strip token {token!r} is not of the form {form}")
+
+
 def test_zmap_empty_cap(runner, tmp_path):
     f = tmp_path / "cap.json"
     f.write_text(json.dumps([["CAP", 1, ""]]))
@@ -754,6 +776,47 @@ def test_zmap_label_not_finite(runner, tmp_path, part, bad):
                           "--labels", str(tmp_path / "labels.json"),
                           "--n", "5", "--i", "1", "--j", "1"])
     assert_input_error(result, "--labels", "not finite")
+
+
+def _web_rows(web, change):
+    rows = WebSum.from_web(web).to_json()
+    change(rows[0]["web"])
+    return rows
+
+
+@pytest.mark.parametrize("rows, named", [
+    (_web_rows(identity_web("-"), lambda w: w.update(edges=[[[0.0, -1.0], [True, -1]]])),
+     "port [0.0, -1.0]: node 0.0 is not an int"),
+    (_web_rows(identity_web("-"), lambda w: w.update(edges=[[[0, -1], [True, -1]]])),
+     "port [True, -1]: node True is not an int"),
+    (_web_rows(wgen_web("--", 0), lambda w: w["edges"][0][1].__setitem__(1, 1.0)),
+     "port [0, 1.0]: slot 1.0 is not an int"),
+    (_web_rows(wgen_web("--", 0), lambda w: w["vertices"][0].update(id=0.0)),
+     "vertex id 0.0 is not an int"),
+    (_web_rows(identity_web("-"), lambda w: w.update(loops=1.0)), "loops 1.0 is not an int"),
+], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "float-loops"])
+def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
+    """Vertex ids, port fields and loops went through int(), so an edge
+    [[0.0, -1.0], [true, -1]] read as the identity and exited 0."""
+    f = tmp_path / "sum.json"
+    f.write_text(json.dumps(rows))
+    assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", named)
+
+
+@pytest.mark.parametrize("p1, named", [
+    ([[0.0, 1], [5, 1]], "step [0.0, 1] of p1"),
+    ([[0, True], [5, 1]], "step [0, True] of p1"),
+], ids=["float-edge", "bool-direction"])
+def test_zmap_label_step_not_ints(runner, tmp_path, p1, named):
+    """The steps of a label path went through int(), so a float edge or a
+    bool direction was read as a step and the command exited 0."""
+    row = {"p1": p1, "p2": [[0, 1], [5, 1]], "re": 1.0, "im": 0.0}
+    (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
+    (tmp_path / "labels.json").write_text(json.dumps([{"level": [1, 1], "terms": [row]}]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "1", "--j", "1"])
+    assert_input_error(result, "--labels", named, "is not an int pair")
 
 
 def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
