@@ -19,7 +19,7 @@ from a2planar.web import (
     strip_web,
     wgen_web,
 )
-from random_webs import random_reducible_web
+from random_webs import fitting_tokens, random_reducible_web
 
 signs = st.lists(st.sampled_from("+-"), min_size=1, max_size=5).map("".join)
 
@@ -332,23 +332,15 @@ def test_canonical_key_matches_exhaustive_search_on_random_webs():
 # -- strip webs -----------------------------------------------------------
 
 
-STRIP_TOKENS = [("CUP",), ("CAP", "-"), ("CAP", "+"), ("FORK_IN",), ("FORK_OUT",),
-                ("FORK_IN_INV",), ("FORK_OUT_INV",)]
-
-
 def test_strip_web_of_every_fitting_token_is_valid():
     """Every token at every position where it fits a word of length <= 4."""
     built = 0
     for below in ("".join(s) for k in range(5) for s in itertools.product("-+", repeat=k)):
-        for kind, *rest in STRIP_TOKENS:
-            for i in range(1, len(below) + 2):
-                try:
-                    w = strip_web((kind, i, *rest), below)
-                except ValueError:
-                    continue
-                w.validate()
-                assert flip(w.bot) == below
-                built += 1
+        for token in fitting_tokens(below, max_len=6):
+            w = strip_web(token, below)
+            w.validate()
+            assert flip(w.bot) == below
+            built += 1
     assert built == 424
 
 
