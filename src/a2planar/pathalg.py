@@ -277,7 +277,7 @@ def terms_from_json(obj) -> dict:
 
     def path(row, key):
         for step in row[key]:
-            if not all(type(x) is int for x in step):
+            if len(step) != 2 or not all(type(x) is int for x in step):
                 raise ValueError(f"step {step!r} of {key} {row[key]!r} is not an int pair")
         return tuple((e, d) for e, d in row[key])
 

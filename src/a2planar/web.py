@@ -427,16 +427,20 @@ class Web:
 
     @staticmethod
     def from_json(obj: dict) -> "Web":
-        """The web that ``to_json`` writes; WebError unless every vertex id,
-        port field and the loop count is an int (not a bool)."""
+        """The web that ``to_json`` writes; WebError unless every vertex id
+        and the loop count is an int (not a bool), and every port two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
             return value
 
+        def port(p):
+            if len(p) != 2 or not all(type(x) is int for x in p):
+                raise WebError(f"port {p!r} is not two ints")
+            return tuple(p)
+
         verts = {read(d["id"], "vertex id"): d["kind"] for d in obj.get("vertices", [])}
-        edges = [tuple((read(p[0], f"port {p!r}: node"), read(p[1], f"port {p!r}: slot"))
-                       for p in e) for e in obj.get("edges", [])]
+        edges = [tuple(map(port, e)) for e in obj.get("edges", [])]
         return Web(obj["boundary"]["top"], obj["boundary"]["bot"], verts, edges,
                    read(obj.get("loops", 0), "loops"))
 

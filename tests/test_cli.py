@@ -786,18 +786,22 @@ def _web_rows(web, change):
 
 @pytest.mark.parametrize("rows, named", [
     (_web_rows(identity_web("-"), lambda w: w.update(edges=[[[0.0, -1.0], [True, -1]]])),
-     "port [0.0, -1.0]: node 0.0 is not an int"),
+     "port [0.0, -1.0] is not two ints"),
     (_web_rows(identity_web("-"), lambda w: w.update(edges=[[[0, -1], [True, -1]]])),
-     "port [True, -1]: node True is not an int"),
+     "port [True, -1] is not two ints"),
     (_web_rows(wgen_web("--", 0), lambda w: w["edges"][0][1].__setitem__(1, 1.0)),
-     "port [0, 1.0]: slot 1.0 is not an int"),
+     "port [0, 1.0] is not two ints"),
     (_web_rows(wgen_web("--", 0), lambda w: w["vertices"][0].update(id=0.0)),
      "vertex id 0.0 is not an int"),
+    (_web_rows(identity_web("-"), lambda w: w["edges"][0][0].append(7)),
+     "port [0, -1, 7] is not two ints"),
     (_web_rows(identity_web("-"), lambda w: w.update(loops=1.0)), "loops 1.0 is not an int"),
-], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "float-loops"])
+], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "three-field-port",
+        "float-loops"])
 def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     """Vertex ids, port fields and loops went through int(), so an edge
-    [[0.0, -1.0], [true, -1]] read as the identity and exited 0."""
+    [[0.0, -1.0], [true, -1]] read as the identity and exited 0, and a
+    port's fields after the second were ignored."""
     f = tmp_path / "sum.json"
     f.write_text(json.dumps(rows))
     assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", named)
@@ -806,10 +810,12 @@ def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
 @pytest.mark.parametrize("p1, named", [
     ([[0.0, 1], [5, 1]], "step [0.0, 1] of p1"),
     ([[0, True], [5, 1]], "step [0, True] of p1"),
-], ids=["float-edge", "bool-direction"])
+    ([[0, 1, 0], [5, 1]], "step [0, 1, 0] of p1"),
+], ids=["float-edge", "bool-direction", "three-field-step"])
 def test_zmap_label_step_not_ints(runner, tmp_path, p1, named):
     """The steps of a label path went through int(), so a float edge or a
-    bool direction was read as a step and the command exited 0."""
+    bool direction was read as a step and the command exited 0; a step of
+    three fields failed to unpack, naming no field."""
     row = {"p1": p1, "p2": [[0, 1], [5, 1]], "re": 1.0, "im": 0.0}
     (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
     (tmp_path / "labels.json").write_text(json.dumps([{"level": [1, 1], "terms": [row]}]))
