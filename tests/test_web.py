@@ -72,6 +72,33 @@ class TestValidation:
         Web("--++", "", {}, [((0, -1), (3, -1)), ((1, -1), (2, -1))])
 
 
+def _theta(pi, first=0):
+    """A closed theta: a sink and a source, with an edge from source slot i
+    to sink slot pi[i]."""
+    sink, source = first, first + 1
+    return {sink: "sink", source: "source"}, [((source, i), (sink, pi[i])) for i in range(3)]
+
+
+@pytest.mark.parametrize("pi", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("beside", ["alone", "planar theta", "strand"])
+def test_closed_component_planarity(pi, beside):
+    """A closed theta is planar exactly when the sink's rotation reverses
+    the source's, that is when pi is a transposition, whatever lies
+    beside it."""
+    verts, edges = _theta(pi)
+    top = bot = ""
+    if beside == "planar theta":
+        more_verts, more_edges = _theta((0, 2, 1), first=2)
+        verts, edges = {**verts, **more_verts}, edges + more_edges
+    elif beside == "strand":
+        top, bot, edges = "-", "+", edges + [((0, -1), (1, -1))]
+    if pi in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        with pytest.raises(WebError, match="not planar"):
+            Web(top, bot, verts, edges)
+    else:
+        Web(top, bot, verts, edges)
+
+
 class TestStar:
     def test_involution(self):
         for w in sample_webs():
@@ -478,3 +505,30 @@ def test_interchange_law(data):
     a, c = data.draw(endo_webs(s)), data.draw(endo_webs(s))
     b, d = data.draw(endo_webs(t)), data.draw(endo_webs(t))
     assert a.tensor(b).compose(c.tensor(d)) == a.compose(c).tensor(b.compose(d))
+
+
+CLOSED_KEY_WORDS = ("++----++", "+++--+--", "+-+-+-+-", "-----++", "--+-++-+")
+
+
+def _closed_keys():
+    """``repr`` of the canonical key of every closed web b_j* b_i (i <= j)
+    of the basis of each word in ``CLOSED_KEY_WORDS``."""
+    out = []
+    for sigma in CLOSED_KEY_WORDS:
+        basis = enumerate_basis(sigma)
+        out += [repr(basis[j].star().compose(b).canonical_key())
+                for i, b in enumerate(basis) for j in range(i, len(basis))]
+    return out
+
+
+# sha256 of ``_closed_keys()``; recorded at 884cf79
+CLOSED_KEY_DIGEST = "1c0128f698492a5e8f200f6af2303df6b99d40737cee38c6bb98ded386c46940"
+
+
+def test_closed_keys_match_recorded():
+    """The canonical keys of the closed Gram webs, their closed components
+    included, match a digest recorded before planarity and the key shared
+    one search for closed components."""
+    out = _closed_keys()
+    assert len(out) == 1170
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == CLOSED_KEY_DIGEST
