@@ -24,9 +24,10 @@ on them are not stored as edges but counted in ``loops``.
 ``_join``: it sends each boundary point of its webs to the new boundary or to
 one end of a join, and splices the two strings at each join into one.
 
-The rotation system determines an embedding; validation checks that each
-connected component is planar (Euler characteristic 2, with virtual arcs
-joining consecutive boundary points to close off the disk).
+The rotation system determines an embedding; with virtual arcs joining
+consecutive boundary points to close off the disk, validation checks
+planarity by one Euler count over the whole web: V - E + F is 2 for each
+component, the boundary's and each closed one, exactly when all are planar.
 """
 
 from __future__ import annotations
@@ -208,43 +209,38 @@ class Web:
         return self._emb
 
     def _check_planar(self) -> None:
-        all_edges, n_real, faces = self.embedding()
-        # connected components over nodes
-        parent = {}
+        """Each connected rotation system has V - E + F = 2 - 2g <= 2, so the
+        web is planar exactly when its whole count is 2 per component."""
+        all_edges, _, faces = self.embedding()
+        chi = len(self.verts) + self.m - len(all_edges) + len(faces)
+        comps = (1 if self.m else 0) + len(self._closed_components())
+        if chi != 2 * comps:
+            raise WebError(f"web is not planar (V-E+F={chi} over {comps} components)")
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _closed_components(self) -> list:
+        """The vertex sets of the components that reach no boundary point."""
+        nbrs = {v: [] for v in self.verts}
+        attached = []
+        for (x, s), (y, t) in self.edges:
+            if s != -1 and t != -1:
+                nbrs[x].append(y)
+                nbrs[y].append(x)
+            elif s != t:  # one end on the boundary
+                attached.append(x if s != -1 else y)
+        seen = set()
 
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
+        def flood(stack):
+            comp = set()
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.extend(nbrs[v])
+            return comp
 
-        def node_of(p):
-            return ("b", p[0]) if p[1] == -1 else p[0]
-
-        for v in self.verts:
-            parent.setdefault(v, v)
-        for k in range(self.m):
-            parent.setdefault(("b", k), ("b", k))
-        for a, b in all_edges:
-            union(node_of(a), node_of(b))
-        comp_v: dict = {}
-        for x in parent:
-            comp_v.setdefault(find(x), [0, 0, 0])[0] += 1
-        for a, b in all_edges:
-            comp_v[find(node_of(a))][1] += 1
-        for face in faces:
-            i, _ = face[0]
-            comp_v[find(node_of(all_edges[i][0]))][2] += 1
-        for root, (v, e, f) in comp_v.items():
-            if v - e + f != 2:
-                raise WebError(f"component at {root} is not planar (V-E+F={v - e + f})")
+        flood(attached)
+        return [c for c in map(flood, ([v] for v in self.verts)) if c]
 
     # -- canonical form -----------------------------------------------
 
@@ -313,17 +309,8 @@ class Web:
             return None if tie else (tuple(code), order)
 
         code, visited = component_code([adj[(k, -1)] for k in range(self.m) if (k, -1) in adj])
-        rest = set(verts).difference(visited)
         comp_codes = []
-        while rest:
-            stack = [next(iter(rest))]
-            comp = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(node for (node, slot), _ in turn[v][:valence[v]] if slot != -1)
+        for comp in self._closed_components() if len(visited) < len(verts) else ():
             kind = min(verts[v] for v in comp)
             best = None
             for v in comp:
@@ -333,7 +320,6 @@ class Web:
                         if found is not None:
                             best = found[0]
             comp_codes.append((kind, best))
-            rest -= comp
         comp_codes.sort()
         self._key = (self.top, self.bot, self.loops, code, tuple(comp_codes))
         return self._key
