@@ -66,6 +66,8 @@ def read_strip(token, bot: str):
     give way to ``above``.  ValueError unless the token has its kind's
     fields, no more and no fewer, the position is an int and the strip
     fits."""
+    if not token:
+        raise ValueError(f"strip token {list(token)!r} names no kind")
     kind = token[0]
     if kind not in _FIELDS:
         raise ValueError(f"unknown strip token {kind!r}")

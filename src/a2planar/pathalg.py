@@ -652,7 +652,7 @@ def _strip(token, bot: str, labels):
     """The word on top of a strip that sits on the word ``bot``, and the
     strip's ``(position, below, above)`` from ``oracle.read_strip``, or None
     for a rectangle; ValueError unless the strip fits."""
-    if token[0] != "RECT":
+    if not token or token[0] != "RECT":
         return read_strip(token, bot)
     if len(token) != 4:
         raise ValueError(f"strip token {list(token)!r} is not of the form ['RECT', label, 0, right]")

@@ -414,7 +414,8 @@ class Web:
     @staticmethod
     def from_json(obj: dict) -> "Web":
         """The web that ``to_json`` writes; WebError unless every vertex id
-        and the loop count is an int (not a bool), and every port two ints."""
+        and the loop count is an int (not a bool), every edge two ports and
+        every port two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
@@ -425,8 +426,13 @@ class Web:
                 raise WebError(f"port {p!r} is not two ints")
             return tuple(p)
 
+        def edge(e):
+            if len(e) != 2:
+                raise WebError(f"edge {e!r} is not two ports")
+            return tuple(map(port, e))
+
         verts = {read(d["id"], "vertex id"): d["kind"] for d in obj.get("vertices", [])}
-        edges = [tuple(map(port, e)) for e in obj.get("edges", [])]
+        edges = [edge(e) for e in obj.get("edges", [])]
         return Web(obj["boundary"]["top"], obj["boundary"]["bot"], verts, edges,
                    read(obj.get("loops", 0), "loops"))
 

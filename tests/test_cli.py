@@ -675,6 +675,15 @@ def test_zmap_strip_token_arity(runner, tmp_path, token, form):
     assert_input_error(result, "--strips", f"strip token {token!r} is not of the form {form}")
 
 
+def test_zmap_empty_strip_token(runner, tmp_path):
+    """An empty token failed with "tuple index out of range", naming
+    neither the token nor its kind."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([[]]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--strips", "strip token [] names no kind")
+
+
 def test_zmap_empty_cap(runner, tmp_path):
     f = tmp_path / "cap.json"
     f.write_text(json.dumps([["CAP", 1, ""]]))
@@ -796,8 +805,11 @@ def _web_rows(web, change):
     (_web_rows(identity_web("-"), lambda w: w["edges"][0][0].append(7)),
      "port [0, -1, 7] is not two ints"),
     (_web_rows(identity_web("-"), lambda w: w.update(loops=1.0)), "loops 1.0 is not an int"),
+    (_web_rows(identity_web("-"), lambda w: w["edges"][0].append([1, -1])),
+     "edge [[0, -1], [1, -1], [1, -1]] is not two ports"),
+    (_web_rows(identity_web("-"), lambda w: w["edges"][0].pop()), "edge [[0, -1]] is not two ports"),
 ], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "three-field-port",
-        "float-loops"])
+        "float-loops", "three-port-edge", "one-port-edge"])
 def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     """Vertex ids, port fields and loops went through int(), so an edge
     [[0.0, -1.0], [true, -1]] read as the identity and exited 0, and a
