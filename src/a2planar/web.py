@@ -414,20 +414,20 @@ class Web:
     @staticmethod
     def from_json(obj: dict) -> "Web":
         """The web that ``to_json`` writes; WebError unless every vertex id
-        and the loop count is an int (not a bool), every edge two ports and
-        every port two ints."""
+        and the loop count is an int (not a bool), every edge a list of two
+        ports and every port a list of two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
             return value
 
         def port(p):
-            if len(p) != 2 or not all(type(x) is int for x in p):
+            if type(p) is not list or len(p) != 2 or not all(type(x) is int for x in p):
                 raise WebError(f"port {p!r} is not two ints")
             return tuple(p)
 
         def edge(e):
-            if len(e) != 2:
+            if type(e) is not list or len(e) != 2:
                 raise WebError(f"edge {e!r} is not two ports")
             return tuple(map(port, e))
 

@@ -808,12 +808,17 @@ def _web_rows(web, change):
     (_web_rows(identity_web("-"), lambda w: w["edges"][0].append([1, -1])),
      "edge [[0, -1], [1, -1], [1, -1]] is not two ports"),
     (_web_rows(identity_web("-"), lambda w: w["edges"][0].pop()), "edge [[0, -1]] is not two ports"),
+    (_web_rows(identity_web("-"), lambda w: w.update(edges=[5])), "edge 5 is not two ports"),
+    (_web_rows(identity_web("-"), lambda w: w.update(edges=["ab"])), "edge 'ab' is not two ports"),
+    (_web_rows(identity_web("-"), lambda w: w["edges"][0].__setitem__(1, 5)), "port 5 is not two ints"),
 ], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "three-field-port",
-        "float-loops", "three-port-edge", "one-port-edge"])
+        "float-loops", "three-port-edge", "one-port-edge", "int-edge", "string-edge", "int-port"])
 def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     """Vertex ids, port fields and loops went through int(), so an edge
     [[0.0, -1.0], [true, -1]] read as the identity and exited 0, and a
-    port's fields after the second were ignored."""
+    port's fields after the second were ignored.  An edge of three ports
+    failed to unpack, and an edge or port that is not a list failed on
+    len(); neither message named the edge."""
     f = tmp_path / "sum.json"
     f.write_text(json.dumps(rows))
     assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", named)
