@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from a2planar.algebra import WebSum, identity, mult, wsum
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
-from a2planar.oracle import walk_dim_truncated
+from a2planar.oracle import flip, walk_dim, walk_dim_truncated
 from a2planar.rewrite import find_redexes, first_crossing
 from a2planar.scalar import Laurent, delta
 from a2planar.web import crossing_web, cupcap_web, identity_web, wgen_web
@@ -628,6 +629,41 @@ def test_diagram_payloads_match_recorded(runner, tmp_path):
                        if '"runtime_ms"' not in l)
         digests.setdefault(cmd, hashlib.sha256()).update(text.encode())
     assert {cmd: h.hexdigest() for cmd, h in digests.items()} == PAYLOAD_DIGESTS
+
+
+# The words of the diagram workload's four Gram commands, with their n
+GRAM_CASES = (("----++++", 7), ("-+-+-+-+", 5), ("--+--+++", 8), ("-----++", 6))
+
+
+def _variants(word: str) -> list:
+    """Every rotation of ``word``, of its reversal, and of the flips of both."""
+    flips = (word, word[::-1], flip(word), flip(word)[::-1])
+    return sorted({w[k:] + w[:k] for w in flips for k in range(len(w))})
+
+
+# sha256 of the printed reports, in order, with the runtime_ms lines
+# dropped: ``gram`` (no --rank) on every sign word of length 2 to 6 that
+# has a basis, at n = 5 to 8, then ``quotient-dim`` on every variant of
+# each word in GRAM_CASES; recorded at f94266a
+GRAM_DIGEST = "0742c16091ac8d993c1f8cbf7f765453920bbb2f642baff6dacc7817da2b621c"
+
+
+def test_gram_reports_match_recorded(runner):
+    """``gram`` payloads and ``quotient-dim`` ranks print, byte for byte,
+    what they printed when the digest was recorded."""
+    words = ["".join(p) for size in range(2, 7) for p in itertools.product("-+", repeat=size)]
+    runs = [["gram", "--sigma", s, "--n", str(n)]
+            for s in words if walk_dim(s) for n in range(5, 9)]
+    runs += [["quotient-dim", "--sigma", s, "--n", str(n)]
+             for word, n in GRAM_CASES for s in _variants(word)]
+    assert len(runs) == 42 * 4 + 40
+    digest = hashlib.sha256()
+    for argv in runs:
+        result = run(runner, argv)
+        assert result.exit_code == 0
+        digest.update("".join(l for l in result.output.splitlines(True)
+                              if '"runtime_ms"' not in l).encode())
+    assert digest.hexdigest() == GRAM_DIGEST
 
 
 def test_zmap_unknown_strip_token(runner, tmp_path):
