@@ -12,20 +12,19 @@ the normalized trace ``tr = [3]^(-m) Tr`` is only formed at a root of
 unity, where ``[3]`` is invertible (``inner_product``).  Identities
 involving ``tr`` are asserted in cleared form over the Laurent ring.
 
-``gram`` evaluates the pairing matrix of the reduced-web basis of a
-boundary word in a cyclotomic field, and ``quotient_dim`` is its exact
-rank, i.e. the dimension of the quotient by null vectors.  Both build the
-matrix from its upper triangle (``_gram_values``).  The rank is taken in
-the ring Z[2cos(pi/n)] by fraction-free elimination
-(``real_cyclo_rank``); ``cyclo_rank``, elimination in Q(zeta_6n), is the
-independent reference.
+``gram`` gives the reduced-web basis of a boundary word and its pairing
+matrix in a cyclotomic field, with the values of ``states.gram_values``,
+which evaluates no closed web.  ``cyclo_rank``, elimination in
+Q(zeta_6n), is the reference for ``states.quotient_dim``, the rank taken
+in Z[2cos(pi/n)].
 """
 
 from __future__ import annotations
 
 from .oracle import flip
 from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, collect, delta
-from .rewrite import basis_words, enumerate_basis, normalize
+from .rewrite import enumerate_basis, normalize
+from .states import basis_words, gram_values
 from .web import Web, WebError, crossing_web, identity_web, strip_word_web, wgen_web
 
 __all__ = [
@@ -40,9 +39,7 @@ __all__ = [
     "trace_left",
     "inner_product",
     "gram",
-    "quotient_dim",
     "cyclo_rank",
-    "real_cyclo_rank",
     "check_hecke",
     "check_su3",
     "check_frels",
@@ -266,31 +263,6 @@ def inner_product(a: WebSum, b: WebSum, n: int) -> Cyclo:
 # -- Gram matrices and quotient dimensions ---------------------------------
 
 
-def _gram_values(sigma: str, convert):
-    """The reduced-web basis of ``sigma`` and its Gram matrix, each distinct
-    closed web evaluated once and passed through ``convert``.
-
-    Entry (i, j) is the closed-diagram value of b_j* stacked over b_i.  Only
-    i <= j is built: entry (j, i) is the value of the adjoint closed web,
-    the bar of entry (i, j), and a closed web's value is an integer
-    polynomial in [2] and [3], which the bar fixes.
-    ``RealCycloRing.from_laurent`` checks that on every value it converts.
-    """
-    basis = enumerate_basis(sigma)
-    stars = [b.star() for b in basis]
-    m = len(basis)
-    rows = [[None] * m for _ in range(m)]
-    vals = {}
-    for i, bi in enumerate(basis):
-        for j in range(i, m):
-            closed = stars[j].compose(bi, check=False)
-            c = vals.get(closed)
-            if c is None:
-                c = vals[closed] = convert(_closed_value(closed))
-            rows[i][j] = rows[j][i] = c
-    return basis, rows
-
-
 def gram(sigma: str, n: int):
     """Pairing matrix of the reduced-web basis on ``sigma`` over Q(zeta_6n).
 
@@ -304,7 +276,7 @@ def gram(sigma: str, n: int):
         ring.from_laurent(value)  # raises unless the bar fixes the value
         return field.from_laurent(value)
 
-    return _gram_values(sigma, convert)
+    return enumerate_basis(sigma), gram_values(sigma, convert)
 
 
 def cyclo_rank(rows) -> int:
@@ -327,50 +299,6 @@ def cyclo_rank(rows) -> int:
                 mat[r][cc] = mat[r][cc] - f * mat[rank][cc]
         rank += 1
     return rank
-
-
-def real_cyclo_rank(rows) -> int:
-    """Exact rank of a matrix over Z[x]/psi_n, by fraction-free (Bareiss)
-    elimination.
-
-    Each row below the pivot row becomes (p * row - a * pivot row) / p',
-    with p the pivot, a the row's entry in the pivot column and p' the
-    previous pivot.  The division is exact, because every entry is then a
-    minor of the matrix (Sylvester's identity), so the entries stay in
-    Z[x]/psi_n and grow only as the minors do.  It is taken as a product
-    with b and an exact division by the integer k, where p' b = k, so each
-    entry is one ``RealCyclo.cross``, (p b x - a b y) // k; before the
-    first pivot b = k = 1.  An entry is zero exactly when its reduced
-    coefficients are, since psi_n is irreducible.
-    """
-    mat = [list(r) for r in rows]
-    rank = 0
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    b, k = None, 1  # p' b = k for the previous pivot p'
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        pb = p if b is None else p * b
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            ab = row[col] if b is None else row[col] * b
-            # columns up to col are never read again
-            row[col + 1:] = [pb.cross(x, ab, y, k) for x, y in zip(row[col + 1:], top[col + 1:])]
-        b, k = p.scaled_inverse()
-        rank += 1
-    return rank
-
-
-def quotient_dim(sigma: str, n: int) -> int:
-    """Rank of the Gram matrix of ``sigma`` at the order-``n`` root,
-    computed over Z[2cos(pi/n)]."""
-    _, rows = _gram_values(sigma, RealCycloRing.get(n).from_laurent)
-    return real_cyclo_rank(rows)
 
 
 # -- identity suites -------------------------------------------------------

@@ -13,10 +13,13 @@ built once, at import; it abbreviates no option, and a value may start with
 ``-``, as in ``--sigma -+``.
 
 Each command imports the modules it runs when it runs, before its report
-starts, so ``--help`` loads none of them.  The diagram-side commands are
-exact and do not import numpy; each loads ``algebra`` (with ``scalar``,
-``web`` and ``rewrite``), and only ``decompose`` and ``relcheck --suite
-f13`` load ``hecke``.  The path-side commands import ``graph``, and those
+starts, so ``--help`` loads none of them and ``runtime_ms`` covers only
+the work.  The diagram-side commands are exact and do not import numpy.
+``quotient-dim`` and ``gram --rank`` load ``states`` (with ``oracle`` and
+``scalar``) and build no web: their ranks come from the basis webs'
+state vectors.  The others load ``algebra`` (with ``scalar``, ``web``,
+``rewrite`` and ``states``), and only ``decompose`` and ``relcheck
+--suite f13`` load ``hecke``.  The path-side commands import ``graph``, and those
 that use cells also ``pathalg``, and no diagram module.  ``graph`` is
 pure Python, and ``pathalg`` imports numpy only in the functions that
 build path-pair blocks.  So every path command but ``flat check`` runs
@@ -260,14 +263,17 @@ def trace_cmd(infile):
           _option("--rank", dest="want_rank", action="store_true"))
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
-    from .algebra import gram, quotient_dim
-
-    rep = Report("gram", sigma=sigma, n=n)
     if want_rank:
+        from .states import quotient_dim
+
+        rep = Report("gram", sigma=sigma, n=n)
         r = quotient_dim(sigma, n)
         rep.add("gram", True, residual=0)
         print(r)
         sys.exit(rep.emit(None, payload={"rank": r}))
+    from .algebra import gram
+
+    rep = Report("gram", sigma=sigma, n=n)
     _, rows = gram(sigma, n)
     rep.add("gram", True, residual=0)
     payload = [[c.to_json() for c in row] for row in rows]
@@ -437,9 +443,13 @@ def flat_check_cmd(n, graph_file, hmax, vmax, tol):
 
 
 def _strip_word(tokens, labels, i: int, j: int) -> list:
-    """The strip tokens, checked to stack up to the level-(i, j) boundary."""
+    """The strip tokens, each a list, checked to stack up to the level-(i, j)
+    boundary."""
     from . import pathalg as pa
 
+    for tok in tokens:
+        if type(tok) is not list:
+            raise ValueError(f"strip token {tok!r} is not a list")
     word = [tuple(tok) for tok in tokens]
     sigma = pa.strip_boundary(word, labels)
     want = pa.sigma_word(i, j)
@@ -480,7 +490,7 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
           _option("--n", required=True, type=_at_least(4)))
 def quotient_dim_cmd(sigma, n):
     """Dimension of the null quotient of the diagram algebra."""
-    from .algebra import quotient_dim
+    from .states import quotient_dim
 
     rep = Report("quotient-dim", sigma=sigma, n=n)
     d = quotient_dim(sigma, n)

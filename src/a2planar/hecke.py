@@ -30,7 +30,6 @@ from .algebra import (
     fsum,
     identity,
     mult,
-    real_cyclo_rank,
     trace_right,
     wsum,
 )
@@ -50,6 +49,7 @@ from .scalar import (
     alpha,
     collect,
     delta,
+    real_cyclo_rank,
 )
 from .web import WebError, cupcap_web, hexagon_web, identity_web
 

@@ -28,7 +28,7 @@ provides
   cap or fork is the signs it replaces and the signs it puts in their
   place, by the sign rule of ``oracle.read_strip``, which
   ``web.strip_web`` shares, so that the basis webs that
-  ``rewrite.basis_words`` grows are strip words too.  One rule replaces
+  ``states.basis_words`` grows are strip words too.  One rule replaces
   the steps of each path and weighs the closed loop the old and new
   steps make: a step and its reverse by a ratio of sqrt(phi), a triangle
   by its cell over sqrt(phi phi).

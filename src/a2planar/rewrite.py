@@ -18,21 +18,17 @@ square redexes are picked is pluggable so confluence can be exercised; the
 result is a dict mapping reduced webs to Laurent coefficients.
 
 ``enumerate_basis`` builds the reduced (non-elliptic) webs on a boundary
-word by the Khovanov-Kuperberg growth rules, one web per closed dominant
-walk and with no search.  Each web is grown as a strip word, top strip
-first (``basis_words``): at the leftmost descent of the walk's states the
-next strip is a merging fork (equal signs), a cap (opposite signs, states
-1, -1) or an H, a splitting fork above a merging one (other opposite
-signs).  These are the strip tokens that ``pathalg.present_Z`` evaluates,
-with the sign rule of ``oracle.read_strip``; ``web.strip_word_web`` builds
-the web, unchecked.  Each finished web is validated, and the result is
-certified against ``oracle.walk_dim`` before it is returned.
+word, one web per closed dominant walk and with no search:
+``web.strip_word_web`` builds each, unchecked, from its strip word
+(``states.basis_words``).  Each finished web is validated, and the
+result is certified against ``oracle.walk_dim`` before it is returned.
 """
 
 from __future__ import annotations
 
-from .oracle import flip, walk_dim
+from .oracle import walk_dim
 from .scalar import Laurent, alpha, collect, delta
+from .states import basis_words
 from .web import (
     CROSSINGS,
     TRIVALENT,
@@ -49,7 +45,6 @@ __all__ = [
     "is_reduced",
     "normalize",
     "enumerate_basis",
-    "basis_words",
     "STRATEGIES",
 ]
 
@@ -247,52 +242,6 @@ def _reduced(stack, strategy, rng):
 
 
 # -- basis enumeration ----------------------------------------------------
-
-
-# Khovanov-Kuperberg states -1, 0, 1 and their weight steps on a '-' strand
-# (the vector representation) and on a '+' strand (its dual)
-_STATE_STEPS = {
-    "-": ((-1, (0, -1)), (0, (-1, 1)), (1, (1, 0))),
-    "+": ((-1, (-1, 0)), (0, (1, -1)), (1, (0, 1))),
-}
-
-
-def _dominant_states(sigma: str) -> list[tuple]:
-    """State strings of the closed dominant walks of ``sigma``, in
-    lexicographic order with the states tried -1, 0, 1."""
-    back = [{(0, 0)}]  # back[j]: the weights from which the last j signs return to (0, 0)
-    for sign in reversed(sigma):
-        back.append({(a - da, b - db) for a, b in back[-1]
-                     for _, (da, db) in _STATE_STEPS[sign] if a >= da and b >= db})
-    walks = [((), (0, 0))]
-    for sign, ends in zip(sigma, reversed(back[:-1])):
-        walks = [(st + (state,), (a + da, b + db)) for st, (a, b) in walks
-                 for state, (da, db) in _STATE_STEPS[sign] if (a + da, b + db) in ends]
-    return [st for st, _ in walks]
-
-
-def _grow(s: str, st: tuple) -> list:
-    """The strip word, top strip first, of the web of a sign string and a
-    closed dominant state string: a piece at the leftmost descent of the
-    states, above the word grown from what remains."""
-    if not s:
-        return []
-    i = next(i for i in range(len(s) - 1) if st[i] > st[i + 1])
-    fork = {"-": "FORK_IN", "+": "FORK_OUT"}
-    if s[i] == s[i + 1]:  # (1, 0), (1, -1), (0, -1) merge to 1, 0, -1
-        piece, mid, new = [(fork[s[i]] + "_INV", i + 1)], (st[i] + st[i + 1],), flip(s[i])
-    elif st[i] - st[i + 1] == 2:
-        piece, mid, new = [("CAP", i + 1, s[i])], (), ""
-    else:  # an H: a splitting fork above a merging one
-        piece = [(fork[s[i]], i + 1), (fork[s[i + 1]] + "_INV", i + 2)]
-        mid, new = (st[i + 1], st[i]), s[i + 1] + s[i]
-    return piece + _grow(s[:i] + new + s[i + 2:], st[:i] + mid + st[i + 2:])
-
-
-def basis_words(sigma: str) -> list[list]:
-    """The strip word, top strip first, of each basis web of ``sigma``, in
-    the order of ``enumerate_basis``."""
-    return [_grow(sigma, st) for st in _dominant_states(sigma)]
 
 
 def enumerate_basis(sigma: str) -> list[Web]:

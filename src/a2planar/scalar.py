@@ -19,14 +19,14 @@ Three scalar domains:
 * :class:`RealCyclo` -- elements of the ring Z[x]/psi_n with
   ``x = q + q^(-1) = 2cos(pi/n)``, of degree phi(2n)/2 against phi(6n).
   Closed webs evaluate to integer polynomials in [2] and [3], which lie
-  in it, so the Gram ranks are taken here.
+  in it, so the Gram ranks are taken here, by ``real_cyclo_rank``.
 
 Both root-of-unity domains reduce with one routine, ``_reduce``, which
 takes the monic integer modulus (Phi_{6n} or psi_n): a Laurent polynomial
 puts each t^e at e mod 6n (or rewrites q^k + q^(-k) in x) first, a
 product or conjugate reduces its coefficient list.  ``RealCyclo.cross``,
-the Bareiss update (p x - a y) // k, sums both products into one list
-before its one reduction.
+the Bareiss update (p x - a y) // k of ``real_cyclo_rank``, sums both
+products into one list before its one reduction.
 
 All values are immutable; operations are pure.
 """
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 __all__ = [
     "Laurent", "CycloField", "Cyclo", "RealCycloRing", "RealCyclo",
-    "qint", "delta", "alpha", "cyclotomic", "collect",
+    "qint", "delta", "alpha", "cyclotomic", "collect", "real_cyclo_rank",
 ]
 
 
@@ -647,3 +647,40 @@ class RealCyclo:
 
     def __repr__(self):
         return f"RealCyclo(n={self.ring.n}, {self.v})"
+
+
+def real_cyclo_rank(rows) -> int:
+    """Exact rank of a matrix over Z[x]/psi_n, by fraction-free (Bareiss)
+    elimination.
+
+    Each row below the pivot row becomes (p * row - a * pivot row) / p',
+    with p the pivot, a the row's entry in the pivot column and p' the
+    previous pivot.  The division is exact, because every entry is then a
+    minor of the matrix (Sylvester's identity), so the entries stay in
+    Z[x]/psi_n and grow only as the minors do.  It is taken as a product
+    with b and an exact division by the integer k, where p' b = k, so each
+    entry is one ``RealCyclo.cross``, (p b x - a b y) // k; before the
+    first pivot b = k = 1.  An entry is zero exactly when its reduced
+    coefficients are, since psi_n is irreducible.
+    """
+    mat = [list(r) for r in rows]
+    rank = 0
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    b, k = None, 1  # p' b = k for the previous pivot p'
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        pb = p if b is None else p * b
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            ab = row[col] if b is None else row[col] * b
+            # columns up to col are never read again
+            row[col + 1:] = [pb.cross(x, ab, y, k) for x, y in zip(row[col + 1:], top[col + 1:])]
+        b, k = p.scaled_inverse()
+        rank += 1
+    return rank

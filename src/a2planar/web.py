@@ -413,13 +413,18 @@ class Web:
 
     @staticmethod
     def from_json(obj: dict) -> "Web":
-        """The web that ``to_json`` writes; WebError unless every vertex id
-        and the loop count is an int (not a bool), every edge a list of two
-        ports and every port a list of two ints."""
+        """The web that ``to_json`` writes; WebError unless every vertex is
+        an object, every vertex id and the loop count an int (not a bool),
+        every edge a list of two ports and every port a list of two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
             return value
+
+        def vertex(d):
+            if type(d) is not dict:
+                raise WebError(f"vertex {d!r} is not an object")
+            return read(d["id"], "vertex id"), d["kind"]
 
         def port(p):
             if type(p) is not list or len(p) != 2 or not all(type(x) is int for x in p):
@@ -431,7 +436,7 @@ class Web:
                 raise WebError(f"edge {e!r} is not two ports")
             return tuple(map(port, e))
 
-        verts = {read(d["id"], "vertex id"): d["kind"] for d in obj.get("vertices", [])}
+        verts = dict(map(vertex, obj.get("vertices", [])))
         edges = [edge(e) for e in obj.get("edges", [])]
         return Web(obj["boundary"]["top"], obj["boundary"]["bot"], verts, edges,
                    read(obj.get("loops", 0), "loops"))

@@ -19,7 +19,6 @@ from a2planar.algebra import (
     check_markov,
     check_su3,
     identity,
-    quotient_dim,
     trace_right,
     wsum,
 )
@@ -33,6 +32,7 @@ from a2planar.rewrite import (
     normalize,
 )
 from a2planar.scalar import Laurent, alpha, delta
+from a2planar.states import quotient_dim
 from a2planar.web import Web, wgen_web
 from random_webs import random_reducible_web
 

@@ -23,15 +23,14 @@ from a2planar.algebra import (
     include,
     inner_product,
     mult,
-    quotient_dim,
-    real_cyclo_rank,
     trace_left,
     trace_right,
     wsum,
 )
 from a2planar.oracle import flip, walk_dim_truncated
 from a2planar.rewrite import enumerate_basis, find_redexes, normalize
-from a2planar.scalar import CycloField, Laurent, RealCycloRing, alpha, delta, qint
+from a2planar.scalar import CycloField, Laurent, RealCycloRing, alpha, delta, qint, real_cyclo_rank
+from a2planar.states import quotient_dim
 from a2planar.web import WebError, crossing_web, identity_web, wgen_web
 
 

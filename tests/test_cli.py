@@ -720,6 +720,17 @@ def test_zmap_empty_strip_token(runner, tmp_path):
     assert_input_error(result, "--strips", "strip token [] names no kind")
 
 
+@pytest.mark.parametrize("token", [5, "CUP"], ids=["int", "string"])
+def test_zmap_strip_token_not_a_list(runner, tmp_path, token):
+    """A token that is not a list failed with "'int' object is not
+    iterable", and a string was read as the token of its letters, so "CUP"
+    gave "unknown strip token 'C'"."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps([token]))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--strips", f"strip token {token!r} is not a list")
+
+
 def test_zmap_empty_cap(runner, tmp_path):
     f = tmp_path / "cap.json"
     f.write_text(json.dumps([["CAP", 1, ""]]))
@@ -847,14 +858,18 @@ def _web_rows(web, change):
     (_web_rows(identity_web("-"), lambda w: w.update(edges=[5])), "edge 5 is not two ports"),
     (_web_rows(identity_web("-"), lambda w: w.update(edges=["ab"])), "edge 'ab' is not two ports"),
     (_web_rows(identity_web("-"), lambda w: w["edges"][0].__setitem__(1, 5)), "port 5 is not two ints"),
+    (_web_rows(wgen_web("--", 0), lambda w: w["vertices"].__setitem__(0, 5)),
+     "vertex 5 is not an object"),
 ], ids=["float-port", "bool-port", "float-slot", "float-vertex-id", "three-field-port",
-        "float-loops", "three-port-edge", "one-port-edge", "int-edge", "string-edge", "int-port"])
+        "float-loops", "three-port-edge", "one-port-edge", "int-edge", "string-edge", "int-port",
+        "int-vertex"])
 def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     """Vertex ids, port fields and loops went through int(), so an edge
     [[0.0, -1.0], [true, -1]] read as the identity and exited 0, and a
     port's fields after the second were ignored.  An edge of three ports
     failed to unpack, and an edge or port that is not a list failed on
-    len(); neither message named the edge."""
+    len(); neither message named the edge.  A vertex that is not an object
+    failed on its subscript, naming neither the vertex nor the field."""
     f = tmp_path / "sum.json"
     f.write_text(json.dumps(rows))
     assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", named)
@@ -980,13 +995,25 @@ def test_diagram_commands_import_neither_numpy_nor_scipy(tmp_path):
 
 
 _DIAGRAM_MODULES = ("a2planar.algebra", "a2planar.rewrite", "a2planar.scalar", "a2planar.hecke",
-                    "a2planar.web")
+                    "a2planar.web", "a2planar.states")
+
+
+@pytest.mark.parametrize("argv", [["quotient-dim", "--sigma", "--++", "--n", "5"],
+                                  ["gram", "--sigma", "--++", "--n", "5", "--rank"]],
+                         ids=["quotient-dim", "gram-rank"])
+def test_ranks_load_no_web_module(argv):
+    """``quotient-dim`` and ``gram --rank`` take their ranks from ``states``
+    and load none of ``web``, ``rewrite`` and ``algebra``, so they build no
+    web."""
+    modules = ("a2planar.web", "a2planar.rewrite", "a2planar.algebra", "a2planar.states")
+    assert _imports_after(argv, modules=modules) == {" ".join(argv): (0, ["a2planar.states"])}
 
 
 def test_commands_import_only_the_diagram_modules_they_run(tmp_path):
     """``--help`` and the path commands load none of ``algebra``,
-    ``rewrite``, ``scalar``, ``hecke`` and ``web``; the diagram commands
-    load ``hecke`` only for ``decompose`` (and ``relcheck --suite f13``)."""
+    ``rewrite``, ``scalar``, ``hecke``, ``web`` and ``states``; the diagram
+    commands load ``hecke`` only for ``decompose`` (and ``relcheck --suite
+    f13``)."""
     word = tmp_path / "word.json"
     word.write_text(json.dumps([list(t) for t in P.word_w(1, 2, 0)]))
     graph = tmp_path / "A5.json"

@@ -1,6 +1,6 @@
 """The path trace: a second route for the Gram matrix of every boundary word.
 
-Each basis web of sigma is a strip word (``rewrite.basis_words``), and
+Each basis web of sigma is a strip word (``states.basis_words``), and
 ``pathalg.present_Z`` takes it to a vector over the closed sigma-paths of
 A(n) from the distinguished vertex.  At q = e^(i pi / n) the Gram matrix is
 
@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from a2planar import pathalg as P
-from a2planar.algebra import _gram_values
 from a2planar.graph import CellSystem, FusionGraph, build_A, solve_cells
 from a2planar.oracle import walk_dim
-from a2planar.rewrite import basis_words, enumerate_basis
+from a2planar.rewrite import enumerate_basis
+from a2planar.states import basis_words, gram_values
 from a2planar.web import strip_word_web
 
 BOUND = 1e-12
@@ -45,7 +45,7 @@ def graphs():
 @functools.cache
 def exact_values(sigma):
     """The exact Gram entries of ``sigma`` as Laurent polynomials."""
-    return _gram_values(sigma, lambda value: value)[1]
+    return gram_values(sigma, lambda value: value)
 
 
 def path_gram(words, g, cells, sigma):

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from a2planar import pathalg as P
-from a2planar.algebra import WebSum, bend, inner_product, quotient_dim
+from a2planar.algebra import WebSum, bend, inner_product
 from a2planar.graph import CellSystem, build_A, pf_eigen, qnum, solve_cells
 from a2planar.oracle import flip
 from a2planar.pathalg import PathAlgElement
+from a2planar.states import quotient_dim
 from a2planar.web import cupcap_web, hexagon_web, identity_web, strip_word_web, wgen_web
 
 

@@ -5,7 +5,7 @@ A random strip word w with top boundary sigma is built as a web
 (``web.strip_word_web``) and rewritten to sum_k c_k b_k over the basis webs
 of sigma (``rewrite.normalize``; each reduced web is matched to a basis web
 by its canonical key).  Evaluated on the path side by ``pathalg.present_Z``,
-with the basis webs as their strip words (``rewrite.basis_words``), the
+with the basis webs as their strip words (``states.basis_words``), the
 map Z must respect the rewriting:
 
     Z(w) = sum_k c_k(q) Z(b_k)   at q = e^(i pi / n),
@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from a2planar import pathalg as P
 from a2planar.graph import CellSystem, FusionGraph, build_A, solve_cells
-from a2planar.rewrite import basis_words, enumerate_basis, is_reduced, normalize
+from a2planar.rewrite import enumerate_basis, is_reduced, normalize
+from a2planar.states import basis_words
 from a2planar.web import strip_word_web
 from random_webs import random_strip_word
 

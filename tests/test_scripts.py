@@ -30,3 +30,9 @@ def test_hexagon_matrix():
     out = run_script("hexagon_matrix.py", "--n", "5")
     assert out.startswith("n = 5:")
     assert "basis: 3 paths" in out
+
+
+def test_gram_routes():
+    lines = run_script("gram_routes.py", "--max-len", "5").splitlines()
+    assert lines[-2] == "length 5: 10 words, 90 entries"
+    assert lines[-1] == "0 mismatches"
