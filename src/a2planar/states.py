@@ -51,8 +51,6 @@ next.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .oracle import flip, read_strip, walk_dim
 from .scalar import Laurent, RealCycloRing, real_cyclo_rank
 
@@ -112,45 +110,42 @@ def basis_words(sigma: str) -> list[list]:
     return [_grow(sigma, st) for st in _dominant_states(sigma)]
 
 
-# The exponent of each fork rule's weight on the pair (a, b), plus 1
-_FORK_IN_RULE = {(a, b): 1 + (a if b == -a else 0) for a in (-1, 0, 1) for b in (-1, 0, 1)}
-_FORK_OUT_RULE = {(a, b): 1 + (a - b if abs(a - b) == 1 else 0)
-                  for a in (-1, 0, 1) for b in (-1, 0, 1)}
-# The pairs a split may put above a state c
-_SPLITS = {c: [(a, c - a) for a in (-1, 0, 1) if a != c - a and -1 <= c - a <= 1]
-           for c in (-1, 0, 1)}
+# The exponent of each fork rule's weight on a pair of states a != b
+_PAIRS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a != b]
+_FORK_IN_RULE = {(a, b): a if b == -a else 0 for a, b in _PAIRS}
+_FORK_OUT_RULE = {(a, b): a - b if abs(a - b) == 1 else 0 for a, b in _PAIRS}
 
 
-def _strip(kind: str, i: int, vec: dict, rule: dict, shift) -> dict:
-    """The vector above a strip of the given kind at the 0-based strand i,
-    from the vector ``vec`` below it; ``shift[k]`` is the bit shift of
-    q^k, ``rule`` the weights of the fork."""
-    out: dict = {}
-    if kind == "CAP":
-        for st, p in vec.items():
-            head, tail = st[:i], st[i:]
-            for x in (-1, 0, 1):
-                key = head + (x, -x) + tail
-                out[key] = out.get(key, 0) + (p << shift[x + 1])
-    elif kind == "CUP":
-        for st, p in vec.items():
-            x = st[i]
-            if st[i + 1] == -x:
-                key = st[:i] + st[i + 2:]
-                out[key] = out.get(key, 0) + (p << shift[x + 1])
-    elif kind.endswith("_INV"):  # a split
-        for st, p in vec.items():
-            head, tail = st[:i], st[i + 1:]
-            for ab in _SPLITS[st[i]]:
-                key = head + ab + tail
-                out[key] = out.get(key, 0) + (p << shift[rule[ab]])
-    else:  # a merge
-        for st, p in vec.items():
-            a, b = st[i], st[i + 1]
-            if a != b:
-                key = st[:i] + (a + b,) + st[i + 2:]
-                out[key] = out.get(key, 0) + (p << shift[rule[a, b]])
-    return out
+def _moves(width: int) -> dict:
+    """For each strip kind, the states of the strands it takes below ->
+    a list of (the states of the strands it puts above, the shift of the
+    vector's weight, the shift of the covector's weight).  Weight q^e is a
+    shift by ``width`` * (e + 1)."""
+    moves = {"CAP": {(): [((x, -x), width * (1 + x), width * (1 + x)) for x in (-1, 0, 1)]},
+             "CUP": {(x, -x): [((), width * (1 + x), width * (1 + x))] for x in (-1, 0, 1)}}
+    for kind, rule, corule in (("FORK_IN", _FORK_IN_RULE, _FORK_OUT_RULE),
+                               ("FORK_OUT", _FORK_OUT_RULE, _FORK_IN_RULE)):
+        merge, split = {}, {}
+        for a, b in _PAIRS:
+            shifts = width * (1 + rule[a, b]), width * (1 + corule[a, b])
+            merge[a, b] = [((a + b,), *shifts)]
+            split.setdefault((a + b,), []).append(((a, b), *shifts))
+        moves[kind], moves[kind + "_INV"] = merge, split
+    return moves
+
+
+def _strip(moves: dict, i: int, vec: dict, covec: dict) -> tuple[dict, dict]:
+    """The vector and covector above a strip at the 0-based strand i, from
+    those below it; ``moves`` is the strip kind's entry of ``_moves``."""
+    size = len(next(iter(moves)))
+    out, coout = {}, {}
+    for st, p in vec.items():
+        c, head, tail = covec[st], st[:i], st[i + size:]
+        for mid, shift, coshift in moves.get(st[i:i + size], ()):
+            key = head + mid + tail
+            out[key] = out.get(key, 0) + (p << shift)
+            coout[key] = coout.get(key, 0) + (c << coshift)
+    return out, coout
 
 
 def _branching(word) -> int:
@@ -162,85 +157,76 @@ def _branching(word) -> int:
     return m
 
 
-def _walks(words, width: int, covector: bool) -> list[dict]:
-    """The packed vector of each word (the covector of its adjoint if
-    ``covector``), each suffix of strips evaluated once."""
-    shift = (0, width, 2 * width)
-    rules = {"FORK_IN": _FORK_IN_RULE, "FORK_OUT": _FORK_OUT_RULE}
-    if covector:
-        rules = {"FORK_IN": _FORK_OUT_RULE, "FORK_OUT": _FORK_IN_RULE}
-    done = {(): ("", {(): 1})}  # suffix -> (its top sign word, its vector)
+def _walks(words, width: int) -> tuple[list, list]:
+    """The packed vector of each word and the covector of its adjoint, each
+    suffix of strips evaluated once."""
+    moves = _moves(width)
+    done = {(): ("", {(): 1}, {(): 1})}  # suffix -> its top sign word, vector and covector
 
     def walk(suffix: tuple):
         got = done.get(suffix)
         if got is None:
-            bot, vec = walk(suffix[1:])
+            bot, vec, covec = walk(suffix[1:])
             token = suffix[0]
             top, _ = read_strip(token, bot)  # ValueError unless the strip fits
-            rule = rules.get(token[0].removesuffix("_INV"))
-            got = done[suffix] = top, _strip(token[0], token[1] - 1, vec, rule, shift)
+            got = done[suffix] = top, *_strip(moves[token[0]], token[1] - 1, vec, covec)
         return got
 
-    return [walk(tuple(map(tuple, word)))[1] for word in words]
+    walked = [walk(tuple(map(tuple, word))) for word in words]
+    return [w[1] for w in walked], [w[2] for w in walked]
 
 
 def _certified_walks(sigma: str):
-    """The strip words of the basis webs of ``sigma``, the slot width and
-    the packed vector of each word; ArithmeticError unless they pass the
-    certificate of the module docstring."""
+    """The strip words of the basis webs of ``sigma``, the slot width, and
+    the packed vector of each word and covector of its adjoint;
+    ArithmeticError unless they pass the certificate of the module
+    docstring."""
     states = _dominant_states(sigma)
     words = [_grow(sigma, st) for st in states]
     if len(words) != walk_dim(sigma):
         raise ArithmeticError(f"grown words on {sigma!r} are not a basis")
     width = (max(map(_branching, words), default=1) ** 2).bit_length()
-    vecs = _walks(words, width, covector=False)
+    vecs, covecs = _walks(words, width)
     for st, vec in zip(states, vecs):
         lead = max(vec, default=None)
         p = vec.get(lead, 0)  # a monomial with coefficient 1 is one set bit at a slot's start
         if lead != st or p & (p - 1) or (p.bit_length() - 1) % width:
             raise ArithmeticError(f"the vector of the basis web {st} of {sigma!r} "
                                   "does not lead with its own state string")
-    return words, width, vecs
+    return words, width, vecs, covecs
 
 
 def gram_values(sigma: str, convert) -> list[list]:
     """The Gram matrix of the basis webs of ``sigma``: entry (i, j) is the
     closed-diagram value of b_j* stacked over b_i, as a ``Laurent`` passed
-    through ``convert``, once per distinct value.
-
-    Only i <= j is computed: entry (j, i) is the value of the adjoint
-    closed web, the bar of entry (i, j), and a closed web's value is an
-    integer polynomial in [2] and [3], which the bar fixes.  Raises
-    ArithmeticError unless the vectors pass the certificate of the module
-    docstring.
+    through ``convert``, once per distinct value.  Raises ArithmeticError
+    unless the vectors pass the certificate of the module docstring.
     """
-    words, width, vecs = _certified_walks(str(sigma))
-    covecs = _walks(words, width, covector=True)
-    index = {st: k for k, st in enumerate({st: None for vec in vecs for st in vec})}
-
-    def dense(vec):  # a covector's entries off the vectors' support meet only zeros
-        row = [0] * len(index)
+    words, width, vecs, covecs = _certified_walks(str(sigma))
+    column = {}  # state string -> (j, u_j at it) for every covector u_j
+    for j, covec in enumerate(covecs):
+        for st, c in covec.items():
+            column.setdefault(st, []).append((j, c))
+    mask, vals, rows = (1 << width) - 1, {}, []
+    for i, vec in enumerate(vecs):
+        dots = [0] * len(words)
         for st, p in vec.items():
-            if st in index:
-                row[index[st]] = p
-        return row
-
-    vrows, urows = [dense(v) for v in vecs], [dense(u) for u in covecs]
-    mask, m, vals = (1 << width) - 1, len(words), {}
-    rows = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            key = sum(map(mul, vrows[i], urows[j])), len(words[i]) + len(words[j])
+            for j, c in column[st]:
+                dots[j] += p * c
+        row = []
+        for packed, word in zip(dots, words):
+            key = packed, len(words[i]) + len(word)
             c = vals.get(key)
             if c is None:
-                packed, coeffs, e = key[0], {}, -key[1]
+                coeffs, e = {}, -key[1]
                 while packed:
                     if packed & mask:
                         coeffs[3 * e] = packed & mask
                     packed >>= width
                     e += 1
                 c = vals[key] = convert(Laurent(coeffs))
-            rows[i][j] = rows[j][i] = c
+            row.append(c)
+        rows.append(row)
     return rows
 
 

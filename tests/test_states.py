@@ -32,7 +32,7 @@ def test_vectors_lead_with_their_own_state_strings():
     """The certificate holds on every word of up to 8 signs: each vector's
     largest state string is its own dominant one, with coefficient 1."""
     for sigma in (s for size in range(9) for s in words_with_basis(size)):
-        _, width, vecs = states._certified_walks(sigma)
+        _, width, vecs, _ = states._certified_walks(sigma)
         assert len(vecs) == walk_dim(sigma)
         for st, vec in zip(states._dominant_states(sigma), vecs):
             assert max(vec) == st
@@ -44,7 +44,7 @@ def test_vectors_lead_with_their_own_state_strings():
 
 
 def test_flipped_fork_out_rule_fails_the_comparison(monkeypatch):
-    flipped = {ab: 2 - e for ab, e in states._FORK_OUT_RULE.items()}
+    flipped = {ab: -e for ab, e in states._FORK_OUT_RULE.items()}
     monkeypatch.setattr(states, "_FORK_OUT_RULE", flipped)
     for sigma in DIAGRAM_WORDS:
         assert states.gram_values(sigma, same) != closed_gram(sigma)
@@ -53,11 +53,10 @@ def test_flipped_fork_out_rule_fails_the_comparison(monkeypatch):
 def test_leading_coefficient_two_raises(monkeypatch):
     walks = states._walks
 
-    def doubled(words, width, covector):
-        vecs = walks(words, width, covector)
-        lead = max(vecs[-1])
-        vecs[-1][lead] *= 2
-        return vecs
+    def doubled(words, width):
+        vecs, covecs = walks(words, width)
+        vecs[-1][max(vecs[-1])] *= 2
+        return vecs, covecs
 
     monkeypatch.setattr(states, "_walks", doubled)
     with pytest.raises(ArithmeticError, match="does not lead"):
