@@ -260,7 +260,7 @@ def inner_product(a: WebSum, b: WebSum, n: int) -> Cyclo:
     return field.from_laurent(raw) * field.inv_alpha_power(len(a.bot))
 
 
-# -- Gram matrices and quotient dimensions ---------------------------------
+# -- Gram matrices ---------------------------------------------------------
 
 
 def gram(sigma: str, n: int):
