@@ -7,7 +7,7 @@ module grows the basis webs of a sign string as strip words
 (``basis_words``), evaluates each strip word once, bottom strip first, as
 such a vector, and takes every Gram entry as a dot product.
 
-The walk, strip by strip, from the empty word up.  Every weight is a
+The walk goes strip by strip, from the empty word up.  Every weight is a
 monomial q^e with coefficient 1; a and b are the states of the left and
 right strand of the pair a strip acts on, below a merge and above a split:
 
@@ -199,35 +199,44 @@ def _certified_walks(sigma: str):
 def gram_values(sigma: str, convert) -> list[list]:
     """The Gram matrix of the basis webs of ``sigma``: entry (i, j) is the
     closed-diagram value of b_j* stacked over b_i, as a ``Laurent`` passed
-    through ``convert``, once per distinct value.  Raises ArithmeticError
-    unless the vectors pass the certificate of the module docstring.
+    through ``convert``, once per distinct value.
+
+    Only i <= j is computed: entry (j, i) is the value of the adjoint
+    closed web, the bar of entry (i, j), and a closed web's value is an
+    integer polynomial in [2] and [3], which the bar fixes.  Raises
+    ArithmeticError unless the vectors pass the certificate of the module
+    docstring.
     """
     words, width, vecs, covecs = _certified_walks(str(sigma))
-    column = {}  # state string -> (j, u_j at it) for every covector u_j
-    for j, covec in enumerate(covecs):
-        for st, c in covec.items():
-            column.setdefault(st, []).append((j, c))
-    mask, vals, rows = (1 << width) - 1, {}, []
-    for i, vec in enumerate(vecs):
-        dots = [0] * len(words)
-        for st, p in vec.items():
+    m, vals = len(words), {}
+    rows = [[None] * m for _ in range(m)]
+    column = {}  # state string -> (j, u_j at it) for every covector u_j with j >= i
+    for i in reversed(range(m)):
+        for st, c in covecs[i].items():
+            column.setdefault(st, []).append((i, c))
+        dots = [0] * m
+        for st, p in vecs[i].items():
             for j, c in column[st]:
                 dots[j] += p * c
-        row = []
-        for packed, word in zip(dots, words):
-            key = packed, len(words[i]) + len(word)
+        for j in range(i, m):
+            key = dots[j], len(words[i]) + len(words[j])  # the slot of q^0
             c = vals.get(key)
             if c is None:
-                coeffs, e = {}, -key[1]
-                while packed:
-                    if packed & mask:
-                        coeffs[3 * e] = packed & mask
-                    packed >>= width
-                    e += 1
-                c = vals[key] = convert(Laurent(coeffs))
-            row.append(c)
-        rows.append(row)
+                c = vals[key] = convert(_laurent(dots[j], width, -key[1]))
+            rows[i][j] = rows[j][i] = c
     return rows
+
+
+def _laurent(packed: int, width: int, low: int) -> Laurent:
+    """The ``Laurent`` in t of a packed polynomial in q whose first slot
+    holds q^low."""
+    mask, coeffs = (1 << width) - 1, {}
+    while packed:
+        if packed & mask:
+            coeffs[3 * low] = packed & mask
+        packed >>= width
+        low += 1
+    return Laurent(coeffs)
 
 
 def quotient_dim(sigma: str, n: int) -> int:
