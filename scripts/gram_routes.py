@@ -16,7 +16,8 @@ import itertools
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))  # the closed-web reference
 
 from closed_gram import closed_gram  # noqa: E402
 

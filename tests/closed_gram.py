@@ -1,23 +1,14 @@
 """The closed-web route to Gram matrices, the reference for ``states``.
 
 Entry (i, j) of the Gram matrix of a boundary word is the closed web b_j*
-stacked over b_i, reduced to a scalar by ``rewrite.normalize``.  The
-tests and ``scripts/gram_routes.py`` hold ``states.gram_values``, which
-evaluates no closed web, against it.
+stacked over b_i, reduced to a scalar by ``rewrite.normalize``
+(``algebra._closed_value``).  The tests and ``scripts/gram_routes.py``
+hold ``states.gram_values``, which evaluates no closed web, against it.
 """
 
-from a2planar.rewrite import enumerate_basis, normalize
+from a2planar.algebra import _closed_value
+from a2planar.rewrite import enumerate_basis
 from a2planar.scalar import Laurent
-
-
-def closed_value(w) -> Laurent:
-    """The scalar that the closed web ``w`` reduces to."""
-    total = Laurent.zero()
-    for reduced, c in normalize(w).items():
-        if reduced.verts or reduced.edges:
-            raise ValueError("closure did not reach a scalar")
-        total = total + c
-    return total
 
 
 def closed_gram(sigma: str) -> list[list[Laurent]]:
@@ -38,6 +29,6 @@ def closed_gram(sigma: str) -> list[list[Laurent]]:
             closed = stars[j].compose(bi, check=False)
             c = vals.get(closed)
             if c is None:
-                c = vals[closed] = closed_value(closed)
+                c = vals[closed] = _closed_value(closed)
             rows[i][j] = rows[j][i] = c
     return rows
