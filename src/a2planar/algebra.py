@@ -12,17 +12,16 @@ the normalized trace ``tr = [3]^(-m) Tr`` is only formed at a root of
 unity, where ``[3]`` is invertible (``inner_product``).  Identities
 involving ``tr`` are asserted in cleared form over the Laurent ring.
 
-``gram`` gives the reduced-web basis of a boundary word and its pairing
-matrix in a cyclotomic field, with the values of ``states.gram_values``,
-which evaluates no closed web.  ``cyclo_rank``, elimination in
-Q(zeta_6n), is the reference for ``states.quotient_dim``, the rank taken
-in Z[2cos(pi/n)].
+``gram`` pairs the reduced-web basis of a boundary word with its Gram
+matrix from ``states.gram_values`` over Q(zeta_6n); ``cyclo_rank``,
+elimination there, is the reference for ``states.quotient_dim``, the
+rank taken in Z[2cos(pi/n)].
 """
 
 from __future__ import annotations
 
 from .oracle import flip
-from .scalar import Cyclo, CycloField, Laurent, RealCycloRing, _as_laurent, collect, delta
+from .scalar import Cyclo, CycloField, Laurent, _as_laurent, collect, delta
 from .rewrite import enumerate_basis, normalize
 from .states import basis_words, gram_values
 from .web import Web, WebError, crossing_web, identity_web, strip_word_web, wgen_web
@@ -146,9 +145,9 @@ class WebSum:
         """The sum of the rows that ``to_json`` writes.  The boundary is that
         of the first web, so an empty list, which has none, is refused; a
         row with coefficient 0 gives the boundary and no term."""
+        if type(rows) is not list or not rows or not all(type(r) is dict for r in rows):
+            raise ValueError("web sum is not a list of one or more {coeff, web} objects")
         terms = [(Web.from_json(r["web"]), Laurent.from_json(r["coeff"])) for r in rows]
-        if not terms:
-            raise ValueError("empty web sum")
         return WebSum(terms[0][0].top, terms[0][0].bot, terms)
 
 
@@ -264,19 +263,9 @@ def inner_product(a: WebSum, b: WebSum, n: int) -> Cyclo:
 
 
 def gram(sigma: str, n: int):
-    """Pairing matrix of the reduced-web basis on ``sigma`` over Q(zeta_6n).
-
-    Entry (i, j) is the closed-diagram value of b_j* stacked over b_i;
-    this is ``[3]^|sigma|`` times the normalized pairing, so its rank
-    equals the dimension of the quotient by null vectors.
-    """
-    field, ring = CycloField.get(n), RealCycloRing.get(n)
-
-    def convert(value):
-        ring.from_laurent(value)  # raises unless the bar fixes the value
-        return field.from_laurent(value)
-
-    return enumerate_basis(sigma), gram_values(sigma, convert)
+    """The reduced-web basis on ``sigma`` and its Gram matrix over Q(zeta_6n),
+    ``states.gram_values``: ``[3]^|sigma|`` times the normalized pairing."""
+    return enumerate_basis(sigma), gram_values(sigma, CycloField.get(n).from_laurent)
 
 
 def cyclo_rank(rows) -> int:

@@ -15,18 +15,18 @@ built once, at import; it abbreviates no option, and a value may start with
 Each command imports the modules it runs when it runs, before its report
 starts, so ``--help`` loads none of them and ``runtime_ms`` covers only
 the work.  The diagram-side commands are exact and do not import numpy.
-``quotient-dim`` and ``gram --rank`` load ``states`` (with ``oracle`` and
-``scalar``) and build no web: their ranks come from the basis webs'
-state vectors.  The others load ``algebra`` (with ``scalar``, ``web``,
-``rewrite`` and ``states``), and only ``decompose`` and ``relcheck
---suite f13`` load ``hecke``.  The path-side commands import ``graph``, and those
-that use cells also ``pathalg``, and no diagram module.  ``graph`` is
-pure Python, and ``pathalg`` imports numpy only in the functions that
-build path-pair blocks.  So every path command but ``flat check`` runs
-without numpy: ``dims``, ``graph build-a``, ``cells solve`` and
-``connection check`` (closed-form cells on a ``--n`` graph, least squares
-on a ``--graph`` file), and ``zmap``, which reads its labels and prints
-its result as path-pair terms.
+``gram`` and ``quotient-dim`` load only ``states``, ``oracle`` and
+``scalar``, and build no web: the Gram matrix and its rank come from the
+basis webs' state vectors.  The others load ``algebra`` (with ``scalar``,
+``web``, ``rewrite`` and ``states``), and only ``decompose`` and
+``relcheck --suite f13`` load ``hecke``.  The path-side commands import
+``graph``, and those that use cells also ``pathalg``, and no diagram
+module.  ``graph`` is pure Python, and ``pathalg`` imports numpy only in
+the functions that build path-pair blocks.  So every path command but
+``flat check`` runs without numpy: ``dims``, ``graph build-a``, ``cells
+solve`` and ``connection check`` (closed-form cells on a ``--n`` graph,
+least squares on a ``--graph`` file), and ``zmap``, which reads its
+labels and prints its result as path-pair terms.
 """
 
 from __future__ import annotations
@@ -263,21 +263,18 @@ def trace_cmd(infile):
           _option("--rank", dest="want_rank", action="store_true"))
 def gram_cmd(sigma, n, want_rank):
     """Gram matrix of the diagram basis at the order-n root."""
-    if want_rank:
-        from .states import quotient_dim
+    from .scalar import CycloField
+    from .states import gram_values, quotient_dim
 
-        rep = Report("gram", sigma=sigma, n=n)
+    rep = Report("gram", sigma=sigma, n=n)
+    if want_rank:
         r = quotient_dim(sigma, n)
         rep.add("gram", True, residual=0)
         print(r)
         sys.exit(rep.emit(None, payload={"rank": r}))
-    from .algebra import gram
-
-    rep = Report("gram", sigma=sigma, n=n)
-    _, rows = gram(sigma, n)
+    rows = gram_values(sigma, CycloField.get(n).from_laurent)
     rep.add("gram", True, residual=0)
-    payload = [[c.to_json() for c in row] for row in rows]
-    sys.exit(rep.emit(None, payload=payload))
+    sys.exit(rep.emit(None, payload=[[c.to_json() for c in row] for row in rows]))
 
 
 @_command("decompose", _option("--in", dest="infile", required=True),
@@ -447,6 +444,8 @@ def _strip_word(tokens, labels, i: int, j: int) -> list:
     boundary."""
     from . import pathalg as pa
 
+    if type(tokens) is not list:
+        raise ValueError(f"strips {tokens!r} is not a list")
     for tok in tokens:
         if type(tok) is not list:
             raise ValueError(f"strip token {tok!r} is not a list")
@@ -471,13 +470,14 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     from . import pathalg as pa
 
     g = _graph_option(n, graph_file)
-    labs = []
-    if labels:
-        labs = _read_input("--labels", labels, lambda rows: [
-            pa.Label(g, tuple(r["level"]),
-                     pa.pair_terms(g, r["level"], pa.terms_from_json(r["terms"])))
-            for r in rows
-        ])
+
+    def read_labels(rows):
+        if type(rows) is not list:
+            raise ValueError(f"labels {rows!r} is not a list")
+        return [pa.Label(g, tuple(r["level"]),
+                         pa.pair_terms(g, r["level"], pa.terms_from_json(r["terms"])))
+                for r in rows]
+    labs = _read_input("--labels", labels, read_labels) if labels else []
     word = _read_input("--strips", strips, lambda toks: _strip_word(toks, labs, ii, jj))
     rep = Report("zmap", n=g.n, graph=g.name or graph_file, i=ii, j=jj, strips=strips)
     cells = _certified_cells(g, rep)

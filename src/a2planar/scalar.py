@@ -197,6 +197,8 @@ class Laurent:
 
     @staticmethod
     def from_json(obj: dict) -> "Laurent":
+        if type(obj) is not dict or type(obj.get("laurent")) is not dict:
+            raise ValueError(f"coeff {obj!r} has no laurent object")
         return Laurent({int(e): Fraction(v) for e, v in obj["laurent"].items()})
 
     def __repr__(self):

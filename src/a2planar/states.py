@@ -205,7 +205,7 @@ def gram_values(sigma: str, convert) -> list[list]:
     closed web, the bar of entry (i, j), and a closed web's value is an
     integer polynomial in [2] and [3], which the bar fixes.  Raises
     ArithmeticError unless the vectors pass the certificate of the module
-    docstring.
+    docstring, and unless the bar fixes every value, before ``convert``.
     """
     words, width, vecs, covecs = _certified_walks(str(sigma))
     m, vals = len(words), {}
@@ -222,7 +222,10 @@ def gram_values(sigma: str, convert) -> list[list]:
             key = dots[j], len(words[i]) + len(words[j])  # the slot of q^0
             c = vals.get(key)
             if c is None:
-                c = vals[key] = convert(_laurent(dots[j], width, -key[1]))
+                value = _laurent(dots[j], width, -key[1])
+                if value != value.conjugate():
+                    raise ArithmeticError(f"the bar moves Gram entry ({i}, {j}) of {sigma!r}")
+                c = vals[key] = convert(value)
             rows[i][j] = rows[j][i] = c
     return rows
 

@@ -413,9 +413,9 @@ class Web:
 
     @staticmethod
     def from_json(obj: dict) -> "Web":
-        """The web that ``to_json`` writes; WebError unless every vertex is
-        an object, every vertex id and the loop count an int (not a bool),
-        every edge a list of two ports and every port a list of two ints."""
+        """The web that ``to_json`` writes; WebError unless it and each vertex
+        are objects, its vertices and edges lists, each vertex id and the loop
+        count an int (not a bool), each edge two ports and each port two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
@@ -436,10 +436,14 @@ class Web:
                 raise WebError(f"edge {e!r} is not two ports")
             return tuple(map(port, e))
 
-        verts = dict(map(vertex, obj.get("vertices", [])))
-        edges = [edge(e) for e in obj.get("edges", [])]
-        return Web(obj["boundary"]["top"], obj["boundary"]["bot"], verts, edges,
-                   read(obj.get("loops", 0), "loops"))
+        if type(obj) is not dict:
+            raise WebError(f"web {obj!r} is not an object")
+        verts, edges = obj.get("vertices", []), obj.get("edges", [])
+        for field, value in (("vertices", verts), ("edges", edges)):
+            if type(value) is not list:
+                raise WebError(f"{field} {value!r} is not a list")
+        return Web(obj["boundary"]["top"], obj["boundary"]["bot"], dict(map(vertex, verts)),
+                   [edge(e) for e in edges], read(obj.get("loops", 0), "loops"))
 
 
 def _join(top, bot, pieces, check=True) -> Web:

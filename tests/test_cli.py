@@ -875,6 +875,64 @@ def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in", named)
 
 
+@pytest.mark.parametrize("cmd", ["normalize", "trace", "decompose"])
+@pytest.mark.parametrize("change, named", [
+    (lambda r: r.update(web=5), "web 5 is not an object"),
+    (lambda r: r.update(web=[]), "web [] is not an object"),
+    (lambda r: r.update(coeff={"laurent": 5}), "coeff {'laurent': 5} has no laurent object"),
+    (lambda r: r.update(coeff={"laurent": []}), "coeff {'laurent': []} has no laurent object"),
+    (lambda r: r.update(coeff=5), "coeff 5 has no laurent object"),
+    (lambda r: r["web"].update(vertices=5), "vertices 5 is not a list"),
+    (lambda r: r["web"].update(edges=5), "edges 5 is not a list"),
+    (lambda r: r["web"].update(edges={}), "edges {} is not a list"),
+], ids=["int-web", "list-web", "int-laurent", "list-laurent", "int-coeff", "int-vertices",
+        "int-edges", "object-edges"])
+def test_web_sum_row_field_of_the_wrong_type(runner, tmp_path, cmd, change, named):
+    """A web or a laurent that is not an object reached ``obj.get`` or
+    ``.items()`` and failed with an AttributeError traceback and exit 1.  A
+    coeff that is not an object, or vertices or edges that are not lists,
+    failed on a subscript or on iteration, naming no field."""
+    rows = identity(1).to_json()
+    change(rows[0])
+    f = tmp_path / "sum.json"
+    f.write_text(json.dumps(rows))
+    assert_input_error(run(runner, [cmd, "--in", str(f)]), "--in", named)
+
+
+@pytest.mark.parametrize("rows", [{}, 5, [5], []], ids=["object", "int", "int-row", "empty"])
+def test_web_sum_not_a_list_of_rows(runner, tmp_path, rows):
+    """A file holding {} was read as the empty list, so the error said
+    "empty web sum"; 5, or a row 5, failed on iteration or on a subscript,
+    naming nothing."""
+    f = tmp_path / "sum.json"
+    f.write_text(json.dumps(rows))
+    assert_input_error(run(runner, ["normalize", "--in", str(f)]), "--in",
+                       "web sum is not a list of one or more {coeff, web} objects")
+
+
+@pytest.mark.parametrize("strips", [{}, 5, "CUP"], ids=["object", "int", "string"])
+def test_zmap_strips_not_a_list(runner, tmp_path, strips):
+    """A --strips file holding {} was read as the empty word, so at level
+    (0, 0) the command exited 0; 5 failed with "'int' object is not
+    iterable", and "CUP" was read as the tokens of its letters."""
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps(strips))
+    result = run(runner, ["zmap", "--strips", str(f), "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--strips", f"strips {strips!r} is not a list")
+
+
+@pytest.mark.parametrize("labels", [{}, 5], ids=["object", "int"])
+def test_zmap_labels_not_a_list(runner, tmp_path, labels):
+    """A --labels file holding {} was read as no labels, so the error blamed
+    --strips; 5 failed with "'int' object is not iterable"."""
+    (tmp_path / "word.json").write_text(json.dumps([list(t) for t in P.word_insert()]))
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "1", "--j", "1"])
+    assert_input_error(result, "--labels", f"labels {labels!r} is not a list")
+
+
 @pytest.mark.parametrize("p1, named", [
     ([[0.0, 1], [5, 1]], "step [0.0, 1] of p1"),
     ([[0, True], [5, 1]], "step [0, True] of p1"),
@@ -999,12 +1057,13 @@ _DIAGRAM_MODULES = ("a2planar.algebra", "a2planar.rewrite", "a2planar.scalar", "
 
 
 @pytest.mark.parametrize("argv", [["quotient-dim", "--sigma", "--++", "--n", "5"],
-                                  ["gram", "--sigma", "--++", "--n", "5", "--rank"]],
-                         ids=["quotient-dim", "gram-rank"])
+                                  ["gram", "--sigma", "--++", "--n", "5", "--rank"],
+                                  ["gram", "--sigma", "--++", "--n", "5"]],
+                         ids=["quotient-dim", "gram-rank", "gram"])
 def test_ranks_load_no_web_module(argv):
-    """``quotient-dim`` and ``gram --rank`` take their ranks from ``states``
-    and load none of ``web``, ``rewrite`` and ``algebra``, so they build no
-    web."""
+    """``quotient-dim`` and ``gram``, with or without ``--rank``, take the
+    Gram matrix and its rank from ``states`` and load none of ``web``,
+    ``rewrite`` and ``algebra``, so they build no web."""
     modules = ("a2planar.web", "a2planar.rewrite", "a2planar.algebra", "a2planar.states")
     assert _imports_after(argv, modules=modules) == {" ".join(argv): (0, ["a2planar.states"])}
 

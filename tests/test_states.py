@@ -47,6 +47,26 @@ def test_flipped_fork_out_rule_fails_the_comparison(monkeypatch):
         assert states.gram_values(sigma, same) != closed_gram(sigma)
 
 
+def test_shifted_fork_out_split_fails_the_bar_check(monkeypatch):
+    """Entry (j, i) is copied from entry (i, j), which is right only if the
+    bar fixes every value.  With one ``FORK_OUT_INV`` split's vector weight
+    one slot off, it fixes some of them no longer, and ``gram_values`` must
+    raise rather than mirror them."""
+    moves = states._moves
+
+    def shifted(width):
+        out = moves(width)
+        split = out["FORK_OUT_INV"][(0,)]
+        mid, shift, coshift = split[0]
+        split[0] = mid, shift + width, coshift
+        return out
+
+    monkeypatch.setattr(states, "_moves", shifted)
+    for sigma in DIAGRAM_WORDS:
+        with pytest.raises(ArithmeticError, match="the bar moves Gram entry"):
+            states.gram_values(sigma, same)
+
+
 def test_leading_coefficient_two_raises(monkeypatch):
     walks = states._walks
 
