@@ -474,6 +474,9 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
     def read_labels(rows):
         if type(rows) is not list:
             raise ValueError(f"labels {rows!r} is not a list")
+        for r in rows:
+            if type(r) is not dict:
+                raise ValueError(f"labels row {r!r} is not an object")
         return [pa.Label(g, tuple(r["level"]),
                          pa.pair_terms(g, r["level"], pa.terms_from_json(r["terms"])))
                 for r in rows]

@@ -19,14 +19,16 @@ Three scalar domains:
 * :class:`RealCyclo` -- elements of the ring Z[x]/psi_n with
   ``x = q + q^(-1) = 2cos(pi/n)``, of degree phi(2n)/2 against phi(6n).
   Closed webs evaluate to integer polynomials in [2] and [3], which lie
-  in it, so the Gram ranks are taken here, by ``real_cyclo_rank``.
+  in it, so the Gram ranks are taken here, by ``real_cyclo_rank``: each
+  Gram matrix is symmetric and positive semidefinite at x = 2cos(pi/n),
+  so its elimination pivots on the diagonal and keeps one triangle.
 
 Both root-of-unity domains reduce with one routine, ``_reduce``, which
 takes the monic integer modulus (Phi_{6n} or psi_n): a Laurent polynomial
 puts each t^e at e mod 6n (or rewrites q^k + q^(-k) in x) first, a
 product or conjugate reduces its coefficient list.  ``RealCyclo.cross``,
-the Bareiss update (p x - a y) // k of ``real_cyclo_rank``, sums both
-products into one list before its one reduction.
+the Bareiss update (p x - a y) // k, sums both products into one list
+before its one reduction.
 
 All values are immutable; operations are pure.
 """
@@ -197,9 +199,24 @@ class Laurent:
 
     @staticmethod
     def from_json(obj: dict) -> "Laurent":
+        """The polynomial that ``to_json`` writes; ValueError unless ``obj``
+        is {"laurent": {exponent: coefficient}}, each exponent an integer
+        string and each coefficient an int or a fraction string."""
         if type(obj) is not dict or type(obj.get("laurent")) is not dict:
             raise ValueError(f"coeff {obj!r} has no laurent object")
-        return Laurent({int(e): Fraction(v) for e, v in obj["laurent"].items()})
+        coeffs = {}
+        for e, v in obj["laurent"].items():
+            try:
+                e = int(e)
+            except ValueError:
+                raise ValueError(f"laurent exponent {e!r} is not an integer") from None
+            try:
+                if type(v) not in (int, str):
+                    raise TypeError
+                coeffs[e] = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"laurent coefficient {v!r} of t^{e} is not an int or a fraction") from None
+        return Laurent(coeffs)
 
     def __repr__(self):
         if not self.c:
@@ -621,7 +638,10 @@ class RealCyclo:
         """(self * x - a * y) // k, the Bareiss update: both products summed
         into one coefficient list, one reduction mod psi_n and one exact
         division by the integer ``k``; ArithmeticError unless ``k`` divides
-        every coefficient.  All four elements lie in the same ring."""
+        every coefficient.  All four elements lie in the same ring; a zero x
+        stays zero when a or y is zero."""
+        if not any(x.v) and not (any(a.v) and any(y.v)):
+            return x
         out = _poly_mul(self.v, x.v)
         yv = y.v
         for i, ai in enumerate(a.v):
@@ -652,37 +672,34 @@ class RealCyclo:
 
 
 def real_cyclo_rank(rows) -> int:
-    """Exact rank of a matrix over Z[x]/psi_n, by fraction-free (Bareiss)
-    elimination.
+    """Exact rank of a symmetric matrix A over Z[x]/psi_n that is positive
+    semidefinite at x = 2cos(pi/n), as every Gram matrix here is, by
+    fraction-free (Bareiss) elimination on diagonal pivots.
 
-    Each row below the pivot row becomes (p * row - a * pivot row) / p',
-    with p the pivot, a the row's entry in the pivot column and p' the
-    previous pivot.  The division is exact, because every entry is then a
-    minor of the matrix (Sylvester's identity), so the entries stay in
-    Z[x]/psi_n and grow only as the minors do.  It is taken as a product
-    with b and an exact division by the integer k, where p' b = k, so each
-    entry is one ``RealCyclo.cross``, (p b x - a b y) // k; before the
-    first pivot b = k = 1.  An entry is zero exactly when its reduced
-    coefficients are, since psi_n is irreducible.
+    A pivot p = a_pp turns each remaining a_ij, j >= i, into one
+    ``RealCyclo.cross`` (p b a_ij - a_ip b a_pj) // k, mirrored to a_ji,
+    where p' b = k for the previous pivot p' (b = k = 1 at first).  After
+    the pivots S, this is det A_SS > 0 times the Schur complement of A_SS,
+    which is positive semidefinite at x = 2cos(pi/n).  So a zero diagonal
+    entry means a row that is zero at that x, hence exactly zero, since
+    x -> 2cos(pi/n) is injective on Z[x]/psi_n; once no diagonal entry is
+    nonzero, the rank is the number of pivots.  ArithmeticError if A is not
+    symmetric, or if an entry is nonzero where no diagonal one is.
     """
     mat = [list(r) for r in rows]
-    rank = 0
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    b, k = None, 1  # p' b = k for the previous pivot p'
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        pb = p if b is None else p * b
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            ab = row[col] if b is None else row[col] * b
-            # columns up to col are never read again
-            row[col + 1:] = [pb.cross(x, ab, y, k) for x, y in zip(row[col + 1:], top[col + 1:])]
-        b, k = p.scaled_inverse()
-        rank += 1
-    return rank
+    if any(len(r) != len(mat) or r[j] != mat[j][i] for i, r in enumerate(mat) for j in range(i + 1)):
+        raise ArithmeticError("the matrix is not symmetric")
+    rest, b, k = list(range(len(mat))), None, 1  # p' b = k for the previous pivot p'
+    while (piv := next((i for i in rest if not mat[i][i].is_zero()), None)) is not None:
+        rest.remove(piv)
+        top = mat[piv]
+        pb = top[piv] if b is None else top[piv] * b
+        for at, i in enumerate(rest):
+            row = mat[i]
+            ab = row[piv] if b is None else row[piv] * b
+            for j in rest[at:]:
+                row[j] = mat[j][i] = pb.cross(row[j], ab, top[j], k)
+        b, k = top[piv].scaled_inverse()
+    if any(not mat[i][j].is_zero() for i in rest for j in rest):
+        raise ArithmeticError("an entry is nonzero where no diagonal entry is")
+    return len(mat) - len(rest)

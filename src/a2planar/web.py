@@ -414,8 +414,9 @@ class Web:
     @staticmethod
     def from_json(obj: dict) -> "Web":
         """The web that ``to_json`` writes; WebError unless it and each vertex
-        are objects, its vertices and edges lists, each vertex id and the loop
-        count an int (not a bool), each edge two ports and each port two ints."""
+        are objects, its boundary an object of two strings, its vertices and
+        edges lists, each vertex id and the loop count an int (not a bool),
+        each edge two ports and each port two ints."""
         def read(value, field):
             if type(value) is not int:
                 raise WebError(f"{field} {value!r} is not an int")
@@ -442,7 +443,10 @@ class Web:
         for field, value in (("vertices", verts), ("edges", edges)):
             if type(value) is not list:
                 raise WebError(f"{field} {value!r} is not a list")
-        return Web(obj["boundary"]["top"], obj["boundary"]["bot"], dict(map(vertex, verts)),
+        ends = obj["boundary"]
+        if type(ends) is not dict or not all(type(ends.get(side)) is str for side in ("top", "bot")):
+            raise WebError(f"boundary {ends!r} is not an object of top and bot strings")
+        return Web(ends["top"], ends["bot"], dict(map(vertex, verts)),
                    [edge(e) for e in edges], read(obj.get("loops", 0), "loops"))
 
 

@@ -30,7 +30,7 @@ from a2planar.algebra import (
 from a2planar.oracle import flip, walk_dim_truncated
 from a2planar.rewrite import enumerate_basis, find_redexes, normalize
 from a2planar.scalar import CycloField, Laurent, RealCycloRing, alpha, delta, qint, real_cyclo_rank
-from a2planar.states import quotient_dim
+from a2planar.states import gram_values, quotient_dim
 from a2planar.web import WebError, crossing_web, identity_web, wgen_web
 
 
@@ -309,6 +309,7 @@ def test_cyclo_rank_degenerate():
     assert cyclo_rank([[o, o], [o, o]]) == 1
     assert cyclo_rank([[z, z], [z, z]]) == 0
     assert cyclo_rank([[o, z], [z, o]]) == 2
+    assert cyclo_rank([[z, o], [o, z]]) == 2
 
 
 def test_real_cyclo_rank_degenerate():
@@ -318,7 +319,42 @@ def test_real_cyclo_rank_degenerate():
     assert real_cyclo_rank([[o, o], [o, o]]) == 1
     assert real_cyclo_rank([[z, z], [z, z]]) == 0
     assert real_cyclo_rank([[o, z], [z, o]]) == 2
-    assert real_cyclo_rank([[z, o], [o, z]]) == 2
+
+
+def test_real_cyclo_rank_refuses_what_diagonal_pivots_cannot_rank():
+    """The elimination pivots on the diagonal only: a matrix that has a
+    nonzero entry but no nonzero diagonal entry, at the start or after a
+    pivot, raises rather than return a rank; so does one that is not
+    symmetric or not square."""
+    ring = RealCycloRing.get(5)
+    z, o = ring.from_laurent(Laurent.zero()), ring.from_laurent(Laurent.one())
+    for rows in ([[z, o], [o, z]], [[o, o], [z, o]], [[o, z], [o, o]], [[o, o]], [[o], [o]],
+                 [[o, o, z], [o, o, o], [z, o, z]]):
+        with pytest.raises(ArithmeticError):
+            real_cyclo_rank(rows)
+
+
+def test_real_cyclo_rank_of_a_changed_gram_matrix():
+    """One mirrored pair of a diagram Gram matrix raised by 1 leaves it
+    symmetric, but perhaps not positive semidefinite.  The rank is then
+    that of the elimination in Q(zeta_6n), or an ArithmeticError when no
+    nonzero diagonal entry is left; both happen here."""
+    seen = set()
+    for sigma, n in (("----++++", 7), ("-+-+-+-+", 5), ("--+--+++", 8), ("-----++", 6), ("---+++", 4)):
+        values = gram_values(sigma, lambda value: value)
+        ring, field = RealCycloRing.get(n), CycloField.get(n)
+        m = len(values)
+        for i, j in ((0, 1), (1, 2), (0, m - 1), (m // 2, m - 1)):
+            rows = [list(r) for r in values]
+            rows[i][j] = rows[j][i] = rows[i][j] + 1
+            want = cyclo_rank([[field.from_laurent(c) for c in r] for r in rows])
+            try:
+                got = real_cyclo_rank([[ring.from_laurent(c) for c in r] for r in rows])
+            except ArithmeticError:
+                got = None
+            assert got in (want, None), (sigma, n, i, j)
+            seen.add(got is None)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("sigma, n, rank", [
@@ -326,10 +362,13 @@ def test_real_cyclo_rank_degenerate():
     ("--+-++", 5, 5), ("-+-+-+", 5, 5), ("+-+-+-", 5, 5), ("-+-+-+-+", 5, 13),
     ("-+-+-+-+", 6, 22), ("--+-++-+", 5, 13),
     ("--++", 5, 2), ("---+++", 6, 6), ("-+-+-+", 6, 6), ("--+-++-+", 7, 23),
+    ("----++++", 7, 23), ("--+--+++", 8, 23), ("-----++", 6, 11),
 ])
 def test_real_cyclo_rank_matches_cyclo_rank(sigma, n, rank):
     """The rank over Z[2cos(pi/n)] against elimination in Q(zeta_6n), on
-    10 rank-deficient and 4 full-rank Gram matrices."""
+    10 rank-deficient and 7 full-rank Gram matrices; with
+    ("-+-+-+-+", 5), the last three are the Gram ranks of the ``diagram``
+    benchmark workload."""
     _, rows = gram(sigma, n)
     assert quotient_dim(sigma, n) == cyclo_rank(rows) == rank
 

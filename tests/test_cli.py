@@ -885,13 +885,28 @@ def test_normalize_web_fields_not_ints(runner, tmp_path, rows, named):
     (lambda r: r["web"].update(vertices=5), "vertices 5 is not a list"),
     (lambda r: r["web"].update(edges=5), "edges 5 is not a list"),
     (lambda r: r["web"].update(edges={}), "edges {} is not a list"),
+    (lambda r: r["web"].update(boundary=5), "boundary 5 is not an object of top and bot strings"),
+    (lambda r: r["web"]["boundary"].update(top=5),
+     "boundary {'top': 5, 'bot': '+'} is not an object of top and bot strings"),
+    (lambda r: r.update(coeff={"laurent": {"x": "1"}}), "laurent exponent 'x' is not an integer"),
+    (lambda r: r.update(coeff={"laurent": {"0": []}}),
+     "laurent coefficient [] of t^0 is not an int or a fraction"),
+    (lambda r: r.update(coeff={"laurent": {"0": 1.5}}),
+     "laurent coefficient 1.5 of t^0 is not an int or a fraction"),
+    (lambda r: r.update(coeff={"laurent": {"0": "1/0"}}),
+     "laurent coefficient '1/0' of t^0 is not an int or a fraction"),
 ], ids=["int-web", "list-web", "int-laurent", "list-laurent", "int-coeff", "int-vertices",
-        "int-edges", "object-edges"])
+        "int-edges", "object-edges", "int-boundary", "int-top", "letter-exponent",
+        "list-coefficient", "float-coefficient", "zero-denominator"])
 def test_web_sum_row_field_of_the_wrong_type(runner, tmp_path, cmd, change, named):
     """A web or a laurent that is not an object reached ``obj.get`` or
     ``.items()`` and failed with an AttributeError traceback and exit 1.  A
     coeff that is not an object, or vertices or edges that are not lists,
-    failed on a subscript or on iteration, naming no field."""
+    failed on a subscript or on iteration, naming no field.  So did a
+    boundary that is not an object, and a laurent exponent or coefficient
+    that int() or Fraction() refused; a top of 5 was read as the sign word
+    "5", a coefficient 1.5 was read as 3/2, and "1/0" raised
+    ZeroDivisionError with a traceback."""
     rows = identity(1).to_json()
     change(rows[0])
     f = tmp_path / "sum.json"
@@ -931,6 +946,19 @@ def test_zmap_labels_not_a_list(runner, tmp_path, labels):
                           "--labels", str(tmp_path / "labels.json"),
                           "--n", "5", "--i", "1", "--j", "1"])
     assert_input_error(result, "--labels", f"labels {labels!r} is not a list")
+
+
+@pytest.mark.parametrize("row", [5, [1, 1]], ids=["int", "list"])
+def test_zmap_labels_row_not_an_object(runner, tmp_path, row):
+    """A --labels row that is not an object failed on its subscript, with
+    a TypeError such as "'int' object is not subscriptable" that named no
+    row."""
+    (tmp_path / "word.json").write_text("[]")
+    (tmp_path / "labels.json").write_text(json.dumps([row]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--labels", f"labels row {row!r} is not an object")
 
 
 @pytest.mark.parametrize("p1, named", [

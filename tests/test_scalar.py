@@ -278,7 +278,8 @@ def test_real_scaled_inverse_and_exact_division():
 @pytest.mark.parametrize("n", [5, 7, 9, 12])
 def test_real_cross_is_the_two_product_update(n):
     """``p.cross(x, a, y, k)`` against (p x - a y) // k taken with two
-    products, on seeded triples; with k dividing the update and without."""
+    products, on seeded triples; with k dividing the update and without,
+    and with a zero x, which stays zero when a or y is zero."""
     ring = RealCycloRing.get(n)
     rng = random.Random(n)
 
@@ -294,3 +295,5 @@ def test_real_cross_is_the_two_product_update(n):
     one, zero = ring.from_laurent(Laurent.one()), ring.from_laurent(Laurent.zero())
     with pytest.raises(ArithmeticError):
         one.cross(one, zero, one, 2)
+    assert one.cross(zero, zero, one, 2) == one.cross(zero, one, zero, 2) == zero
+    assert one.cross(zero, one, one) == zero - one
