@@ -85,14 +85,6 @@ class WebSum:
         k = _as_laurent(k)
         return WebSum(self.top, self.bot, {w: c * k for w, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, WebSum):
-            return mult(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def is_zero(self) -> bool:
         return not self.terms
 

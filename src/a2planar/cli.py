@@ -477,6 +477,10 @@ def zmap_cmd(strips, labels, n, graph_file, ii, jj):
         for r in rows:
             if type(r) is not dict:
                 raise ValueError(f"labels row {r!r} is not an object")
+            level = r["level"]
+            if type(level) is not list or len(level) != 2 or not all(
+                    type(k) is int and k >= 0 for k in level):
+                raise ValueError(f"label level {level!r} is not two non-negative ints")
         return [pa.Label(g, tuple(r["level"]),
                          pa.pair_terms(g, r["level"], pa.terms_from_json(r["terms"])))
                 for r in rows]

@@ -237,30 +237,46 @@ class FusionGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "FusionGraph":
-        """The graph of ``to_json``; ValueError unless n is an int >= 4, the
-        vertex ids are distinct, every edge end and the star is a vertex, and
-        every colour is 0, 1 or 2 and rises by 1 mod 3 along every edge, as
-        ``build_A`` colours."""
+        """The graph of ``to_json``; ValueError unless ``obj`` is an object
+        whose n is an int >= 4, whose ``vertices`` is a list of objects with
+        distinct ids, each a string or an int, whose ``edges`` is a list of
+        vertex pairs, whose star is a vertex, and whose every colour is 0, 1
+        or 2 and rises by 1 mod 3 along every edge, as ``build_A`` colours."""
+        if type(obj) is not dict:
+            raise ValueError(f"graph {obj!r} is not an object")
         if type(obj["n"]) is not int or obj["n"] < 4:
             raise ValueError(f"need an integer n >= 4, not {obj['n']!r}")
+        for key in ("vertices", "edges"):
+            if type(obj[key]) is not list:
+                raise ValueError(f"{key} {obj[key]!r} is not a list")
         colour = {}
         for row in obj["vertices"]:
+            if type(row) is not dict:
+                raise ValueError(f"vertices row {row!r} is not an object")
             v, c = row["id"], row["colour"]
+            if type(v) not in (str, int):
+                raise ValueError(f"vertex id {v!r} is not a string or an int")
             if v in colour:
                 raise ValueError(f"vertex {v!r} is listed twice")
             if type(c) is not int or c not in (0, 1, 2):
                 raise ValueError(f"vertex {v!r} has colour {c!r}, not 0, 1 or 2")
             colour[v] = c
-        edges = [(u, v) for u, v in obj["edges"]]
-        for u, v in edges:
-            for end in (u, v):
-                if end not in colour:
-                    raise ValueError(f"edge {[u, v]!r} names {end!r}, which is not a vertex")
-            if colour[v] != (colour[u] + 1) % 3:
-                raise ValueError(f"colour does not rise by 1 mod 3 along edge {[u, v]!r}")
-        if obj["star"] not in colour:
+
+        def is_vertex(x) -> bool:
+            return type(x) in (str, int) and x in colour
+
+        for e in obj["edges"]:
+            if type(e) is not list or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair of vertices")
+            for end in e:
+                if not is_vertex(end):
+                    raise ValueError(f"edge {e!r} names {end!r}, which is not a vertex")
+            if colour[e[1]] != (colour[e[0]] + 1) % 3:
+                raise ValueError(f"colour does not rise by 1 mod 3 along edge {e!r}")
+        if not is_vertex(obj["star"]):
             raise ValueError(f"star {obj['star']!r} is not a vertex")
-        return FusionGraph(list(colour), colour, edges, obj["star"], obj["n"])
+        return FusionGraph(list(colour), colour, [tuple(e) for e in obj["edges"]],
+                           obj["star"], obj["n"])
 
 
 def _vid(v) -> str:

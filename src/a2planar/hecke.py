@@ -68,10 +68,9 @@ __all__ = [
 class GeneratorWord:
     """Formal linear combination of words in the strand generators.
 
-    A word is a tuple of letters; a letter is ``("w", i)``, ``("f", i)``
-    (the double element W_i W_{i+1} W_i - W_i), ``("fl", l)`` (cup-cap on
-    the alternating word) or ``("f3", k)`` (hexagonal element).  The
-    empty word is the identity.  Coefficients are Laurent scalars.
+    A word is a tuple of letters; a letter is ``("w", i)`` or ``("f", i)``
+    (the double element W_i W_{i+1} W_i - W_i).  The empty word is the
+    identity.  Coefficients are Laurent scalars.
     """
 
     __slots__ = ("m", "terms")
@@ -80,31 +79,6 @@ class GeneratorWord:
         self.m = m
         items = terms.items() if isinstance(terms, dict) else terms or ()
         self.terms = collect((tuple(map(tuple, word)), _as_laurent(c)) for word, c in items)
-
-    @staticmethod
-    def letter(m: int, kind: str, i: int) -> "GeneratorWord":
-        return GeneratorWord(m, {((kind, i),): Laurent.one()})
-
-    @staticmethod
-    def unit(m: int) -> "GeneratorWord":
-        return GeneratorWord(m, {(): Laurent.one()})
-
-    def __add__(self, other):
-        return GeneratorWord(self.m, [*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return GeneratorWord(self.m, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k) -> "GeneratorWord":
-        return GeneratorWord(self.m, {w: c * k for w, c in self.terms.items()})
-
-    def concat(self, other) -> "GeneratorWord":
-        return GeneratorWord(self.m, [
-            (wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()
-        ])
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorWord):
@@ -175,25 +149,17 @@ def _letter_sum(m: int, letter) -> WebSum:
         return wsum(m, i)
     if kind == "f":
         return fsum(m, i)
-    if kind == "fl":
-        return cupcap_sum(m, i)
-    if kind == "f3":
-        return f13_sum(m, i)
     raise WebError(f"unknown letter kind {kind!r}")
 
 
 def evaluate(word: GeneratorWord) -> WebSum:
     """Expand each letter to its diagram and multiply left to right."""
-    m = word.m
-    alternating = any(l[0] in ("fl", "f3") for w in word.terms for l in w)
-    unit = (
-        WebSum.from_web(identity_web(alt_word(m))) if alternating else identity(m)
-    )
+    unit = identity(word.m)
     total = WebSum(unit.top, unit.bot)
     for w, c in word.terms.items():
         x = unit
         for letter in w:
-            x = mult(x, _letter_sum(m, letter))
+            x = mult(x, _letter_sum(word.m, letter))
         total = total + x.scale(c)
     return total
 

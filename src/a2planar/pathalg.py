@@ -46,6 +46,7 @@ import cmath
 import itertools
 import math
 import operator
+import sys
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -231,13 +232,6 @@ class PathAlgElement:
     def dist(self, other: "PathAlgElement") -> float:
         return (self - other).norm()
 
-    def to_json(self) -> list:
-        return terms_to_json(self.terms)
-
-    @staticmethod
-    def from_json(graph: FusionGraph, level, obj) -> "PathAlgElement":
-        return PathAlgElement(graph, level, terms_from_json(obj))
-
     def __repr__(self):
         return f"PathAlgElement(level={self.level}, nterms={len(self.terms)})"
 
@@ -270,18 +264,30 @@ def terms_to_json(terms) -> list:
 
 def terms_from_json(obj) -> dict:
     """Path-pair terms read from the rows of ``terms_to_json``; ValueError
-    if a coefficient is not finite or a step's edge or direction is not an
-    int (a bool included)."""
-    if not all(math.isfinite(row[k]) for row in obj for k in ("re", "im")):
-        raise ValueError("a coefficient is not finite")
+    unless ``obj`` is a list of objects, each path a list of steps, each
+    step an int pair (a bool is not an int), and each of ``re`` and ``im``
+    a finite int or float (not a bool)."""
+    if type(obj) is not list or not all(type(row) is dict for row in obj):
+        raise ValueError(f"terms {obj!r} is not a list of objects")
 
     def path(row, key):
+        if type(row[key]) is not list:
+            raise ValueError(f"{key} {row[key]!r} is not a list of steps")
         for step in row[key]:
-            if len(step) != 2 or not all(type(x) is int for x in step):
+            if type(step) is not list or len(step) != 2 or not all(type(x) is int for x in step):
                 raise ValueError(f"step {step!r} of {key} {row[key]!r} is not an int pair")
-        return tuple((e, d) for e, d in row[key])
+        return tuple(map(tuple, row[key]))
 
-    return {(path(row, "p1"), path(row, "p2")): complex(row["re"], row["im"]) for row in obj}
+    def number(row, key):
+        x = row[key]
+        if type(x) not in (int, float):
+            raise ValueError(f"{key} {x!r} is not a number")
+        if not abs(x) <= sys.float_info.max:  # an int this large overflows a float
+            raise ValueError(f"{key} {x!r} is not finite")
+        return x
+
+    return {(path(row, "p1"), path(row, "p2")): complex(number(row, "re"), number(row, "im"))
+            for row in obj}
 
 
 class Label(NamedTuple):

@@ -88,15 +88,6 @@ class Laurent:
         """The monomial coeff * t^e (t = q^(1/3), so q^k is t(3*k))."""
         return Laurent({e: coeff})
 
-    @staticmethod
-    def q(e3: int, coeff=1) -> "Laurent":
-        """coeff * q^e3 as a Laurent polynomial in t."""
-        return Laurent({3 * e3: coeff})
-
-    @staticmethod
-    def from_int(k) -> "Laurent":
-        return Laurent({0: k})
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "Laurent":
@@ -144,10 +135,7 @@ class Laurent:
 
     def __pow__(self, k: int) -> "Laurent":
         if k < 0:
-            if len(self.c) == 1:
-                ((e, v),) = self.c.items()
-                return Laurent({e * k: Fraction(v) ** k})
-            raise ValueError("negative powers only defined for monomials")
+            raise ValueError(f"negative power {k} of a Laurent polynomial")
         acc = Laurent.one()
         base = self
         while k:
@@ -182,10 +170,6 @@ class Laurent:
         out = Laurent()
         out.c = {-e: v for e, v in self.c.items()}
         return out
-
-    def eval_at_root(self, n: int) -> "Cyclo":
-        """Exact evaluation at t = zeta_{6n} = e^(i*pi/3n)."""
-        return CycloField.get(n).from_laurent(self)
 
     def complex_at(self, n: int) -> complex:
         """Floating-point reference embedding t = e^(i*pi/3n)."""
@@ -481,9 +465,6 @@ class Cyclo:
         f = self.field
         return Cyclo(f, _inverse(self.v, f._phi_coeffs, f._phi_terms))
 
-    def __truediv__(self, other):
-        return self * self._check(other).inv()
-
     def is_zero(self) -> bool:
         return not any(self.v)
 
@@ -517,11 +498,6 @@ class Cyclo:
                 "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.v],
             }
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Cyclo":
-        data = obj["cyclo"]
-        return CycloField.get(int(data["n"])).from_coeffs([Fraction(c) for c in data["coeffs"]])
 
     def __repr__(self):
         return f"Cyclo(n={self.field.n}, {self.to_complex():.6g})"

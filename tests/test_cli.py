@@ -211,7 +211,7 @@ def test_zmap(runner, tmp_path):
     assert result.exit_code == 0
     doc = report(result)
     g = build_A(5)
-    z = P.PathAlgElement.from_json(g, (1, 2), doc["result"])
+    z = P.PathAlgElement(g, (1, 2), P.terms_from_json(doc["result"]))
     cells = solve_cells(g)
     assert z.dist(P.make_U(g, cells, 1, 2, 0)) < 1e-10
 
@@ -223,12 +223,12 @@ def test_zmap_with_labels(runner, tmp_path):
     (tmp_path / "word.json").write_text(
         json.dumps([list(t) for t in P.word_insert()]))
     (tmp_path / "labels.json").write_text(
-        json.dumps([{"level": [1, 1], "terms": x.to_json()}]))
+        json.dumps([{"level": [1, 1], "terms": P.terms_to_json(x.terms)}]))
     result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
                           "--labels", str(tmp_path / "labels.json"),
                           "--n", "5", "--i", "1", "--j", "1"])
     assert result.exit_code == 0
-    z = P.PathAlgElement.from_json(g, (1, 1), report(result)["result"])
+    z = P.PathAlgElement(g, (1, 1), P.terms_from_json(report(result)["result"]))
     assert z.dist(x) < 1e-12
 
 
@@ -787,11 +787,27 @@ def _a5_with(change):
     (_a5_with(lambda o: o.update(star="9,9")), "star '9,9'"),
     (_a5_with(lambda o: o["vertices"][1].update(colour=7)), "vertex '0,1' has colour 7"),
     (_a5_with(lambda o: [v.update(colour=0) for v in o["vertices"]]), "along edge ['0,0', '1,0']"),
-], ids=["repeated-vertex", "unknown-edge-end", "unknown-star", "colour-7", "colours-all-0"])
+    (5, "graph 5 is not an object"),
+    ([], "graph [] is not an object"),
+    (_a5_with(lambda o: o.update(vertices=5)), "vertices 5 is not a list"),
+    (_a5_with(lambda o: o.update(edges=5)), "edges 5 is not a list"),
+    (_a5_with(lambda o: o["vertices"].append(5)), "vertices row 5 is not an object"),
+    (_a5_with(lambda o: o["edges"].append(5)), "edge 5 is not a pair of vertices"),
+    (_a5_with(lambda o: o["edges"].append(["0,0", "1,0", "0,1"])),
+     "edge ['0,0', '1,0', '0,1'] is not a pair"),
+    (_a5_with(lambda o: o["vertices"].append({"id": [1], "colour": 0})),
+     "vertex id [1] is not a string or an int"),
+    (_a5_with(lambda o: o["edges"].append([[1], "0,0"])), "names [1], which is not a vertex"),
+    (_a5_with(lambda o: o.update(star=[1])), "star [1] is not a vertex"),
+], ids=["repeated-vertex", "unknown-edge-end", "unknown-star", "colour-7", "colours-all-0",
+        "int", "list", "vertices-int", "edges-int", "vertex-row-int", "edge-int",
+        "edge-three-ends", "vertex-id-list", "edge-end-list", "star-list"])
 def test_graph_checked_when_read(runner, tmp_path, obj, named):
     """A repeated vertex and a colour off {0, 1, 2} or not rising by 1 mod 3
     along an edge exited 0; an unknown edge end or star read as a missing
-    key."""
+    key; a field of the wrong shape failed with a message that named no
+    field ("'int' object is not subscriptable", "cannot unpack
+    non-iterable int object", "unhashable type: 'list'")."""
     f = tmp_path / "A5.json"
     f.write_text(json.dumps(obj))
     assert_input_error(run(runner, ["cells", "solve", "--graph", str(f)]), "--graph", named)
@@ -977,6 +993,35 @@ def test_zmap_label_step_not_ints(runner, tmp_path, p1, named):
                           "--labels", str(tmp_path / "labels.json"),
                           "--n", "5", "--i", "1", "--j", "1"])
     assert_input_error(result, "--labels", named, "is not an int pair")
+
+
+_TERM = {"p1": [], "p2": [], "re": 1.0, "im": 0.0}  # the one path pair at level (0, 0)
+
+
+@pytest.mark.parametrize("row, named", [
+    ({"level": 5, "terms": []}, "label level 5 is not two non-negative ints"),
+    ({"level": [0], "terms": []}, "label level [0] is not"),
+    ({"level": [0, 0, 1], "terms": []}, "label level [0, 0, 1] is not"),
+    ({"level": ["a", "b"], "terms": []}, "label level ['a', 'b'] is not"),
+    ({"level": [0, 0], "terms": 5}, "terms 5 is not a list of objects"),
+    ({"level": [0, 0], "terms": [5]}, "terms [5] is not a list of objects"),
+    ({"level": [0, 0], "terms": [dict(_TERM, p1=5)]}, "p1 5 is not a list of steps"),
+    ({"level": [0, 0], "terms": [dict(_TERM, re="1")]}, "re '1' is not a number"),
+    ({"level": [0, 0], "terms": [dict(_TERM, re=True)]}, "re True is not a number"),
+    ({"level": [0, 0], "terms": [dict(_TERM, im=10**400)]}, "im 1000"),
+], ids=["level-int", "level-one", "level-three", "level-strings", "terms-int",
+        "terms-row-int", "p1-int", "re-string", "re-bool", "im-overflows"])
+def test_zmap_label_field_malformed(runner, tmp_path, row, named):
+    """A --labels field of the wrong shape one level below the row failed
+    with a message that named no field ("'int' object is not iterable",
+    "level_signs() missing 1 required positional argument"), an ``re`` of
+    true was read as 1.0, and an int too large for a float overflowed."""
+    (tmp_path / "word.json").write_text("[]")
+    (tmp_path / "labels.json").write_text(json.dumps([row]))
+    result = run(runner, ["zmap", "--strips", str(tmp_path / "word.json"),
+                          "--labels", str(tmp_path / "labels.json"),
+                          "--n", "5", "--i", "0", "--j", "0"])
+    assert_input_error(result, "--labels", named)
 
 
 def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):

@@ -21,8 +21,8 @@ from a2planar.hecke import (
     f13_sum,
 )
 from a2planar.rewrite import enumerate_basis
-from a2planar.scalar import Laurent, alpha, delta
-from a2planar.web import WebError, hexagon_web, identity_web, wgen_web
+from a2planar.scalar import Laurent, alpha
+from a2planar.web import WebError, hexagon_web, wgen_web
 
 HERE = os.path.dirname(__file__)
 
@@ -32,39 +32,30 @@ def test_alt_word():
     assert alt_word(4) == "-+-+"
 
 
-def test_generator_word_arithmetic():
-    a = GeneratorWord.letter(3, "w", 0)
-    b = GeneratorWord.letter(3, "w", 1)
-    assert a + b == b + a
-    assert (a - a).terms == {}
-    assert a.scale(2) == a + a
-    w = a.concat(b)
-    assert list(w.terms) == [(("w", 0), ("w", 1))]
-
-
 def test_generator_word_json():
     w = GeneratorWord(3, {(("w", 0), ("w", 1)): Laurent.t(2), (): Laurent.one()})
     assert GeneratorWord.from_json(w.to_json()) == w
 
 
 def test_evaluate_unit_and_letters():
-    assert evaluate(GeneratorWord.unit(3)) == identity(3)
-    assert evaluate(GeneratorWord.letter(3, "w", 1)) == wsum(3, 1)
-    assert evaluate(GeneratorWord.letter(4, "f", 0)) == fsum(4, 0)
+    assert evaluate(GeneratorWord(3, {(): 1})) == identity(3)
+    assert evaluate(GeneratorWord(3, {(("w", 1),): 1})) == wsum(3, 1)
+    assert evaluate(GeneratorWord(4, {(("f", 0),): 1})) == fsum(4, 0)
 
 
 def test_evaluate_f_word_identity():
     # w_i w_{i+1} w_i - w_i equals the double element
-    w0 = GeneratorWord.letter(3, "w", 0)
-    w1 = GeneratorWord.letter(3, "w", 1)
-    word = w0.concat(w1).concat(w0) - w0
+    word = GeneratorWord(3, {(("w", 0), ("w", 1), ("w", 0)): 1, (("w", 0),): -1})
     assert evaluate(word) == fsum(3, 0)
 
 
 def test_evaluate_hexagon_letter():
-    assert evaluate(GeneratorWord.letter(3, "f3", 1)) == WebSum.from_web(
-        hexagon_web()
-    )
+    """The hexagonal element is ``f13_sum``; ``evaluate`` knows only the
+    letters w and f, and refuses any other kind."""
+    assert f13_sum(3, 1) == WebSum.from_web(hexagon_web())
+    for kind in ("f3", "fl"):
+        with pytest.raises(WebError, match="unknown letter kind"):
+            evaluate(GeneratorWord(3, {((kind, 1),): 1}))
 
 
 # -- decomposition ---------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from a2planar import pathalg as P
-from a2planar.algebra import WebSum, bend, inner_product
+from a2planar.algebra import WebSum, bend, inner_product, mult
 from a2planar.graph import CellSystem, build_A, pf_eigen, qnum, solve_cells
 from a2planar.oracle import flip
 from a2planar.pathalg import PathAlgElement
@@ -610,7 +610,8 @@ def test_z_matches_recorded():
         g = build_A(int(n))
         cells = CellSystem(
             g, {tuple(t): complex(re, im) for t, re, im in doc["cells"]}, doc["residual"])
-        labels = [PathAlgElement.from_json(g, x["level"], x["terms"]) for x in doc["labels"]]
+        labels = [PathAlgElement(g, x["level"], P.terms_from_json(x["terms"]))
+                  for x in doc["labels"]]
         for row in doc["words"]:
             word = [tuple(t) for t in row["strips"]]
             want = {tuple(tuple(s) for s in p): complex(re, im) for p, re, im in row["vec"]}
@@ -747,7 +748,7 @@ def test_diagram_path_isomorphism(setups, n, level):
             out.append(x)
         return out
 
-    W = build(webs, lambda a, b: a * b)
+    W = build(webs, mult)
     B = build(elems, lambda a, b: a * b)
     gram_w = np.array(
         [[inner_product(a, b, n).to_complex() for b in W] for a in W]
@@ -818,10 +819,10 @@ def test_hexagon_no_collapse_n6(setups):
 def test_json_round_trip(setups):
     g, _, _ = setups[5]
     x = rand_elem(g, 2, 1, seed=17)
-    obj = x.to_json()
+    obj = P.terms_to_json(x.terms)
     for row in obj:
         assert set(row) == {"p1", "p2", "re", "im"}
-    y = PathAlgElement.from_json(g, (2, 1), obj)
+    y = PathAlgElement(g, (2, 1), P.terms_from_json(obj))
     assert x.dist(y) < 1e-15
 
 
@@ -846,7 +847,7 @@ def test_pair_terms_checks_and_chops(setups):
     x = PathAlgElement(g, (1, 1), terms)
     label = P.Label(g, (1, 1), got)
     assert (P.terms_to_json(P.z_terms(P.word_insert(), [label], g, cells, 1, 1))
-            == P.z_element(P.word_insert(), [x], g, cells, 1, 1).to_json())
+            == P.terms_to_json(P.z_element(P.word_insert(), [x], g, cells, 1, 1).terms))
 
 
 # ---------------------------------------------------------------------------

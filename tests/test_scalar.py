@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2planar.scalar import (
-    Cyclo,
     CycloField,
     Laurent,
     RealCyclo,
@@ -48,10 +47,10 @@ class TestLaurent:
         assert x.conjugate().conjugate() == x
         assert qint(5).conjugate() == qint(5)
 
-    def test_monomial_negative_powers(self):
-        assert Laurent.t(2) ** -3 == Laurent.t(-6)
-        with pytest.raises(ValueError):
-            (delta() ** -1)
+    def test_negative_powers_are_refused(self):
+        for x in (Laurent.t(2), delta()):
+            with pytest.raises(ValueError, match="negative power"):
+                x ** -1
 
     def test_json_round_trip(self):
         x = Laurent.t(-4, Fraction(3, 7)) + 2
@@ -60,18 +59,13 @@ class TestLaurent:
     def test_collect(self):
         """Sums per key, in first-seen order; a cancelled key is dropped, and
         one that comes back goes last."""
-        one, two = Laurent.one(), Laurent.from_int(2)
+        one, two = Laurent.one(), Laurent({0: 2})
         pairs = [("a", one), ("b", -one), ("c", two), ("a", -one), ("b", one),
                  ("d", Laurent.zero()), ("c", one), ("a", two)]
         got = collect(pairs)
-        assert got == {"c": Laurent.from_int(3), "a": two}
+        assert got == {"c": Laurent({0: 3}), "a": two}
         assert list(got) == ["c", "a"]
         assert collect([]) == {}
-
-    def test_negative_power_coefficient_is_exact(self):
-        (c,) = (Laurent.t(3, 2) ** -2).c.values()
-        assert type(c) is Fraction and c == Fraction(1, 4)
-        assert Laurent.t(3, -1) ** -3 == Laurent.t(-9, -1)
 
     def test_json_keeps_integral_coefficients_integer(self):
         doc = {"laurent": {"-1": "1/2", "2": "3/1"}}
@@ -146,45 +140,46 @@ class TestReduction:
                     assert (x * x.inv()).v == _remainder([1], n)
 
 
+def _at_root(x: Laurent, n: int):
+    """``x`` at t = zeta_6n = e^(i*pi/3n), exactly."""
+    return CycloField.get(n).from_laurent(x)
+
+
 class TestCyclo:
     def test_delta_at_root(self):
         # [2] at q = e^{i pi/6} is 2 cos(pi/6) = sqrt(3)
-        v = delta().eval_at_root(6)
+        v = _at_root(delta(), 6)
         assert v * v == 3
         assert abs(v.to_complex() - 3**0.5) < 1e-12
 
     def test_qint_vanishing(self):
         for n in (4, 5, 6, 7):
-            assert qint(n).eval_at_root(n).is_zero()
+            assert _at_root(qint(n), n).is_zero()
             for m in range(1, n):
-                assert not qint(m).eval_at_root(n).is_zero()
+                assert not _at_root(qint(m), n).is_zero()
 
     def test_field_inverse(self):
         for n in (5, 7):
-            x = (alpha() + Laurent.t(2)).eval_at_root(n)
+            x = _at_root(alpha() + Laurent.t(2), n)
             assert x * x.inv() == 1
         with pytest.raises(ZeroDivisionError):
             CycloField.get(5).zero().inv()
 
     def test_conjugation_matches_complex(self):
-        x = (Laurent.t(4) + Laurent.t(-7, Fraction(2, 3))).eval_at_root(5)
+        x = _at_root(Laurent.t(4) + Laurent.t(-7, Fraction(2, 3)), 5)
         assert abs(x.conjugate().to_complex() - x.to_complex().conjugate()) < 1e-12
         assert x.conjugate().conjugate() == x
-
-    def test_json_round_trip(self):
-        x = delta().eval_at_root(8)
-        assert Cyclo.from_json(x.to_json()) == x
 
     @given(laurents(max_terms=3), laurents(max_terms=3), st.sampled_from([4, 5, 6]))
     @settings(max_examples=30, deadline=None)
     def test_eval_is_ring_hom(self, a, b, n):
-        assert (a * b).eval_at_root(n) == a.eval_at_root(n) * b.eval_at_root(n)
-        assert (a + b).eval_at_root(n) == a.eval_at_root(n) + b.eval_at_root(n)
+        assert _at_root(a * b, n) == _at_root(a, n) * _at_root(b, n)
+        assert _at_root(a + b, n) == _at_root(a, n) + _at_root(b, n)
 
     @given(laurents(max_terms=3), st.sampled_from([4, 5, 6, 7]))
     @settings(max_examples=30, deadline=None)
     def test_complex_embedding_agrees(self, a, n):
-        assert abs(a.eval_at_root(n).to_complex() - a.complex_at(n)) < 1e-9
+        assert abs(_at_root(a, n).to_complex() - a.complex_at(n)) < 1e-9
 
 
 def _times(a, b):
@@ -233,7 +228,7 @@ def test_real_cyclotomic_modulus(n):
 @pytest.mark.parametrize("x", [
     Laurent.t(1) + Laurent.t(-1),
     Laurent({0: Fraction(1, 2)}),
-    Laurent.q(1) - Laurent.q(-1),
+    Laurent.t(3) - Laurent.t(-3),
 ], ids=["t-exponent", "half", "q-minus-inverse"])
 def test_real_from_laurent_rejects(x):
     with pytest.raises(ArithmeticError):
@@ -262,11 +257,11 @@ def test_real_from_laurent_values(n):
 
 def test_real_scaled_inverse_and_exact_division():
     ring = RealCycloRing.get(7)
-    two, three = (ring.from_laurent(Laurent.from_int(k)) for k in (2, 3))
+    two, three = (ring.from_laurent(Laurent({0: k})) for k in (2, 3))
     for x in (Laurent.one(), delta(), alpha() + 2, delta() ** 3 - 3 * alpha()):
         a = ring.from_laurent(x)
         b, k = a.scaled_inverse()
-        assert k > 0 and a * b == ring.from_laurent(Laurent.from_int(k))
+        assert k > 0 and a * b == ring.from_laurent(Laurent({0: k}))
         assert (a * three) // 3 == a
     assert ring.from_laurent(delta()).scaled_inverse()[1] == 1  # [2] = 2cos(pi/7) is a unit
     with pytest.raises(ArithmeticError):
