@@ -1,5 +1,6 @@
 """Generator words, exact decomposition, and the hexagonal element."""
 
+import hashlib
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from a2planar.hecke import (
     f13_relations,
     f13_sum,
 )
+from a2planar.oracle import walk_dim
 from a2planar.rewrite import enumerate_basis
 from a2planar.scalar import Laurent, alpha
 from a2planar.web import WebError, hexagon_web, wgen_web
@@ -99,6 +101,37 @@ def test_decompose_matches_recorded_words():
     for case in cases:
         x = evaluate(GeneratorWord.from_json(case["input"]))
         assert decompose(x).to_json() == case["output"]
+
+
+def test_decompose_five_strands_match_recorded():
+    """Two seeded five-strand sums, recorded from the mod-p greedy search
+    of 08b22be; their words of up to ten letters reach the 4321 pattern."""
+    with open(os.path.join(HERE, "decompose_five_recorded.json")) as fh:
+        cases = json.load(fh)
+    assert [GeneratorWord.from_json(c["input"]).m for c in cases] == [5, 5]
+    for case in cases:
+        x = evaluate(GeneratorWord.from_json(case["input"]))
+        assert decompose(x).to_json() == case["output"]
+
+
+# The generator words on m strands, recorded from the mod-p greedy search
+# of 08b22be: the count, the longest word and the sha256 of the JSON list
+# of each word's letter indices.
+_WORDS_RECORDED = {
+    2: (2, 1, "5fd6c8f1ce24dd8e3eecab4438bf164649b02def035ac20dfec349f1a3b8fc36"),
+    3: (6, 3, "a817a585cb3350b73799c9b098b3490c8b5bc4d57a157b8b9ca223543ae26be3"),
+    4: (23, 5, "21ec94f6a7722d465f5c25b8ceea213b0df57f9e87909eddf83cbb587496b9f0"),
+    5: (103, 8, "55bb28d709043e2b283bc30b25034ccff7959dfd1b21ebc0e2d8f41399288184"),
+    6: (513, 12, "0fbe9d0beb51cf1dc1bc4dcd82f02cddaa45a9b5894dd86f1915a4e364ce0558"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_WORDS_RECORDED))
+def test_generator_words_match_recorded(m):
+    kept = hecke._spanning_words(m, walk_dim("-" * m + "+" * m), 12)
+    words = [[i for _, i in word] for word, _ in kept]
+    digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+    assert (len(words), max(map(len, words)), digest) == _WORDS_RECORDED[m]
 
 
 def test_decompose_outside_span():
