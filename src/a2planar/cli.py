@@ -249,9 +249,13 @@ def normalize_cmd(infile, out):
 def trace_cmd(infile):
     """Closed-diagram trace of a web sum, as an exact Laurent polynomial."""
     from .algebra import trace_right
+    from .oracle import flip
 
     rep = Report("trace", infile=infile)
     x = _load_websum(infile)
+    if x.top != flip(x.bot):
+        raise argparse.ArgumentError(None, f"argument --in: {infile}: the trace needs a top "
+                                     f"that is the flipped bottom; got {x.top!r} over {x.bot!r}")
     val = trace_right(x)
     rep.add("trace", True, residual=0)
     sys.exit(rep.emit(None, payload=val.to_json()))
@@ -277,19 +281,16 @@ def gram_cmd(sigma, n, want_rank):
     sys.exit(rep.emit(None, payload=[[c.to_json() for c in row] for row in rows]))
 
 
-@_command("decompose", _option("--in", dest="infile", required=True),
-          _option("--max-len", default=8, type=_at_least(0)))
-def decompose_cmd(infile, max_len):
+@_command("decompose", _option("--in", dest="infile", required=True))
+def decompose_cmd(infile):
     """Write a web sum as a word in the standard generators."""
-    from .hecke import SpanError, decompose
+    from .hecke import decompose
     from .web import WebError
 
     x = _load_websum(infile)
     rep = Report("decompose", infile=infile)
     try:
-        word = decompose(x, max_len=max_len)  # certifies evaluate(word) == x
-    except SpanError as exc:
-        raise argparse.ArgumentError(None, f"argument --max-len: {exc}") from None
+        word = decompose(x)  # certifies evaluate(word) == x
     except WebError as exc:
         raise _bad_file("--in", infile, exc) from None
     except ArithmeticError:

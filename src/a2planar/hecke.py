@@ -12,18 +12,21 @@ Two pictures are covered:
   (``f13_relations`` checks its product relations exactly and locates it
   relative to the cup-cap subalgebra at a root of unity).
 
-``decompose`` is exact linear algebra, not diagrammatic moves.  It keeps
-the words in the W_i whose values raise the rank mod a prime p, until the
-rank reaches ``oracle.walk_dim``, the number of reduced webs (Kuperberg:
-non-elliptic webs are a basis); that certifies the words span, because
-rank mod p <= rank over Q(t) <= ``walk_dim``.  It then solves the square
-system over the reduced webs once, fraction-free over Z[t] (Bareiss), and
-certifies the answer by evaluating the word back.
+``decompose`` is exact linear algebra, not diagrammatic moves.  Its words
+are the first reduced words of the 4321-avoiding permutations, a basis
+because W_i satisfies the Kazhdan-Lusztig relations of C'_{s_i} and the
+kernel onto the m strands is spanned by the C'_w with w containing 4321.
+Their count must equal ``oracle.walk_dim``, the number of reduced webs
+(Kuperberg: non-elliptic webs are a basis).  The system over the reduced
+webs is solved once, fraction-free over Z[t] (Bareiss), which finds a
+pivot in every column only if the words' values are independent, and the
+answer is certified by evaluating the word back.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .algebra import (
     WebSum,
@@ -57,7 +60,6 @@ __all__ = [
     "GeneratorWord",
     "evaluate",
     "decompose",
-    "SpanError",
     "alt_word",
     "cupcap_sum",
     "f13_sum",
@@ -166,63 +168,25 @@ def evaluate(word: GeneratorWord) -> WebSum:
 
 # -- decomposition by exact linear solve -----------------------------------
 
-# Word values are compared at t = _T0 in F_p, p = 2^61 - 1 (a prime).
-_P = (1 << 61) - 1
-_T0 = 0x2545F4914F6CDD1D % _P
 
-
-def _residue(c: Laurent) -> int:
-    """``c`` at t = _T0, mod p."""
-    acc = 0
-    for e, v in c.c.items():
-        if v.denominator % _P == 0:
-            raise ZeroDivisionError("coefficient denominator vanishes mod p")
-        acc += v.numerator * pow(v.denominator, -1, _P) * pow(_T0, e, _P)
-    return acc % _P
-
-
-def _raises_rank(echelon: list, x: WebSum) -> bool:
-    """Reduce ``x`` mod p by the echelon rows; if something is left, add
-    it as a new row (pivot entry 1) and return True."""
-    row = {w: _residue(c) for w, c in x.terms.items()}
-    for pivot, prow in echelon:
-        k = row.get(pivot)
-        if k:
-            for w, v in prow.items():
-                row[w] = (row.get(w, 0) - k * v) % _P
-    for pivot, k in row.items():
-        if k:
-            inv = pow(k, -1, _P)
-            echelon.append((pivot, {w: v * inv % _P for w, v in row.items() if v}))
-            return True
-    return False
-
-
-class SpanError(WebError):
-    """The generator words up to the length bound do not span the algebra."""
-
-
-def _spanning_words(m: int, dim: int, max_len: int) -> list:
-    """Words of length at most ``max_len`` that raise the rank mod p, with
-    their values, in length-lexicographic order, until there are ``dim``."""
-    gens = [wsum(m, i) for i in range(m - 1)]
-    echelon: list = []
-    kept: list = []
-    level = [((), identity(m))]
-    for _ in range(max_len + 1):
-        parents = []
-        for word, val in level:
-            if _raises_rank(echelon, val):
-                kept.append((word, val))
-                parents.append((word, val))
-                if len(kept) == dim:
-                    return kept
-        level = (
-            (word + (("w", i),), mult(val, g))
-            for word, val in parents
-            for i, g in enumerate(gens)
-        )
-    raise SpanError(f"generator words of length <= {max_len} did not span the algebra")
+def _basis_words(m: int) -> list:
+    """One word in the W_i per 4321-avoiding permutation of ``m`` strands,
+    its first reduced word in length-lexicographic order, as ``(word,
+    parent)`` pairs in that order; ``parent`` indexes the word less its
+    last letter.  Breadth first: the first reduced word of a permutation
+    extends the first one of its prefix, and a 4321 pattern, four
+    pairwise inversions, survives every lengthening."""
+    perms, words = [tuple(range(m))], [((), None)]
+    seen = set(perms)
+    for k, p in enumerate(perms):  # grows as it goes
+        for i in range(m - 1):
+            q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+            if p[i] < p[i + 1] and q not in seen:
+                seen.add(q)
+                if not any(a > b > c > d for a, b, c, d in combinations(q, 4)):
+                    perms.append(q)
+                    words.append((words[k][0] + (("w", i),), k))
+    return words
 
 
 def _cleared(coeffs: list) -> list:
@@ -241,13 +205,16 @@ def _cleared(coeffs: list) -> list:
 
 
 def _bareiss(a: list) -> tuple:
-    """Solve the nonsingular system given by the augmented rows [A | b]
-    over Z[t] by fraction-free elimination.  Returns ``(y, det)`` with
-    polynomials y_i, det such that A (y / det) = b."""
-    n = len(a)
+    """Solve the system given by the augmented rows [A | b] over Z[t] by
+    fraction-free elimination.  Returns ``(y, det)`` with polynomials y_i,
+    det such that A (y / det) = b on the pivot rows; ArithmeticError if
+    some column of A has no pivot, that is if the columns are dependent."""
+    n = len(a[0]) - 1
     prev = [1]
     for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            raise ArithmeticError("the words' values are linearly dependent")
         a[k], a[piv] = a[piv], a[k]
         ak = a[k]
         for ai in a[k + 1:]:
@@ -277,22 +244,26 @@ def _laurent_quotient(y: list, det: list) -> Laurent:
     return Laurent({e - s: c for e, c in enumerate(q)})
 
 
-def decompose(x: WebSum, max_len: int = 8) -> GeneratorWord:
+def decompose(x: WebSum) -> GeneratorWord:
     """Write ``x`` as a word combination in the W_i, exactly.
 
     ``x`` must live on ``m`` strands oriented ``-`` at top and bottom,
-    the boundary of ``identity(m)``.  Spanning words: words of length at
-    most ``max_len`` are taken in length-lexicographic order, each valued
-    with one multiplication from its parent, and kept when their value
-    raises the rank mod p at a fixed point t0; only kept words are
-    extended.  The search stops once the rank reaches ``walk_dim``, the
-    number of reduced webs, which certifies that the words span.  These
-    are the words a greedy pivot choice over Q(t) keeps, barring an
-    evaluation point at which some rank drops.  Solve: the kept words give
-    a square system over the reduced webs; each equation is cleared of
-    its power of t and denominators, eliminated fraction-free over Z[t]
-    and back-substituted.  Every coefficient must divide out to a
-    Laurent polynomial, and the word is certified by evaluating it back.
+    the boundary of ``identity(m)``.  Words: ``_basis_words(m)``, one per
+    4321-avoiding permutation, each valued with one multiplication of its
+    parent's value by W_i.  They are a basis because W_i satisfies the
+    Kazhdan-Lusztig relations of C'_{s_i}, the kernel of the Hecke algebra
+    onto End(V^{(x)m}) with dim V = 3 is spanned by the C'_w with w
+    containing 4321, and the product along a reduced word of w is C'_w
+    plus lower terms.  Solve: one equation per reduced web in the words'
+    values, each cleared of its power of t and denominators, eliminated
+    fraction-free over Z[t] and back-substituted.
+
+    Nothing of this is taken on trust: ArithmeticError unless there are
+    ``walk_dim`` words, the number of reduced webs (Kuperberg), and the
+    elimination finds a pivot in every column, which certifies that the
+    words' values are independent and so span.  Every coefficient must
+    divide out to a Laurent polynomial, and the word is certified by
+    evaluating it back.
     """
     m = len(x.top)
     unit = identity(m)
@@ -301,21 +272,22 @@ def decompose(x: WebSum, max_len: int = 8) -> GeneratorWord:
             f"decompose needs the boundary of identity({m}), {unit.top!r} over "
             f"{unit.bot!r}; got {x.top!r} over {x.bot!r}"
         )
-    dim = walk_dim(x.top + flip(x.top)[::-1])
-    kept = _spanning_words(m, dim, max_len)
-    webs = dict.fromkeys(w for _, val in kept for w in val.terms)
+    words = _basis_words(m)
+    if len(words) != walk_dim(x.top + flip(x.top)[::-1]):
+        raise ArithmeticError("the basis words do not count the reduced webs")
+    gens = [wsum(m, i) for i in range(m - 1)]
+    vals = [unit]
+    for word, parent in words[1:]:
+        vals.append(mult(vals[parent], gens[word[-1][1]]))
+    webs = dict.fromkeys(w for val in vals for w in val.terms)
+    zero = Laurent.zero()
+    rows = [_cleared([val.terms.get(w, zero) for val in vals] + [x.terms.get(w, zero)])
+            for w in webs]
+    y, det = _bareiss(rows)
     if any(w not in webs for w in x.terms):
         raise WebError("element is not in the span of the basis webs")
-    if len(webs) != dim:
-        raise ArithmeticError("spanning words do not live on the reduced webs")
-    zero = Laurent.zero()
-    rows = [
-        _cleared([val.terms.get(w, zero) for _, val in kept] + [x.terms.get(w, zero)])
-        for w in webs
-    ]
-    y, det = _bareiss(rows)
     out = GeneratorWord(
-        m, [(word, _laurent_quotient(yi, det)) for (word, _), yi in zip(kept, y) if yi]
+        m, [(word, _laurent_quotient(yi, det)) for (word, _), yi in zip(words, y) if yi]
     )
     if evaluate(out) != x:
         raise ArithmeticError("round-trip check failed")

@@ -291,12 +291,6 @@ class CycloField:
 
     # -- element constructors -----------------------------------------
 
-    def zero(self) -> "Cyclo":
-        return Cyclo(self, (0,) * self.d)
-
-    def one(self) -> "Cyclo":
-        return Cyclo(self, _reduce([1], self.d, self._phi_terms))
-
     def from_laurent(self, x: Laurent) -> "Cyclo":
         p = [0] * self.order
         for e, coeff in x.c.items():

@@ -18,7 +18,7 @@ import pytest
 
 from a2planar import graph as G
 from a2planar import pathalg as P
-from a2planar.algebra import WebSum, identity, mult, wsum
+from a2planar.algebra import WebSum, bend, identity, mult, wsum
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
@@ -189,6 +189,16 @@ def test_trace_identity(runner, tmp_path):
     doc = report(result)
     # trace of a single strand closes to a loop: the quantum 3
     assert doc["result"]["laurent"] == {"-6": "1/1", "0": "1/1", "6": "1/1"}
+
+
+@pytest.mark.parametrize("web", [bend(identity_web("-"), 2), bend(identity_web("--"), 3)],
+                         ids=["bent-one-strand", "bent-two-strands"])
+def test_trace_refuses_a_non_endomorphism(runner, tmp_path, web):
+    """A sum whose top is not its flipped bottom failed inside the closure
+    with a WebError traceback ("closure did not reach a scalar", "closure
+    strands have inconsistent orientations")."""
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(web))
+    assert_input_error(run(runner, ["trace", "--in", f]), "--in", "flipped bottom")
 
 
 def test_decompose(runner, tmp_path):
@@ -498,19 +508,11 @@ def test_decompose_other_boundary(runner, tmp_path, x):
     assert_input_error(run(runner, ["decompose", "--in", f]), "--in", "boundary")
 
 
-def test_decompose_negative_max_len(runner, tmp_path):
+def test_decompose_refuses_max_len(runner, tmp_path):
+    """The word length bound is worked out from the strands, so the
+    option that set it is gone."""
     f = _write_websum(tmp_path / "x.json", WebSum.from_web(wgen_web("---", 1)))
-    assert_input_error(run(runner, ["decompose", "--in", f, "--max-len", "-1"]), "--max-len")
-
-
-def test_decompose_max_len_too_short(runner, tmp_path):
-    """Words too short to span the algebra are the fault of --max-len, not
-    of the input, which decomposes with the default."""
-    f = _write_websum(tmp_path / "x.json", mult(wsum(3, 0), wsum(3, 1)))
-    result = run(runner, ["decompose", "--in", f, "--max-len", "1"])
-    assert_input_error(result, "argument --max-len", "length <= 1 did not span")
-    assert f not in result.output
-    assert run(runner, ["decompose", "--in", f]).exit_code == 0
+    assert_input_error(run(runner, ["decompose", "--in", f, "--max-len", "5"]), "--max-len")
 
 
 def _strict_json(text):
@@ -1025,7 +1027,7 @@ def test_zmap_label_field_malformed(runner, tmp_path, row, named):
 
 
 def test_decompose_round_trip_failure(runner, tmp_path, monkeypatch):
-    def broken(x, max_len):
+    def broken(x):
         raise ArithmeticError("round-trip check failed")
 
     monkeypatch.setattr("a2planar.hecke.decompose", broken)

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -128,8 +127,7 @@ _WORDS_RECORDED = {
 
 @pytest.mark.parametrize("m", sorted(_WORDS_RECORDED))
 def test_generator_words_match_recorded(m):
-    kept = hecke._spanning_words(m, walk_dim("-" * m + "+" * m), 12)
-    words = [[i for _, i in word] for word, _ in kept]
+    words = [[i for _, i in word] for word, _ in hecke._basis_words(m)]
     digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
     assert (len(words), max(map(len, words)), digest) == _WORDS_RECORDED[m]
 
@@ -143,17 +141,33 @@ def test_decompose_outside_span():
 
 
 def test_decompose_word_length_bound():
-    # on 4 strands the spanning words reach length 5
+    # on 4 strands the basis words reach length 5, one short of the
+    # longest permutation 4321
+    assert max(len(word) for word, _ in hecke._basis_words(4)) == 5
     x = mult(mult(wsum(4, 0), wsum(4, 1)), wsum(4, 2))
-    with pytest.raises(WebError, match="did not span"):
-        decompose(x, max_len=4)
-    assert evaluate(decompose(x, max_len=5)) == x
+    assert evaluate(decompose(x)) == x
 
 
-def test_residue_refuses_denominator_divisible_by_p():
-    assert hecke._residue(Laurent({1: Fraction(1, 2)})) == hecke._T0 * pow(2, -1, hecke._P) % hecke._P
-    with pytest.raises(ZeroDivisionError):
-        hecke._residue(Laurent({0: Fraction(1, hecke._P)}))
+@pytest.mark.parametrize("m", range(9))
+def test_basis_words_count_the_reduced_webs(m):
+    words = hecke._basis_words(m)
+    assert len(words) == walk_dim("-" * m + "+" * m)
+    assert words[0] == ((), None)
+    for word, parent in words[1:]:
+        assert words[parent][0] == word[:-1]
+
+
+def test_dependent_words_fail_the_elimination(monkeypatch):
+    """Positive control of the certificate: with the last word on 4
+    strands swapped for a word of 4321, whose value is in the span of the
+    others, there are still ``walk_dim`` words and the elimination finds
+    no pivot."""
+    words = hecke._basis_words(4)
+    w0 = tuple(("w", i) for i in (0, 1, 0, 2, 1, 0))
+    parent = next(k for k, (word, _) in enumerate(words) if word == w0[:-1])
+    monkeypatch.setattr(hecke, "_basis_words", lambda m: words[:-1] + [(w0, parent)])
+    with pytest.raises(ArithmeticError, match="linearly dependent"):
+        decompose(wsum(4, 0))
 
 
 def test_import_leaves_sympy_out():
