@@ -113,6 +113,18 @@ def test_decompose_five_strands_match_recorded():
         assert decompose(x).to_json() == case["output"]
 
 
+def test_decompose_six_strands_match_recorded():
+    """Two six-strand sums, recorded from the Bareiss solve of f91d16b:
+    the three-word sum of the CI job, one word the longest permutation's,
+    and a seeded sum drawn as the decompose workload draws its sums."""
+    with open(os.path.join(HERE, "decompose_six_recorded.json")) as fh:
+        cases = json.load(fh)
+    assert [GeneratorWord.from_json(c["input"]).m for c in cases] == [6, 6]
+    for case in cases:
+        x = evaluate(GeneratorWord.from_json(case["input"]))
+        assert decompose(x).to_json() == case["output"]
+
+
 # The generator words on m strands, recorded from the mod-p greedy search
 # of 08b22be: the count, the longest word and the sha256 of the JSON list
 # of each word's letter indices.
