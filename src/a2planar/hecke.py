@@ -17,15 +17,15 @@ are the first reduced words of the 4321-avoiding permutations, a basis
 because W_i satisfies the Kazhdan-Lusztig relations of C'_{s_i} and the
 kernel onto the m strands is spanned by the C'_w with w containing 4321.
 Their count must equal ``oracle.walk_dim``, the number of reduced webs
-(Kuperberg: non-elliptic webs are a basis).  The system over the reduced
-webs is solved once, fraction-free over Z[t] (Bareiss), which finds a
-pivot in every column only if the words' values are independent, and the
-answer is certified by evaluating the word back.
+(Kuperberg: non-elliptic webs are a basis), and in word order each value
+must add one reduced web that no earlier value has, with a unit
+coefficient +-t^e: the values are then unitriangular up to units, so
+independent, and the normalized input is solved by back-substitution in
+Laurent polynomials.  The answer is certified by evaluating the word back.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 from .algebra import (
@@ -45,10 +45,6 @@ from .scalar import (
     Laurent,
     RealCycloRing,
     _as_laurent,
-    _poly_divmod,
-    _poly_exquo,
-    _poly_mul,
-    _poly_sub,
     alpha,
     collect,
     delta,
@@ -189,59 +185,26 @@ def _basis_words(m: int) -> list:
     return words
 
 
-def _cleared(coeffs: list) -> list:
-    """One equation's Laurent coefficients times the power of t and the
-    integer that make all of them integer polynomials (constant first)."""
-    terms = [(e, v) for c in coeffs for e, v in c.c.items()]
-    lo = min((e for e, _ in terms), default=0)
-    den = math.lcm(*(v.denominator for _, v in terms))
-    out = []
-    for c in coeffs:
-        p = [0] * (max(c.c, default=lo - 1) - lo + 1)
-        for e, v in c.c.items():
-            p[e - lo] = v.numerator * (den // v.denominator)
-        out.append(p)
+def _valued_words(m: int) -> list:
+    """``_basis_words(m)`` as ``(word, value, lead, inverse)``: each value
+    is one multiplication of its parent's value by W_i, its lead is the
+    one reduced web that no earlier value has, and ``inverse`` is the
+    inverse of the lead's coefficient.  ArithmeticError unless every value
+    adds exactly one web and its coefficient is a unit, +-t^e."""
+    gens = [wsum(m, i) for i in range(m - 1)]
+    out, seen = [], set()
+    for word, parent in _basis_words(m):
+        val = identity(m) if parent is None else mult(out[parent][1], gens[word[-1][1]])
+        new = [w for w in val.terms if w not in seen]
+        c = val.terms[new[0]].c if len(new) == 1 else {}
+        if len(c) != 1 or abs(*c.values()) != 1:
+            raise ArithmeticError(
+                f"the value of {word} does not add one new web with a unit coefficient"
+            )
+        (e, v), = c.items()
+        seen.add(new[0])
+        out.append((word, val, new[0], Laurent({-e: v})))
     return out
-
-
-def _bareiss(a: list) -> tuple:
-    """Solve the system given by the augmented rows [A | b] over Z[t] by
-    fraction-free elimination.  Returns ``(y, det)`` with polynomials y_i,
-    det such that A (y / det) = b on the pivot rows; ArithmeticError if
-    some column of A has no pivot, that is if the columns are dependent."""
-    n = len(a[0]) - 1
-    prev = [1]
-    for k in range(n):
-        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if piv is None:
-            raise ArithmeticError("the words' values are linearly dependent")
-        a[k], a[piv] = a[piv], a[k]
-        ak = a[k]
-        for ai in a[k + 1:]:
-            for j in range(k + 1, n + 1):
-                if ai[k] or ai[j]:
-                    ai[j] = _poly_exquo(
-                        _poly_sub(_poly_mul(ak[k], ai[j]), _poly_mul(ai[k], ak[j])), prev
-                    )
-            ai[k] = []
-        prev = ak[k]
-    y = [[]] * n
-    for i in reversed(range(n)):
-        acc = _poly_mul(prev, a[i][n])
-        for j in range(i + 1, n):
-            if a[i][j] and y[j]:
-                acc = _poly_sub(acc, _poly_mul(a[i][j], y[j]))
-        y[i] = _poly_exquo(acc, a[i][i])
-    return y, prev
-
-
-def _laurent_quotient(y: list, det: list) -> Laurent:
-    """y / det as a Laurent polynomial, or WebError if it is not one."""
-    s = next(e for e, c in enumerate(det) if c)
-    q, r = _poly_divmod(y, det[s:])
-    if any(r):
-        raise WebError("coefficient is not a Laurent polynomial in t")
-    return Laurent({e - s: c for e, c in enumerate(q)})
 
 
 def decompose(x: WebSum) -> GeneratorWord:
@@ -254,15 +217,16 @@ def decompose(x: WebSum) -> GeneratorWord:
     Kazhdan-Lusztig relations of C'_{s_i}, the kernel of the Hecke algebra
     onto End(V^{(x)m}) with dim V = 3 is spanned by the C'_w with w
     containing 4321, and the product along a reduced word of w is C'_w
-    plus lower terms.  Solve: one equation per reduced web in the words'
-    values, each cleared of its power of t and denominators, eliminated
-    fraction-free over Z[t] and back-substituted.
+    plus lower terms.  Solve: in word order each value adds one reduced
+    web, its lead, with a unit coefficient, so the values are unitriangular
+    up to units against the reduced webs; ``x`` is normalized onto the
+    reduced webs and solved from the last word down, each coefficient its
+    lead's residual times the inverse unit, a Laurent polynomial.
 
     Nothing of this is taken on trust: ArithmeticError unless there are
-    ``walk_dim`` words, the number of reduced webs (Kuperberg), and the
-    elimination finds a pivot in every column, which certifies that the
-    words' values are independent and so span.  Every coefficient must
-    divide out to a Laurent polynomial, and the word is certified by
+    ``walk_dim`` words, the number of reduced webs (Kuperberg), and every
+    value adds one new web with a unit coefficient, which certifies that
+    the values are independent and so span; the word is certified by
     evaluating it back.
     """
     m = len(x.top)
@@ -272,23 +236,18 @@ def decompose(x: WebSum) -> GeneratorWord:
             f"decompose needs the boundary of identity({m}), {unit.top!r} over "
             f"{unit.bot!r}; got {x.top!r} over {x.bot!r}"
         )
-    words = _basis_words(m)
-    if len(words) != walk_dim(x.top + flip(x.top)[::-1]):
+    valued = _valued_words(m)
+    if len(valued) != walk_dim(x.top + flip(x.top)[::-1]):
         raise ArithmeticError("the basis words do not count the reduced webs")
-    gens = [wsum(m, i) for i in range(m - 1)]
-    vals = [unit]
-    for word, parent in words[1:]:
-        vals.append(mult(vals[parent], gens[word[-1][1]]))
-    webs = dict.fromkeys(w for val in vals for w in val.terms)
-    zero = Laurent.zero()
-    rows = [_cleared([val.terms.get(w, zero) for val in vals] + [x.terms.get(w, zero)])
-            for w in webs]
-    y, det = _bareiss(rows)
-    if any(w not in webs for w in x.terms):
-        raise WebError("element is not in the span of the basis webs")
-    out = GeneratorWord(
-        m, [(word, _laurent_quotient(yi, det)) for (word, _), yi in zip(words, y) if yi]
-    )
+    x = x.normalized()
+    rest, zero, y = dict(x.terms), Laurent.zero(), {}
+    for word, val, lead, inverse in reversed(valued):
+        r = rest.get(lead, zero)
+        if not r.is_zero():
+            y[word] = c = r * inverse
+            for w, v in val.terms.items():
+                rest[w] = rest.get(w, zero) - c * v
+    out = GeneratorWord(m, [(word, y[word]) for word, *_ in valued if word in y])
     if evaluate(out) != x:
         raise ArithmeticError("round-trip check failed")
     return out

@@ -508,6 +508,17 @@ def test_decompose_other_boundary(runner, tmp_path, x):
     assert_input_error(run(runner, ["decompose", "--in", f]), "--in", "boundary")
 
 
+def test_decompose_digon(runner, tmp_path):
+    """The digon W_0 W_0, a web that is not reduced, prints [2] W_0 and
+    exits 0; it exited 2 as not in the span of the reduced webs."""
+    w = wgen_web("---", 0)
+    f = _write_websum(tmp_path / "x.json", WebSum.from_web(w.compose(w, check=False)))
+    result = run(runner, ["decompose", "--in", f])
+    assert result.exit_code == 0
+    word = GeneratorWord.from_json(report(result)["result"])
+    assert word.terms == {(("w", 0),): delta()}
+
+
 def test_decompose_refuses_max_len(runner, tmp_path):
     """The word length bound is worked out from the strands, so the
     option that set it is gone."""

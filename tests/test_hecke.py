@@ -22,7 +22,7 @@ from a2planar.hecke import (
 )
 from a2planar.oracle import walk_dim
 from a2planar.rewrite import enumerate_basis
-from a2planar.scalar import Laurent, alpha
+from a2planar.scalar import Laurent, alpha, delta
 from a2planar.web import WebError, hexagon_web, wgen_web
 
 HERE = os.path.dirname(__file__)
@@ -144,12 +144,14 @@ def test_generator_words_match_recorded(m):
     assert (len(words), max(map(len, words)), digest) == _WORDS_RECORDED[m]
 
 
-def test_decompose_outside_span():
-    # an unreduced web (a digon) is not a combination of reduced webs
+def test_decompose_normalizes_its_input():
+    """An unreduced web, the digon W_0 W_0, is written in the generators
+    through its normal form [2] W_0; it was refused as not in the span of
+    the reduced webs while the input was matched without normalizing."""
     w = wgen_web("---", 0)
     digon = WebSum.from_web(w.compose(w, check=False))
-    with pytest.raises(WebError, match="not in the span"):
-        decompose(digon)
+    assert decompose(digon).terms == {(("w", 0),): delta()}
+    assert delta() == Laurent({-3: 1, 3: 1})
 
 
 def test_decompose_word_length_bound():
@@ -169,17 +171,37 @@ def test_basis_words_count_the_reduced_webs(m):
         assert words[parent][0] == word[:-1]
 
 
-def test_dependent_words_fail_the_elimination(monkeypatch):
+def test_dependent_words_fail_the_lead_check(monkeypatch):
     """Positive control of the certificate: with the last word on 4
     strands swapped for a word of 4321, whose value is in the span of the
-    others, there are still ``walk_dim`` words and the elimination finds
-    no pivot."""
+    others, there are still ``walk_dim`` words, but the last value adds no
+    new web."""
     words = hecke._basis_words(4)
     w0 = tuple(("w", i) for i in (0, 1, 0, 2, 1, 0))
     parent = next(k for k, (word, _) in enumerate(words) if word == w0[:-1])
     monkeypatch.setattr(hecke, "_basis_words", lambda m: words[:-1] + [(w0, parent)])
-    with pytest.raises(ArithmeticError, match="linearly dependent"):
+    with pytest.raises(ArithmeticError, match="one new web with a unit coefficient"):
         decompose(wsum(4, 0))
+
+
+def test_non_unit_leads_fail_the_lead_check(monkeypatch):
+    """Positive control: with every W_i scaled by [2], each lead's
+    coefficient is a power of [2], not a unit, and the solve would leave
+    Laurent polynomials."""
+    plain = hecke.wsum
+    monkeypatch.setattr(hecke, "wsum", lambda m, i: plain(m, i).scale(delta()))
+    with pytest.raises(ArithmeticError, match="one new web with a unit coefficient"):
+        decompose(plain(3, 0))
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_leads_are_the_reduced_webs(m):
+    """The leads, one per word, are the bent reduced webs of the boundary
+    -...-+...+, found by ``enumerate_basis``, each once."""
+    leads = [lead.canonical_key() for *_, lead, _ in hecke._valued_words(m)]
+    webs = [bend(b, m).canonical_key() for b in enumerate_basis("-" * m + "+" * m)]
+    assert len(set(leads)) == len(leads) == len(webs)
+    assert set(leads) == set(webs)
 
 
 def test_import_leaves_sympy_out():
