@@ -240,14 +240,15 @@ def decompose(x: WebSum) -> GeneratorWord:
     if len(valued) != walk_dim(x.top + flip(x.top)[::-1]):
         raise ArithmeticError("the basis words do not count the reduced webs")
     x = x.normalized()
-    rest, zero, y = dict(x.terms), Laurent.zero(), {}
+    rest, zero, terms = dict(x.terms), Laurent.zero(), []
     for word, val, lead, inverse in reversed(valued):
         r = rest.get(lead, zero)
         if not r.is_zero():
-            y[word] = c = r * inverse
+            c = r * inverse
+            terms.append((word, c))
             for w, v in val.terms.items():
                 rest[w] = rest.get(w, zero) - c * v
-    out = GeneratorWord(m, [(word, y[word]) for word, *_ in valued if word in y])
+    out = GeneratorWord(m, terms[::-1])
     if evaluate(out) != x:
         raise ArithmeticError("round-trip check failed")
     return out

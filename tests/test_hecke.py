@@ -151,7 +151,6 @@ def test_decompose_normalizes_its_input():
     w = wgen_web("---", 0)
     digon = WebSum.from_web(w.compose(w, check=False))
     assert decompose(digon).terms == {(("w", 0),): delta()}
-    assert delta() == Laurent({-3: 1, 3: 1})
 
 
 def test_decompose_word_length_bound():
@@ -186,8 +185,8 @@ def test_dependent_words_fail_the_lead_check(monkeypatch):
 
 def test_non_unit_leads_fail_the_lead_check(monkeypatch):
     """Positive control: with every W_i scaled by [2], each lead's
-    coefficient is a power of [2], not a unit, and the solve would leave
-    Laurent polynomials."""
+    coefficient is a power of [2], not a unit, and dividing by it would
+    leave the Laurent polynomials."""
     plain = hecke.wsum
     monkeypatch.setattr(hecke, "wsum", lambda m, i: plain(m, i).scale(delta()))
     with pytest.raises(ArithmeticError, match="one new web with a unit coefficient"):
