@@ -1,6 +1,9 @@
 import cmath
 import decimal
+import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -292,3 +295,22 @@ def test_real_cross_is_the_two_product_update(n):
         one.cross(one, zero, one, 2)
     assert one.cross(zero, zero, one, 2) == one.cross(zero, one, zero, 2) == zero
     assert one.cross(zero, one, one) == zero - one
+
+
+def test_inverses_match_recorded():
+    """``scaled_inverse`` on seeded elements of Z[2cos(pi/n)] for n = 4..40
+    and 60, ``Cyclo.inv`` on seeded elements of Q(zeta_6n) for n = 4..12,
+    and the sha256 of the JSON list of Phi_1, ..., Phi_400: recorded from
+    the extended-Euclid inverses and the exact-division ``cyclotomic`` of
+    4d37ad5."""
+    with open(os.path.join(os.path.dirname(__file__), "inverses_recorded.json")) as fh:
+        rec = json.load(fh)
+    assert len(rec["real_scaled_inverse"]) == 76 and len(rec["cyclo_inv"]) == 18
+    for case in rec["real_scaled_inverse"]:
+        b, k = RealCyclo(RealCycloRing.get(case["n"]), case["a"]).scaled_inverse()
+        assert (list(b.v), k) == (case["b"], case["k"])
+    for case in rec["cyclo_inv"]:
+        x = CycloField.get(case["n"]).from_coeffs(case["a"])
+        assert x.inv().to_json()["cyclo"]["coeffs"] == case["inv"]
+    phis = [list(cyclotomic(n)) for n in range(1, 401)]
+    assert hashlib.sha256(json.dumps(phis).encode()).hexdigest() == rec["cyclotomic_sha256"]
