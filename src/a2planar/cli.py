@@ -357,7 +357,10 @@ def dims_cmd(n, graph_file, ii, jj):
 
     g = _graph_option(n, graph_file)
     rep = Report("dims", n=g.n, graph=g.name or graph_file, i=ii, j=jj)
-    d = graph.dims(g, ii, jj)
+    try:
+        d = graph.dims(g, ii, jj)
+    except ArithmeticError:
+        _fail(rep, "dims", None)
     rep.add("dims", True, residual=0)
     print(d)
     sys.exit(rep.emit(None, payload={"dims": d}))

@@ -498,18 +498,23 @@ def dims(g: FusionGraph, i: int, j: int) -> int:
     """dim B[i,j] of the path-pair algebra: the sum over end vertices of
     the squared number of shape-(i, j) paths from ``star`` to them.  The
     counts come from walking a vector of path counts along the sign
-    string, and are checked against the explicit path enumeration."""
+    string over the edge list, and are checked against the same walk over
+    each vertex's out- and in-edges, as ``enumerate_paths`` steps;
+    ArithmeticError if the two disagree."""
     if i < 0 or j < 0:
         raise ValueError("negative level")
-    signs = level_signs(i, j)
-    count = Counter({g.star: 1})
-    for s in signs:
+    count = check = Counter({g.star: 1})
+    for s in level_signs(i, j):
         nxt = Counter()
         for u, v in g.edges if s == "-" else [e[::-1] for e in g.edges]:
             nxt[v] += count[u]
-        count = +nxt
-    if Counter(v for _, v in enumerate_paths(g, signs)) != count:
-        raise AssertionError("path counts and enumeration disagree")
+        count, nxt = +nxt, Counter()
+        for u, c in check.items():
+            for e in g.out_edges[u] if s == "-" else g.in_edges[u]:
+                nxt[g.range(e) if s == "-" else g.source(e)] += c
+        check = nxt
+    if check != count:
+        raise ArithmeticError("the two path counts disagree")
     return sum(c * c for c in count.values())
 
 

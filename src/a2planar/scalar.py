@@ -30,6 +30,11 @@ product or conjugate reduces its coefficient list.  ``RealCyclo.cross``,
 the Bareiss update (p x - a y) // k, sums both products into one list
 before its one reduction.
 
+Inverses come from norms: the product b of the other Galois conjugates
+of an integer element a makes a b = N(a) a nonzero integer, so
+``Cyclo.inv`` and ``RealCyclo.scaled_inverse`` only multiply and reduce,
+and the rank path is integer-only.
+
 All values are immutable; operations are pure.
 """
 
@@ -276,9 +281,10 @@ class CycloField:
         self.order = 6 * n
         phi = cyclotomic(self.order)
         self.d = len(phi) - 1
-        self._phi_coeffs = phi
         # the nonzero coefficients of Phi below its leading 1
         self._phi_terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+        # zeta -> zeta^k for these k are the automorphisms but the identity
+        self._units = [k for k in range(2, self.order) if math.gcd(k, self.order) == 1]
         self._zeta_complex = cmath.exp(1j * cmath.pi / (3 * n))
         self._inv_alpha: dict[int, Cyclo] = {}
 
@@ -299,6 +305,13 @@ class CycloField:
 
     def from_coeffs(self, coeffs) -> "Cyclo":
         return Cyclo(self, _reduce([_frac(c) for c in coeffs], self.d, self._phi_terms))
+
+    def _galois(self, v, k: int) -> tuple:
+        """The coefficient list ``v`` under zeta -> zeta^k, reduced."""
+        p = [0] * self.order
+        for i, c in enumerate(v):
+            p[i * k % self.order] += c
+        return _reduce(p, self.d, self._phi_terms)
 
     def inv_alpha_power(self, m: int) -> "Cyclo":
         """[3]^(-m), inverted once per field and ``m``."""
@@ -330,43 +343,36 @@ def _reduce(p, d: int, terms) -> tuple:
     return tuple(p[:d])
 
 
-def _inverse(a, modulus, terms) -> tuple:
-    """The inverse of ``a`` modulo the irreducible monic ``modulus`` (whose
-    ``terms`` are as in ``_reduce``), by extended Euclid in Q[x]."""
-    r0, r1 = modulus, a
-    s0, s1 = [0], [1]
-    while any(r1):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 = gcd (a constant, since the modulus is irreducible and a != 0 mod it)
-    if _poly_deg(r0) != 0:
+def _over_norm(a, conjugates, d: int, terms) -> tuple:
+    """(b, N) for an integer element ``a``: b the product of its images
+    ``conjugates`` under the other Galois automorphisms, N = a b its norm.
+    ArithmeticError unless a b is a constant, ZeroDivisionError if it is 0."""
+    b = _reduce([1], d, terms)
+    for c in conjugates:
+        b = _reduce(_poly_mul(b, c), d, terms)
+    norm = _reduce(_poly_mul(a, b), d, terms)
+    if any(norm[1:]):
+        raise ArithmeticError("the product of the conjugates is not the norm")
+    if not norm[0]:
         raise ZeroDivisionError("inverse of zero")
-    inv_lead = Fraction(1) / r0[0]
-    return _reduce([c * inv_lead for c in s0], len(modulus) - 1, terms)
+    return b, norm[0]
 
 
 @functools.cache
 def cyclotomic(n: int) -> tuple:
-    """Integer coefficients of Phi_n, constant term first:
-    (x^n - 1) / prod of Phi_d over the proper divisors d of n."""
-    num = [-1] + [0] * (n - 1) + [1]
+    """Integer coefficients of Phi_n, constant term first: (x^n - 1) / D as
+    a power series, D the product of Phi_d over the proper divisors d of n,
+    whose constant term is +-1.  ArithmeticError unless Phi_n D = x^n - 1."""
+    den = [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _poly_exquo(num, cyclotomic(d))
-    return tuple(num)
-
-
-def _poly_deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_sub(a, b):
-    m = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(m)]
+            den = _poly_mul(den, cyclotomic(d))
+    num, q = [-1] + [0] * (n - 1) + [1], []
+    for k in range(n + 2 - len(den)):
+        q.append(den[0] * (num[k] - sum(den[i] * q[k - i] for i in range(1, min(k + 1, len(den))))))
+    if _poly_mul(q, den) != num:
+        raise ArithmeticError(f"Phi_{n} does not divide x^{n} - 1")
+    return tuple(q)
 
 
 def _poly_mul(a, b):
@@ -377,44 +383,6 @@ def _poly_mul(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError
-    inv = Fraction(1) / b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_poly_deg(a), db - 1, -1):
-        c = a[i] * inv
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return q, a
-
-
-def _poly_exquo(a, b):
-    """The quotient a / b of integer polynomials, without trailing zeros;
-    ArithmeticError unless b divides a."""
-    a = list(a)
-    db = _poly_deg(b)
-    lead = b[db]
-    q = [0] * max(len(a) - db, 0)
-    for i in range(_poly_deg(a), db - 1, -1):
-        c, r = divmod(a[i], lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    while q and not q[-1]:
-        q.pop()
-    return q
 
 
 class Cyclo:
@@ -456,8 +424,12 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
+        """The other conjugates' product over the norm, on ``self`` scaled to integers."""
         f = self.field
-        return Cyclo(f, _inverse(self.v, f._phi_coeffs, f._phi_terms))
+        m = math.lcm(*(c.denominator for c in self.v))
+        a = [int(c * m) for c in self.v]
+        b, norm = _over_norm(a, (f._galois(a, k) for k in f._units), f.d, f._phi_terms)
+        return Cyclo(f, [_frac(Fraction(m * c, norm)) for c in b])
 
     def is_zero(self) -> bool:
         return not any(self.v)
@@ -471,12 +443,8 @@ class Cyclo:
         return hash((self.field.n, self.v))
 
     def conjugate(self) -> "Cyclo":
-        """Complex conjugation: zeta^i -> zeta^((-i) mod 6n), exactly."""
-        f = self.field
-        p = [0] * f.order
-        for i, c in enumerate(self.v):
-            p[(-i) % f.order] += c
-        return Cyclo(f, _reduce(p, f.d, f._phi_terms))
+        """Complex conjugation: zeta -> zeta^(-1), exactly."""
+        return Cyclo(self.field, self.field._galois(self.v, -1))
 
     def to_complex(self) -> complex:
         z = self.field._zeta_complex
@@ -548,6 +516,9 @@ class RealCycloRing:
         self.psi = tuple(_in_x({k: phi[h + k] for k in range(h + 1)}))
         self.d = h
         self._psi_terms = [(i, c) for i, c in enumerate(self.psi[:-1]) if c]
+        # x -> P_j(x), odd j prime to n, 1 < j < n: the automorphisms but the identity
+        self._conj_x = [_reduce(_chebyshev(j), h, self._psi_terms)
+                        for j in range(3, n, 2) if math.gcd(j, n) == 1]
 
     @classmethod
     def get(cls, n: int) -> "RealCycloRing":
@@ -572,6 +543,14 @@ class RealCycloRing:
             if k >= 0:
                 half[k] = v.numerator
         return RealCyclo(self, _reduce(_in_x(half), self.d, self._psi_terms))
+
+    def _compose(self, v, p) -> tuple:
+        """The coefficient list ``v`` at x = ``p``, reduced, by Horner's rule."""
+        acc = [v[-1]]
+        for c in reversed(v[:-1]):
+            acc = list(_reduce(_poly_mul(acc, p), self.d, self._psi_terms))
+            acc[0] += c
+        return tuple(acc)
 
 
 class RealCyclo:
@@ -623,11 +602,12 @@ class RealCyclo:
         return fused if k == 1 else fused // k
 
     def scaled_inverse(self) -> tuple["RealCyclo", int]:
-        """(b, k) with b in Z[x]/psi_n, k a positive integer and self * b = k."""
+        """(b, k) with b in Z[x]/psi_n, k a positive integer and self * b = k:
+        the other conjugates' product and the norm, over their gcd."""
         r = self.ring
-        inv = _inverse(self.v, r.psi, r._psi_terms)
-        k = math.lcm(*(c.denominator for c in inv))
-        return RealCyclo(r, [int(c * k) for c in inv]), k
+        b, norm = _over_norm(self.v, (r._compose(self.v, p) for p in r._conj_x), r.d, r._psi_terms)
+        g = math.gcd(norm, *b) if norm > 0 else -math.gcd(norm, *b)
+        return RealCyclo(r, [c // g for c in b]), norm // g
 
     def is_zero(self) -> bool:
         return not any(self.v)

@@ -22,7 +22,7 @@ from a2planar.algebra import WebSum, bend, identity, mult, wsum
 from a2planar.cli import main
 from a2planar.graph import build_A, solve_cells
 from a2planar.hecke import GeneratorWord, cupcap_sum, evaluate
-from a2planar.oracle import flip, walk_dim, walk_dim_truncated
+from a2planar.oracle import flip, walk_dim, walk_dim_truncated, walk_endpoints
 from a2planar.rewrite import find_redexes, first_crossing
 from a2planar.scalar import Laurent, delta
 from a2planar.web import crossing_web, cupcap_web, identity_web, wgen_web
@@ -105,6 +105,33 @@ def test_dims(runner):
     result = run(runner, ["dims", "--n", "5", "--i", "1", "--j", "2"])
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == "5"
+
+
+def test_dims_counts_without_listing_paths(runner):
+    """Level (40, 0) has 165,580,141 paths; the count walk and its check
+    both stay polynomial, and agree with the weight-lattice walk."""
+    sigma = G.level_signs(40, 0)
+    want = sum(c * c for c in walk_endpoints(sigma, limit=2).values())
+    start = time.perf_counter()
+    result = run(runner, ["dims", "--n", "5", "--i", "40", "--j", "0"])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == str(want)
+
+
+def test_dims_count_mismatch_fails_the_check(runner, monkeypatch):
+    """A graph whose out-edge lists disagree with its edge list fails the
+    ``dims`` check with exit 1, and prints no dimension."""
+    def build_bad(n):
+        g = build_A(n)
+        g.out_edges[g.star] = g.out_edges[g.star] * 2
+        return g
+
+    monkeypatch.setattr(G, "build_A", build_bad)
+    result = run(runner, ["dims", "--n", "5", "--i", "1", "--j", "0"])
+    assert result.exit_code == 1
+    assert result.output.startswith("{")
+    assert [(c["id"], c["status"]) for c in report(result)["checks"]] == [("dims", "fail")]
 
 
 def test_graph_build_a(runner):

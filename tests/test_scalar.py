@@ -16,7 +16,6 @@ from a2planar.scalar import (
     Laurent,
     RealCyclo,
     RealCycloRing,
-    _poly_divmod,
     _poly_mul,
     alpha,
     collect,
@@ -94,12 +93,18 @@ class TestLaurent:
 
 
 def _remainder(poly, n) -> tuple:
-    """``poly`` modulo Phi_6n by long division, padded to the field degree."""
+    """``poly`` modulo Phi_6n by long division, padded to the field degree:
+    from the top, subtract each leading coefficient times the monic Phi
+    shifted under it."""
     phi = cyclotomic(6 * n)
     d = len(phi) - 1
-    _, r = _poly_divmod(poly, phi)
+    r = list(poly) + [0] * d
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        for i, a in enumerate(phi):
+            r[k - d + i] -= c * a
     assert not any(r[d:])
-    return tuple(r[:d]) + (0,) * (d - len(r))
+    return tuple(r[:d])
 
 
 def _poly(x: Laurent, n) -> list:
@@ -207,6 +212,32 @@ def test_cyclotomic_6n(n):
     assert len(phi) - 1 == sum(1 for k in range(1, big + 1) if math.gcd(k, big) == 1)
     z = cmath.exp(2j * cmath.pi / big)
     assert abs(sum(c * z**k for k, c in enumerate(phi))) < 1e-6
+
+
+def test_cyclotomic_products_up_to_400():
+    """prod over d | N of Phi_d is x^N - 1 for every N up to 400."""
+    for big in range(1, 401):
+        prod = [1]
+        for d in range(1, big + 1):
+            if big % d == 0:
+                prod = _times(prod, cyclotomic(d))
+        assert prod == [-1] + [0] * (big - 1) + [1], big
+
+
+def test_inverse_norm_check(monkeypatch):
+    """With one automorphism left out of the conjugates, the product is no
+    longer the norm: both inverses refuse with ArithmeticError."""
+    f, ring = CycloField.get(7), RealCycloRing.get(7)
+    x = _at_root(alpha() + Laurent.t(2), 7)
+    a = ring.from_laurent(delta() ** 3 - 3 * alpha())
+    b, k = a.scaled_inverse()
+    assert x * x.inv() == 1 and a * b == ring.from_laurent(Laurent({0: k}))
+    monkeypatch.setattr(f, "_units", f._units[1:])
+    monkeypatch.setattr(ring, "_conj_x", ring._conj_x[1:])
+    with pytest.raises(ArithmeticError, match="not the norm"):
+        x.inv()
+    with pytest.raises(ArithmeticError, match="not the norm"):
+        a.scaled_inverse()
 
 
 # -- the ring Z[2cos(pi/n)] -------------------------------------------------
